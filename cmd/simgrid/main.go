@@ -1,11 +1,10 @@
 // Command simgrid is the multi-host grid coordinator front end: it
 // shards a wire-format job grid across several simserve backends by
-// canonical job-hash range — ranges sized by per-backend throughput
-// weights, with idle backends stealing pending chunks from slow ones —
-// merges the ordered result streams, and writes output byte-identical
-// to the same sweep POSTed to a single backend. See internal/gridcoord
-// for the partitioning, stealing, merge-order, and failure-handling
-// contracts.
+// canonical job-hash range — equal ranges, with idle backends stealing
+// pending chunks from slow ones — merges the ordered result streams,
+// and writes output byte-identical to the same sweep POSTed to a single
+// backend. See internal/gridcoord for the partitioning, stealing,
+// merge-order, and failure-handling contracts.
 //
 //	simgrid -backends http://h1:8080,http://h2:8080,http://h3:8080 -jobs grid.json
 //	simgrid -backends ... -jobs grid.json -format csv
@@ -21,9 +20,7 @@
 // -serve runs the coordinator as a service instead: POST /v1/sweeps
 // streams merged grids, POST /v1/bisect runs the sharded refinement
 // search, GET /v1/sweeps/{id} fans the summary query out to the
-// backends and fuses the answers. -weights-file persists the learned
-// per-backend throughput across processes, so a restarted coordinator
-// starts with warm placement instead of equal ranges.
+// backends and fuses the answers.
 //
 // Observability: each run mints a trace ID sent to every backend as
 // X-Trace-Id (printed by -v; grep it in the backends' access logs).
@@ -61,7 +58,6 @@ func main() {
 		attempts     = flag.Int("attempts", 3, "per-job attempt budget across backend failures")
 		stealChunk   = flag.Int("steal-chunk", 0, "work-stealing chunk size in jobs (0 = auto, negative = static ranges, no stealing)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "abort a backend stream delivering no result for this long (0 = disabled)")
-		weightsFile  = flag.String("weights-file", "", "JSON snapshot of per-backend throughput: loaded as initial partition weights, rewritten after successful runs")
 		verbose      = flag.Bool("v", false, "log progress, steals, backend losses, and retries to stderr")
 		token        = flag.String("token", "", "tenant bearer token sent to every backend (empty for open backends; $SIMGRID_TOKEN overrides)")
 		metricsAdr   = flag.String("metrics-addr", "", "serve the coordinator's GET /v1/metrics on this address (empty = disabled)")
@@ -99,11 +95,6 @@ func main() {
 	}
 	if *metricsAdr != "" || *serveAddr != "" {
 		opts.Registry = obs.NewRegistry()
-	}
-	if *weightsFile != "" {
-		if w, ok := loadWeights(*weightsFile, backends); ok {
-			opts.Weights = w
-		}
 	}
 	coord, err := gridcoord.New(opts)
 	if err != nil {
@@ -176,63 +167,10 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	if *weightsFile != "" {
-		saveWeights(*weightsFile, backends, coord.Throughput())
-	}
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "simgrid: %d jobs over %d backends %v, delivered %v; %d stolen, %d retried, %d backends lost; trace %s\n",
 			len(sweep.Jobs), len(backends), stats.JobsPerBackend, stats.Delivered,
 			stats.Steals, stats.Retried, stats.BackendsLost, stats.TraceID)
-	}
-}
-
-// weightsSnapshot is the -weights-file document: the backend list the
-// throughput was measured against (a changed fleet invalidates it) and
-// the per-backend delivery rates.
-type weightsSnapshot struct {
-	Backends   []string  `json:"backends"`
-	Throughput []float64 `json:"throughput"`
-}
-
-// loadWeights reads a throughput snapshot, returning ok only when it
-// matches the current backend list. A missing or stale file is not an
-// error — the run just starts cold (equal ranges).
-func loadWeights(path string, backends []string) ([]float64, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var snap weightsSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		fmt.Fprintf(os.Stderr, "simgrid: ignoring malformed weights file %s: %v\n", path, err)
-		return nil, false
-	}
-	if len(snap.Backends) != len(backends) || len(snap.Throughput) != len(backends) {
-		fmt.Fprintf(os.Stderr, "simgrid: ignoring weights file %s: recorded for a different backend set\n", path)
-		return nil, false
-	}
-	for i, b := range snap.Backends {
-		if b != backends[i] {
-			fmt.Fprintf(os.Stderr, "simgrid: ignoring weights file %s: recorded for a different backend set\n", path)
-			return nil, false
-		}
-	}
-	return snap.Throughput, true
-}
-
-// saveWeights persists the learned throughput for the next process.
-// Best-effort: a write failure is reported, never fatal (the run's
-// output is already complete).
-func saveWeights(path string, backends []string, throughput []float64) {
-	if len(throughput) != len(backends) {
-		return
-	}
-	data, err := json.MarshalIndent(weightsSnapshot{Backends: backends, Throughput: throughput}, "", "  ")
-	if err != nil {
-		return
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "simgrid: write weights file: %v\n", err)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // search itself (internal/bisect — the same loop the backends run for
 // POST /v1/bisect) and evaluates each round's γ batch by sharding it
 // across ALL backends, one sub-sweep per owning backend, in parallel.
-// Ownership is per-γ hash affinity over the cell's behavioral job hash
-// — deliberately static, never weighted or stolen — so a repeat (or
+// A cell's owner is the equal-range owner of its behavioral job hash —
+// the same arithmetic as Partition, and never stolen — so a repeat (or
 // behaviorally equivalent) request sends every backend the exact
 // sub-sweeps it has already cached: the whole search replays as sweep-
 // cache hits, round by round, while a cold search gets every round's

@@ -14,10 +14,10 @@ import (
 
 // The heterogeneous-fleet benchmark pair: the same 3-backend grid with
 // one backend 10x slower per job (the simserver JobDelay test hook),
-// run under the static equal-range partitioner and under the adaptive
-// scheduler (auto chunking + work stealing + learned weights). The
-// adaptive ns/op beating the static one is the scheduler's headline
-// claim, recorded in BENCH_7.json.
+// run over equal hash ranges with stealing off (static) and on
+// (adaptive: auto chunking + work stealing). The adaptive ns/op beating
+// the static one is the scheduler's headline claim, recorded in
+// BENCH_7.json.
 
 // benchGrid boots 3 in-process backends with the given per-job delays
 // and returns a Coordinator over them.
@@ -69,8 +69,8 @@ func BenchmarkGridStaticSlowBackend(b *testing.B) {
 	}
 }
 
-// BenchmarkGridAdaptiveSlowBackend: auto chunking, work stealing, and
-// throughput learned across iterations — fast backends drain the slow
+// BenchmarkGridAdaptiveSlowBackend: the same equal ranges, split into
+// auto-sized chunks with work stealing — fast backends drain the slow
 // one's queue, so the run bounds near the fast backends' rate.
 func BenchmarkGridAdaptiveSlowBackend(b *testing.B) {
 	coord := benchGrid(b, benchDelays, Options{})

@@ -6,19 +6,21 @@
 // same sweep run on a single host — at any backend count, in both the
 // NDJSON and CSV formats.
 //
-// Placement is adaptive. The initial partition assigns job i to the
-// backend whose slice of the 64-bit hash space contains the leading
-// bits of wire.SemanticHash(job) — the behavioral hash, under which
-// equivalent spellings of one job (a frozen snapshot and its generative
-// schedule, say) collapse to the same key — with slice widths sized by
-// per-backend throughput weights (explicit, or learned from the
-// previous run's observed delivery rates; equal when cold). Each
-// backend's range is split into chunks that its worker streams in range
-// order; a worker that drains its own queue steals pending chunks from
-// the most-loaded peer's tail. Stealing moves only jobs that have not
-// started streaming, so no job ever runs twice because of a steal, and
-// the merged output is byte-identical at any steal schedule: the
-// collector orders results by global job index, never by arrival.
+// Placement: the initial partition assigns job i to the backend whose
+// equal slice of the 64-bit hash space contains the leading bits of
+// wire.SemanticHash(job) — the behavioral hash, under which equivalent
+// spellings of one job (a frozen snapshot and its generative schedule,
+// say) collapse to the same key. The assignment is a pure function of
+// (job behavior, backend count), so a Coordinator carries no placement
+// state from one run to the next and a re-submitted grid reaches the
+// backends whose caches hold it. Each backend's range is split into
+// chunks that its worker streams in range order; a worker that drains
+// its own queue steals pending chunks from the most-loaded peer's
+// tail, which is how a slow backend sheds load. Stealing moves only
+// jobs that have not started streaming, so no job ever runs twice
+// because of a steal, and the merged output is byte-identical at any
+// steal schedule: the collector orders results by global job index,
+// never by arrival.
 //
 // Failure handling: when a backend dies mid-chunk (transport error,
 // truncated stream), the chunk's undelivered jobs are re-queued on the
@@ -32,12 +34,14 @@
 // everywhere.
 //
 // Adaptive grids: Bisect runs the shared refinement search
-// (internal/bisect) on the coordinator and shards each round's midpoint
-// batch across all backends by per-γ hash affinity — the search path is
-// deterministic, so a repeat request replays every γ from the backends'
-// warm job caches. SweepStatus fans a completed run's summary query out
-// to the backends that streamed its chunks and fuses the results into
-// the single-host response; Handler serves both over HTTP.
+// (internal/bisect) on the coordinator and sends each round's γ cells
+// as one sub-sweep per owning backend, the owner being the same
+// equal-range owner of each cell's SemanticHash — the search path is
+// deterministic, so a repeat request replays every sub-sweep from the
+// backends' sweep caches. SweepStatus fans a completed run's summary
+// query out to the backends that streamed its chunks and fuses the
+// results into the single-host response; Handler serves both over
+// HTTP.
 package gridcoord
 
 import (
@@ -49,7 +53,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -88,13 +91,6 @@ type Options struct {
 	// means 3. A job that fails its last attempt fails the whole run
 	// (partial output would silently diverge from a single-host run).
 	Attempts int
-	// Weights sizes the initial hash ranges: backend b's slice of the
-	// hash space is Weights[b]/sum(Weights) of it. Nil (or a length
-	// mismatch) falls back to throughput learned from this
-	// Coordinator's previous run, and to equal ranges when cold.
-	// Entries that are zero, negative, or non-finite are replaced by
-	// the mean of the valid ones.
-	Weights []float64
 	// StealChunk is the work-stealing granularity in jobs: each
 	// backend's range is split into chunks of this size, and idle
 	// backends steal pending chunks from the most-loaded peer. 0 picks
@@ -205,11 +201,6 @@ type Coordinator struct {
 	clients []*client.Client
 	metrics *gridMetrics
 
-	// wmu guards the throughput learned from completed runs (jobs per
-	// second per backend), the cold-start fallback for Options.Weights.
-	wmu     sync.Mutex
-	learned []float64
-
 	// rmu guards the completed-run registry SweepStatus fans out from.
 	rmu      sync.Mutex
 	runs     map[string]*runRecord
@@ -247,94 +238,22 @@ func New(opts Options) (*Coordinator, error) {
 // count reproduces it exactly, so equivalent jobs land on the backend
 // that already holds the result.
 func Partition(jobs []wire.Job, n int) ([][]int, error) {
-	return PartitionWeighted(jobs, n, nil)
-}
-
-// PartitionWeighted assigns each job to one of n backends by behavioral
-// job-hash range, with slice widths proportional to weights (a faster
-// backend gets a wider slice of the hash space and therefore, in
-// expectation, proportionally more jobs). Nil weights, a length
-// mismatch, or weights with no valid entry fall back to equal slices
-// (exactly Partition's assignment); zero, negative, or non-finite
-// entries are replaced by the mean of the valid ones. Like Partition,
-// the assignment is a pure function of (job behaviors, n, weights).
-func PartitionWeighted(jobs []wire.Job, n int, weights []float64) ([][]int, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gridcoord: partition needs n >= 1, got %d", n)
 	}
-	bounds := weightBounds(weights, n)
 	out := make([][]int, n)
 	for i, j := range jobs {
 		h, err := wire.SemanticHash(j)
 		if err != nil {
 			return nil, fmt.Errorf("gridcoord: jobs[%d]: %w", i, err)
 		}
-		var b int
-		if bounds == nil {
-			b, err = rangeIndex(h, n)
-		} else {
-			b, err = weightedIndex(h, bounds)
-		}
+		b, err := rangeIndex(h, n)
 		if err != nil {
 			return nil, fmt.Errorf("gridcoord: jobs[%d]: %w", i, err)
 		}
 		out[b] = append(out[b], i)
 	}
 	return out, nil
-}
-
-// weightBounds converts throughput weights into the first n-1 exclusive
-// upper boundaries of the hash space's slices (the last slice runs to
-// the top). Nil means "use equal slices via rangeIndex" — returned for
-// nil weights, a length mismatch, or no valid entry, so the unweighted
-// path stays bit-exactly the historical assignment.
-func weightBounds(weights []float64, n int) []uint64 {
-	if len(weights) != n || n <= 1 {
-		return nil
-	}
-	valid, sum := 0, 0.0
-	for _, w := range weights {
-		if w > 0 && !math.IsInf(w, 1) {
-			valid++
-			sum += w
-		}
-	}
-	if valid == 0 {
-		return nil
-	}
-	mean := sum / float64(valid)
-	total := 0.0
-	norm := make([]float64, n)
-	for b, w := range weights {
-		if !(w > 0) || math.IsInf(w, 1) {
-			w = mean
-		}
-		norm[b] = w
-		total += w
-	}
-	const maxU64 = float64(math.MaxUint64)
-	bounds := make([]uint64, n-1)
-	cum := 0.0
-	for b := 0; b < n-1; b++ {
-		cum += norm[b]
-		fv := cum / total * (maxU64 + 1)
-		if fv >= maxU64 {
-			bounds[b] = math.MaxUint64
-		} else {
-			bounds[b] = uint64(fv)
-		}
-	}
-	return bounds
-}
-
-// weightedIndex maps a canonical hash's 64-bit prefix to the slice
-// whose boundary first exceeds it.
-func weightedIndex(hash string, bounds []uint64) (int, error) {
-	v, err := strconv.ParseUint(hash[:16], 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parse hash: %w", err)
-	}
-	return sort.Search(len(bounds), func(b int) bool { return v < bounds[b] }), nil
 }
 
 // rangeIndex maps a canonical hash's 64-bit prefix to one of n equal
@@ -355,52 +274,6 @@ func (c *Coordinator) observe(ev Event) {
 	if c.opts.Observe != nil {
 		c.opts.Observe(ev)
 	}
-}
-
-// effectiveWeights picks the partition weights for one run: explicit
-// Options.Weights when usable, else throughput learned from the
-// previous run, else nil (equal ranges — the cold start).
-func (c *Coordinator) effectiveWeights() []float64 {
-	if len(c.opts.Weights) == len(c.clients) {
-		return c.opts.Weights
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if len(c.learned) != len(c.clients) {
-		return nil
-	}
-	w := make([]float64, len(c.learned))
-	copy(w, c.learned)
-	return w
-}
-
-// Throughput returns the per-backend delivery rates (jobs per second)
-// learned from this Coordinator's most recent successful Run — the
-// snapshot cmd/simgrid persists with -weights-file so the next process
-// starts with warm placement. Nil before any run completes; entries for
-// backends that delivered nothing are 0 (PartitionWeighted substitutes
-// the mean).
-func (c *Coordinator) Throughput() []float64 {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.learned == nil {
-		return nil
-	}
-	w := make([]float64, len(c.learned))
-	copy(w, c.learned)
-	return w
-}
-
-// rates derives the run's observed per-backend delivery rates (jobs
-// per second), the raw material for the learned partition weights.
-func (st *runState) rates() []float64 {
-	w := make([]float64, len(st.delivered))
-	for b, d := range st.delivered {
-		if d > 0 && st.streamSecs[b] > 0 {
-			w[b] = float64(d) / st.streamSecs[b]
-		}
-	}
-	return w
 }
 
 // chunkSizeFor picks the stealing granularity: the configured size, or
@@ -424,8 +297,7 @@ func (c *Coordinator) chunkSizeFor(jobs int) int {
 // coordinator recomputes the semantic sweep hash (the service's public
 // sweep ID) for the stream header, re-indexes each backend's local
 // results to their global positions, and emits in strict job order —
-// whatever partition weights, steal schedule, or failover path the run
-// takes.
+// whatever steal schedule or failover path the run takes.
 func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, w io.Writer) (Stats, error) {
 	if format != FormatNDJSON && format != FormatCSV {
 		return Stats{}, fmt.Errorf("gridcoord: unknown format %q", format)
@@ -437,7 +309,7 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	if err != nil {
 		return Stats{}, err
 	}
-	assign, err := PartitionWeighted(sweep.Jobs, len(c.clients), c.effectiveWeights())
+	assign, err := Partition(sweep.Jobs, len(c.clients))
 	if err != nil {
 		return Stats{}, err
 	}
@@ -464,15 +336,14 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	// so stamping is per-run, not per-Coordinator.
 	traceID := obs.NewID()
 	st := &runState{
-		clients:    make([]*client.Client, len(c.clients)),
-		queues:     make([][]chunk, len(c.clients)),
-		alive:      make([]bool, len(c.clients)),
-		attempts:   make([]int, len(sweep.Jobs)),
-		delivered:  make([]int, len(c.clients)),
-		streamSecs: make([]float64, len(c.clients)),
-		assigned:   make([]int, len(c.clients)),
-		stealOK:    c.opts.StealChunk >= 0,
-		cancel:     cancel,
+		clients:   make([]*client.Client, len(c.clients)),
+		queues:    make([][]chunk, len(c.clients)),
+		alive:     make([]bool, len(c.clients)),
+		attempts:  make([]int, len(sweep.Jobs)),
+		delivered: make([]int, len(c.clients)),
+		assigned:  make([]int, len(c.clients)),
+		stealOK:   c.opts.StealChunk >= 0,
+		cancel:    cancel,
 	}
 	st.cond = sync.NewCond(&st.mu)
 	for b, cl := range c.clients {
@@ -513,7 +384,6 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	stats.Steals = st.steals
 	stats.Delivered = st.delivered
 	fatal := st.fatal
-	rates := st.rates()
 	chunks := st.chunks
 	st.mu.Unlock()
 	if fatal != nil {
@@ -522,11 +392,6 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	if err := m.finish(); err != nil {
 		return stats, err
 	}
-	// The run succeeded: fold its observed throughput into the learned
-	// weights and register it for SweepStatus fan-out.
-	c.wmu.Lock()
-	c.learned = rates
-	c.wmu.Unlock()
 	c.recordRun(id, sweep.Jobs, chunks)
 	return stats, nil
 }
@@ -554,22 +419,21 @@ type chunkRecord struct {
 type runState struct {
 	clients []*client.Client
 
-	mu         sync.Mutex
-	cond       *sync.Cond // claimable-work / inflight-drained signal
-	queues     [][]chunk  // pending chunks per backend, in range order
-	alive      []bool
-	attempts   []int
-	delivered  []int     // per-backend delivered-result counts
-	streamSecs []float64 // per-backend total stream wall-clock
-	assigned   []int     // per-backend current assignment (steals move it)
-	inflight   int       // chunks being streamed right now
-	steals     int
-	retried    int
-	lost       int
-	chunks     []chunkRecord
-	stealOK    bool
-	fatal      error
-	cancel     context.CancelFunc // aborts in-flight streams on fatal
+	mu        sync.Mutex
+	cond      *sync.Cond // claimable-work / inflight-drained signal
+	queues    [][]chunk  // pending chunks per backend, in range order
+	alive     []bool
+	attempts  []int
+	delivered []int // per-backend delivered-result counts
+	assigned  []int // per-backend current assignment (steals move it)
+	inflight  int   // chunks being streamed right now
+	steals    int
+	retried   int
+	lost      int
+	chunks    []chunkRecord
+	stealOK   bool
+	fatal     error
+	cancel    context.CancelFunc // aborts in-flight streams on fatal
 }
 
 // fail records the run's fatal error (first one wins), cancels the
@@ -759,7 +623,6 @@ func (c *Coordinator) stream(ctx context.Context, st *runState, m *merger,
 	elapsed := time.Since(start)
 	st.mu.Lock()
 	st.delivered[b] += delivered
-	st.streamSecs[b] += elapsed.Seconds()
 	st.mu.Unlock()
 	c.metrics.streamDone(b, delivered, elapsed)
 	// The terminal stream event fires on every path — a backend that

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"taskalloc/internal/goldencases"
 	"taskalloc/internal/simserver"
@@ -386,6 +387,68 @@ func TestRejectionIsFatal(t *testing.T) {
 	}
 }
 
+// TestResubmittedGridHitsBackendCaches pins cache affinity: placement
+// is a pure function of (job behavior, backend count), so the same grid
+// run twice on one Coordinator sends every backend the identical
+// sub-sweep both times, and the second run is served entirely from the
+// backends' sweep caches. Stealing is off so each backend streams its
+// whole range as one sub-sweep and the count is exact. One backend is
+// slowed per job: how fast a backend ran the first time must not move
+// where the second run's jobs go.
+func TestResubmittedGridHitsBackendCaches(t *testing.T) {
+	const n = 3
+	servers := make([]*simserver.Server, n)
+	urls := make([]string, n)
+	for i := range servers {
+		var delay time.Duration
+		if i == 1 {
+			delay = 2 * time.Millisecond
+		}
+		servers[i] = simserver.New(simserver.Options{Workers: 2, JobDelay: delay})
+		t.Cleanup(servers[i].Close)
+		ts := httptest.NewServer(servers[i])
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	sweep := wire.Sweep{Version: wire.V1}
+	for i := 0; i < 24; i++ {
+		sweep.Jobs = append(sweep.Jobs, propJob(uint64(7000+i)))
+	}
+	assign, err := Partition(sweep.Jobs, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, idxs := range assign {
+		if len(idxs) == 0 {
+			t.Fatalf("degenerate partition: backend %d got no jobs (%v)", b, assign)
+		}
+	}
+	coord, err := New(Options{Backends: urls, StealChunk: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second bytes.Buffer
+	if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("re-submitted grid merged to different bytes")
+	}
+	var hits, misses uint64
+	for _, s := range servers {
+		st := s.Stats()
+		hits += st.SweepHits
+		misses += st.SweepMisses
+	}
+	if misses != n || hits != n {
+		t.Errorf("backend sweep caches: %d misses, %d hits over two runs; want %d and %d (second run fully warm)",
+			misses, hits, n, n)
+	}
+}
+
 // TestBisectThroughCoordinator: the coordinator shards each refinement
 // round across the backends with deterministic per-γ affinity, so a
 // repeat request replays every shard from a warm backend cache; killing
@@ -429,8 +492,8 @@ func TestBisectThroughCoordinator(t *testing.T) {
 			again.CacheHits, again.Evals)
 	}
 
-	// Failover: replace the owning backend with a dead address; the
-	// request must still succeed on a survivor (cold cache).
+	// Failover: replace one backend with a dead address; the shards it
+	// owns must still succeed on a survivor (cold cache).
 	h, err := wire.BisectHash(req)
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +514,7 @@ func TestBisectThroughCoordinator(t *testing.T) {
 	}
 }
 
-// ownerIndex mirrors Bisect's affinity computation.
+// ownerIndex is the equal-range owner of hash among n backends.
 func ownerIndex(t *testing.T, hash string, n int) int {
 	t.Helper()
 	v, err := strconv.ParseUint(hash[:16], 16, 64)

@@ -38,7 +38,7 @@ func newGridMetrics(r *obs.Registry, backends int) *gridMetrics {
 		sweeps: r.Counter("taskalloc_grid_sweeps_total",
 			"Sweeps sharded across the backend set."),
 		bisects: r.Counter("taskalloc_grid_bisects_total",
-			"Bisect requests forwarded by behavioral-hash affinity."),
+			"Bisect requests sharded across the backend set."),
 		redispatches: r.Counter("taskalloc_grid_redispatches_total",
 			"Failed ranges re-submitted to a surviving backend."),
 		retried: r.Counter("taskalloc_grid_jobs_retried_total",

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -18,11 +19,10 @@ import (
 	"taskalloc/internal/wire"
 )
 
-// The property layer: randomized partition weights, steal granularities,
-// per-line backend delays, and injected mid-stream aborts — every
-// schedule must produce the same output bytes, deliver every job exactly
-// once per attempt, and keep the stats ledger consistent with the
-// observed events.
+// The property layer: randomized steal granularities, per-line backend
+// delays, and injected mid-stream aborts — every schedule must produce
+// the same output bytes, deliver every job exactly once per attempt, and
+// keep the stats ledger consistent with the observed events.
 
 // propJob builds one deterministic sweep job; the fake backend's result
 // is a pure function of it, so any backend computes identical bytes.
@@ -161,8 +161,7 @@ func expectedCSV(t *testing.T, sweep wire.Sweep) []byte {
 }
 
 // TestRandomizedStealSchedules is the scheduler's property suite: 1000
-// randomized (weights, chunk size, per-backend speed, mid-stream abort)
-// schedules against fake backends whose results are pure functions of
+// randomized (chunk size, per-backend speed, mid-stream abort) schedules against fake backends whose results are pure functions of
 // the job. Every schedule must (a) merge byte-identically to the
 // single-host rendering, (b) deliver each job exactly once, and (c)
 // keep Stats consistent with the observed event stream — steals counted
@@ -190,10 +189,6 @@ func TestRandomizedStealSchedules(t *testing.T) {
 		for i := 0; i < jobs; i++ {
 			sweep.Jobs = append(sweep.Jobs, propJob(seedBase+uint64(i)))
 		}
-		weights := make([]float64, n)
-		for b := range weights {
-			weights[b] = 0.1 + rng.Float64()*3.9
-		}
 		stealChunk := rng.Intn(4) // 0 = auto
 		for b := range fakes {
 			var delay time.Duration
@@ -215,7 +210,6 @@ func TestRandomizedStealSchedules(t *testing.T) {
 		)
 		coord, err := New(Options{
 			Backends:   urls,
-			Weights:    weights,
 			StealChunk: stealChunk,
 			Attempts:   4,
 			Observe: func(ev Event) {
@@ -241,11 +235,11 @@ func TestRandomizedStealSchedules(t *testing.T) {
 		var got bytes.Buffer
 		stats, err := coord.Run(context.Background(), sweep, format, &got)
 		if err != nil {
-			t.Fatalf("iter %d (chunk=%d weights=%v): %v", it, stealChunk, weights, err)
+			t.Fatalf("iter %d (chunk=%d): %v", it, stealChunk, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("iter %d (chunk=%d weights=%v): merged %s differs from single host (%d vs %d bytes)",
-				it, stealChunk, weights, format, got.Len(), len(want))
+			t.Fatalf("iter %d (chunk=%d): merged %s differs from single host (%d vs %d bytes)",
+				it, stealChunk, format, got.Len(), len(want))
 		}
 		evMu.Lock()
 		for i, c := range perJob {
@@ -270,35 +264,33 @@ func TestRandomizedStealSchedules(t *testing.T) {
 	}
 }
 
-// TestPartitionWeightedProperties: 1000 random weight vectors over a
-// fixed grid — every assignment must cover each job exactly once, keep
-// each backend's indices ascending (the range-order the chunker relies
-// on), and be a pure function of its inputs.
-func TestPartitionWeightedProperties(t *testing.T) {
-	const jobs, n = 50, 4
-	sweep := make([]wire.Job, jobs)
-	for i := range sweep {
-		sweep[i] = propJob(uint64(9000 + i))
-	}
+// TestPartitionProperties: 1000 random grids over 1–5 backends — every
+// assignment must cover each job exactly once, keep each backend's
+// indices ascending (the range order the chunker relies on), and be a
+// pure function of its inputs: the same grid partitions identically
+// twice, and a job's owner does not depend on which other jobs share
+// its grid (the owner of job i in the full grid owns it in any subgrid).
+func TestPartitionProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 1000; it++ {
-		weights := make([]float64, n)
-		for b := range weights {
-			weights[b] = 0.1 + rng.Float64()*3.9
+		n := 1 + rng.Intn(5)
+		jobs := make([]wire.Job, 1+rng.Intn(40))
+		for i := range jobs {
+			jobs[i] = propJob(rng.Uint64() % 1_000_000)
 		}
-		// A sprinkle of invalid entries: they must be repaired (mean
-		// substitution), never panic or drop jobs.
-		if it%7 == 0 {
-			weights[rng.Intn(n)] = 0
-		}
-		assign, err := PartitionWeighted(sweep, n, weights)
+		assign, err := Partition(jobs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make([]int, jobs)
+		if len(assign) != n {
+			t.Fatalf("iter %d: %d ranges for %d backends", it, len(assign), n)
+		}
+		owner := make([]int, len(jobs))
+		seen := make([]int, len(jobs))
 		for b, idxs := range assign {
 			for k, i := range idxs {
 				seen[i]++
+				owner[i] = b
 				if k > 0 && idxs[k-1] >= i {
 					t.Fatalf("iter %d: backend %d indices not ascending: %v", it, b, idxs)
 				}
@@ -306,32 +298,34 @@ func TestPartitionWeightedProperties(t *testing.T) {
 		}
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("iter %d: job %d assigned %d times (weights %v)", it, i, c, weights)
+				t.Fatalf("iter %d: job %d assigned %d times", it, i, c)
 			}
 		}
-		again, err := PartitionWeighted(sweep, n, weights)
+		again, err := Partition(jobs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b := range assign {
-			if len(assign[b]) != len(again[b]) {
-				t.Fatalf("iter %d: assignment not deterministic for backend %d", it, b)
-			}
-			for k := range assign[b] {
-				if assign[b][k] != again[b][k] {
-					t.Fatalf("iter %d: assignment not deterministic for backend %d", it, b)
+		if !reflect.DeepEqual(assign, again) {
+			t.Fatalf("iter %d: assignment not deterministic:\n%v\n%v", it, assign, again)
+		}
+		// Every other job, in reverse order: each keeps its owner.
+		var sub []wire.Job
+		var orig []int
+		for i := len(jobs) - 1; i >= 0; i -= 2 {
+			sub = append(sub, jobs[i])
+			orig = append(orig, i)
+		}
+		subAssign, err := Partition(sub, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, idxs := range subAssign {
+			for _, k := range idxs {
+				if owner[orig[k]] != b {
+					t.Fatalf("iter %d: job %d owned by backend %d in its grid but %d in a subgrid",
+						it, orig[k], owner[orig[k]], b)
 				}
 			}
 		}
-	}
-
-	// A dominant weight owns almost the whole hash space, so it must own
-	// the bulk of any non-adversarial grid.
-	assign, err := PartitionWeighted(sweep, 3, []float64{1000, 0.001, 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(assign[0]) < jobs*9/10 {
-		t.Fatalf("dominant-weight backend got %d of %d jobs", len(assign[0]), jobs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"time"
 
 	"taskalloc"
 	"taskalloc/internal/bisect"
@@ -84,9 +85,10 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	}
 	// Hash the request AS SENT — before the server's MaxEvals default is
 	// applied — so the response ID equals wire.SemanticBisectHash of the
-	// submitted document (the coordinator's affinity hash) regardless of
-	// this server's -max-bisect-evals. The behavioral hash makes
-	// equivalent template spellings coalesce and share one response ID.
+	// submitted document (the ID a coordinator stamps on the same
+	// search) regardless of this server's -max-bisect-evals. The
+	// behavioral hash makes equivalent template spellings coalesce and
+	// share one response ID.
 	id, err := wire.SemanticBisectHash(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -246,11 +248,17 @@ func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Eva
 		for i, p := range misses {
 			jobs[i] = p.job
 		}
-		results := sweeprun.Run(jobs, sweeprun.Options{
+		results := sweeprun.Stream(jobs, sweeprun.Options{
 			Workers:  workers,
 			Pool:     s.pool,
 			Gate:     s.gate,
 			OnTiming: s.observeJobTiming,
+		}, func(sweeprun.Result) {
+			if d := s.opts.JobDelay; d > 0 {
+				// The same chaos/test hook as the sweep path: every
+				// freshly computed cell costs at least d wall-clock.
+				time.Sleep(d)
+			}
 		})
 		computed := make([]jobResult, len(results))
 		s.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"taskalloc/internal/goldencases"
 	"taskalloc/internal/wire"
@@ -173,11 +174,14 @@ func TestBisectIDIsCanonicalHash(t *testing.T) {
 	}
 }
 
-// TestBisectConcurrentCoalesce: identical concurrent requests coalesce
-// onto one execution and return identical responses (without
-// coalescing, the racing run would observe the first run's cache).
+// TestBisectConcurrentCoalesce: an identical request that arrives while
+// a search is evaluating coalesces onto it and returns the same bytes
+// (a request arriving after the search would replay from the job cache,
+// and its body would differ in cached/cache_hits). JobDelay holds the
+// first search open, and the second POST is sent only once the first
+// has counted its evaluations, so the two always overlap.
 func TestBisectConcurrentCoalesce(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{Workers: 2, JobDelay: 100 * time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -188,28 +192,40 @@ func TestBisectConcurrentCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	type out struct {
-		body []byte
-		err  error
+		body  []byte
+		cache string
+		err   error
 	}
 	results := make(chan out, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/v1/bisect", "application/json", bytes.NewReader(body))
-			if err != nil {
-				results <- out{err: err}
-				return
-			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(resp.Body)
-			if err == nil && resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, b)
-			}
-			results <- out{body: b, err: err}
-		}()
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/bisect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			results <- out{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, b)
+		}
+		results <- out{body: b, cache: resp.Header.Get("X-Cache"), err: err}
 	}
+	go post()
+	deadline := time.Now().Add(30 * time.Second)
+	for srv.Stats().BisectJobMisses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first bisect never started evaluating")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	go post()
 	a, b := <-results, <-results
 	if a.err != nil || b.err != nil {
 		t.Fatalf("concurrent bisect failed: %v / %v", a.err, b.err)
+	}
+	if got := []string{a.cache, b.cache}; !(got[0] == "miss" && got[1] == "coalesced" ||
+		got[0] == "coalesced" && got[1] == "miss") {
+		t.Errorf("X-Cache = %q; want one miss and one coalesced", got)
 	}
 	if !bytes.Equal(a.body, b.body) {
 		t.Errorf("concurrent identical bisects returned different responses:\n%s\n%s", a.body, b.body)

@@ -124,9 +124,10 @@ type Options struct {
 	// JobDelay artificially sleeps before each freshly computed job (a
 	// chaos/test hook — cmd/simserve's -test-job-delay): it makes this
 	// backend uniformly slow without touching results, so grid tests can
-	// exercise work stealing against a real heterogeneous fleet. Cached
-	// and journal-replayed cells are not delayed. Zero (the default)
-	// disables it.
+	// exercise work stealing against a real heterogeneous fleet, and
+	// bisect tests can hold a search open. Sweep cells and /v1/bisect
+	// cells are delayed alike; cached and journal-replayed cells are
+	// not. Zero (the default) disables it.
 	JobDelay time.Duration
 }
 
