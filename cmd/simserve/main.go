@@ -9,10 +9,13 @@
 // Durable mode (-data-dir) journals every sweep to disk: a restart on
 // the same directory replays completed sweeps from the journal, resumes
 // interrupted ones, and lets clients reconnect to a half-streamed
-// response via GET /v1/sweeps/{id}?cursor=N. The bisect job cache
-// spills to DATA_DIR/jobcache (or -cache-dir) and stays warm across
-// restarts. -tenants FILE enables bearer-token auth with per-tenant
-// quotas and rate limits (a JSON array of tenant objects; see API.md).
+// response via GET /v1/sweeps/{id}?cursor=N. Sweeps and bisects reuse
+// each other's cells through the job tier (-job-cache-entries in
+// memory); bisect cells also spill to DATA_DIR/jobcache (or -cache-dir),
+// which stays warm across restarts, and a sweep replayed from its
+// journal re-warms the memory tier. -tenants FILE enables bearer-token
+// auth with per-tenant quotas and rate limits (a JSON array of tenant
+// objects; see API.md).
 //
 // Observability: GET /v1/metrics serves Prometheus text exposition,
 // -access-log emits one JSON line per request to stderr, and
@@ -56,12 +59,12 @@ func main() {
 		maxRnds  = flag.Int("max-cell-rounds", 10_000_000, "largest accepted per-cell horizon")
 		maxAnts  = flag.Int("max-cell-ants", 10_000_000, "largest accepted per-cell colony size")
 		maxBis   = flag.Int("max-bisect-evals", 128, "largest accepted bisect evaluation budget (POST /v1/bisect)")
-		jobCache = flag.Int("job-cache-entries", 4096, "bisect cell results kept for cached re-bisection")
+		jobCache = flag.Int("job-cache-entries", 4096, "job results (sweep and bisect cells, reports only) kept in memory for reuse by later sweeps and bisects")
 		drainFor = flag.Duration("drain-timeout", time.Minute,
 			"grace for in-flight HTTP handlers on shutdown (sweeps still drain fully after it; a second signal force-kills)")
 		dataDir  = flag.String("data-dir", "", "enable durability: journal sweeps under this directory (empty = memory-only)")
 		dataB    = flag.Int64("data-bytes", 4<<30, "disk budget for sweep journals (oldest complete journals evicted past it)")
-		cacheDir = flag.String("cache-dir", "", "disk job-result cache directory (empty = DATA_DIR/jobcache when -data-dir is set)")
+		cacheDir = flag.String("cache-dir", "", "disk job-result cache directory: bisect cells are written here, sweeps and bisects read it (empty = DATA_DIR/jobcache when -data-dir is set)")
 		cacheDB  = flag.Int64("cache-disk-bytes", 1<<30, "disk budget for the job-result cache")
 		syncWr   = flag.Bool("sync", false, "fsync every journal append (survives machine crash, not just process kill; slow)")
 		tenants  = flag.String("tenants", "", "JSON file of tenant configs enabling bearer-token auth (empty = open server)")

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"taskalloc"
 	"taskalloc/internal/bisect"
 	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
@@ -20,21 +19,14 @@ import (
 // lives in internal/bisect (shared with the grid coordinator's sharded
 // bisect); this file supplies its evaluator: each evaluated cell is an
 // ordinary job (the request's template with Gamma overridden), keyed by
-// its behavioral hash (wire.SemanticHash) in a job-level result cache
-// separate from the sweep cache, so a repeat bisection — or an
-// overlapping one, or one whose template spells the same behavior
-// differently — is served almost entirely from cache. The rendered
-// cell still carries the syntactic wire.JobHash, so response bytes are
-// unchanged by the cache's keying. Midpoints of all over-target
+// its behavioral hash (wire.SemanticHash) in the job tier it shares with
+// sweeps (jobtier.go), so a repeat bisection — or an overlapping one,
+// one whose template spells the same behavior differently, or one over
+// γ points a sweep covered — is served almost entirely from cache. The
+// rendered cell still carries the syntactic wire.JobHash, so response
+// bytes are unchanged by the cache's keying. Midpoints of all over-target
 // segments are evaluated as one sweeprun batch per refinement round,
 // through the same shared pool and admission gate as sweeps.
-
-// jobResult is one cached cell outcome. Reports are a few hundred
-// bytes, so the cache is bounded by entry count, not bytes.
-type jobResult struct {
-	report taskalloc.Report
-	err    string
-}
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	if !s.begin() {
@@ -173,12 +165,12 @@ func (s *Server) runBisectCoalesced(r *http.Request, id string, req wire.BisectR
 }
 
 // bisectEvaluator returns the local evaluator for one search: one cell
-// per γ, serving repeats from the job cache (keyed by the behavioral
+// per γ, serving repeats from the job tier (keyed by the behavioral
 // hash, so equivalent template spellings share entries) and running the
-// misses as one sweeprun batch. The rendered cell carries the syntactic
-// JobHash unchanged. The shared refinement loop (internal/bisect) walks
-// the same γ sequence every run, so a repeat request hits the cache on
-// every cell.
+// misses as one sweeprun batch, written through to memory and disk.
+// The rendered cell carries the syntactic JobHash unchanged. The shared
+// refinement loop (internal/bisect) walks the same γ sequence every
+// run, so a repeat request hits the cache on every cell.
 func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Evaluator {
 	return func(gammas []float64) ([]wire.BisectCell, error) {
 		type pending struct {
@@ -204,27 +196,9 @@ func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Eva
 				return nil, err
 			}
 			cell := wire.BisectCell{Gamma: g, JobHash: hash}
-			s.mu.Lock()
-			hit, ok := s.jobCache[key]
-			s.mu.Unlock()
-			if !ok {
-				// Memory miss: the disk job cache may still have it (a
-				// previous process lifetime, or another backend sharing
-				// the mount). A disk hit is promoted into memory.
-				if jr, dok := s.jobBlobGet(key); dok {
-					hit, ok = jr, true
-					s.mu.Lock()
-					s.storeJobLocked(key, jr)
-					s.mu.Unlock()
-					s.metrics.jobCacheDiskHits.Inc()
-				}
-			}
+			hit, ok := s.lookupJob(key)
 			if ok {
 				s.metrics.bisectJobHits.Inc()
-			} else {
-				s.metrics.bisectJobMisses.Inc()
-			}
-			if ok {
 				cell.Cached = true
 				if hit.err != "" {
 					cell.Err = hit.err
@@ -233,6 +207,7 @@ func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Eva
 					cell.Report = &rep
 				}
 			} else {
+				s.metrics.bisectJobMisses.Inc()
 				job, err := wj.ToJob()
 				if err != nil {
 					return nil, err
@@ -284,39 +259,4 @@ func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Eva
 		}
 		return cells, nil
 	}
-}
-
-// storeJobLocked inserts one job-cache entry, evicting FIFO past the
-// entry budget. Caller holds s.mu.
-func (s *Server) storeJobLocked(hash string, jr jobResult) {
-	if _, ok := s.jobCache[hash]; ok {
-		return
-	}
-	s.jobCache[hash] = jr
-	s.jobOrder = append(s.jobOrder, hash)
-	for len(s.jobOrder) > s.opts.JobCacheEntries {
-		delete(s.jobCache, s.jobOrder[0])
-		s.jobOrder = s.jobOrder[1:]
-	}
-}
-
-// storeJobFromCell populates the bisect job cache from one completed
-// sweep cell, keyed by the job's behavioral hash — a sweep that covered
-// a γ point warms later bisections over the same template (and vice
-// versa: the caches converge on behavior, not on which endpoint
-// computed it). Trajectory output is irrelevant to the cached report,
-// so the entry is stored regardless of the job's Trajectory flag.
-func (s *Server) storeJobFromCell(wj wire.Job, c cell) {
-	wj.Trajectory = false
-	key, err := wire.SemanticHash(wj)
-	if err != nil {
-		return
-	}
-	jr := jobResult{report: c.report}
-	if c.err != "" {
-		jr = jobResult{err: c.err}
-	}
-	s.mu.Lock()
-	s.storeJobLocked(key, jr)
-	s.mu.Unlock()
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"taskalloc/internal/simserver"
@@ -226,7 +227,8 @@ func frameEnds(t *testing.T, wal []byte) []int {
 // points (commit frame written but unmarked, torn mid-record, header
 // only, torn mid-header), a fresh server over the damaged directory
 // serves the SAME bytes an uninterrupted run produced — resuming where
-// the journal's valid prefix ends.
+// the journal's valid prefix ends, simulating only the cells neither
+// that prefix nor the job tier holds.
 func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 	// Golden run: one durable server, never crashed.
 	goldDir := t.TempDir()
@@ -268,12 +270,14 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 	cases := []struct {
 		name    string
 		size    int
-		resumes bool // a valid journal prefix survives, so the POST resumes
+		resumes bool  // a valid journal prefix survives, so the POST resumes
+		warm    []int // jobs an earlier sweep put in the job tier
 	}{
-		{"commit frame unmarked", len(wal), true},
-		{"torn mid-record", ends[3] + 5, true},
-		{"header only", ends[0], true},
-		{"torn mid-header", 12, false},
+		{"commit frame unmarked", len(wal), true, nil},
+		{"torn mid-record", ends[3] + 5, true, nil},
+		{"torn mid-record, tier warm past the prefix", ends[3] + 5, true, []int{4, 5}},
+		{"header only", ends[0], true, nil},
+		{"torn mid-header", 12, false, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,7 +287,33 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 				ts.Close()
 				srv.Close()
 			}()
+			if len(tc.warm) > 0 {
+				warm := wire.Sweep{Version: wire.V1}
+				for _, i := range tc.warm {
+					warm.Jobs = append(warm.Jobs, sweep.Jobs[i])
+				}
+				postRaw(t, ts.URL, warm)
+			}
+			// The journal's whole frames past the header are the prefix
+			// the resume replays; the rest of the sweep, less the warm
+			// jobs, must simulate.
+			prefix := -1
+			for _, end := range ends {
+				if end <= tc.size {
+					prefix++
+				}
+			}
+			prefix = min(max(prefix, 0), len(sweep.Jobs))
+			before := scrape(t, ts.URL)
 			resp, body := postRaw(t, ts.URL, sweep)
+			after := scrape(t, ts.URL)
+			const engineRuns = `taskalloc_stage_seconds_count{stage="engine_run"}`
+			if runs, want := counterDelta(t, before, after, engineRuns), len(sweep.Jobs)-prefix-len(tc.warm); runs != want {
+				t.Fatalf("resume ran %d simulations, want %d", runs, want)
+			}
+			if hits := counterDelta(t, before, after, `taskalloc_sweep_job_cache_total{outcome="hit"}`); hits != len(tc.warm) {
+				t.Fatalf("sweep job-cache hits = %d, want %d", hits, len(tc.warm))
+			}
 			if !bytes.Equal(body, fullBody) {
 				t.Fatalf("recover-then-serve differs from never-crashed run:\n--- recovered\n%s--- golden\n%s", body, fullBody)
 			}
@@ -318,6 +348,25 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 			}
 		})
 	}
+}
+
+// counterDelta is how far the exposition sample named by prefix (a
+// counter, or a histogram's _count) moved between two scrapes; an
+// absent sample reads 0.
+func counterDelta(t *testing.T, before, after []byte, prefix string) int {
+	t.Helper()
+	value := func(body []byte) int {
+		v := sampleValue(body, prefix)
+		if v == "" {
+			return 0
+		}
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("sample %s = %q: %v", prefix, v, err)
+		}
+		return int(f)
+	}
+	return value(after) - value(before)
 }
 
 // TestDurableResumeStitchMidStream: reconnecting with a cursor INTO an

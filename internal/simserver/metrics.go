@@ -42,6 +42,8 @@ type serverMetrics struct {
 	sweepMisses      *obs.Counter
 	sweepCoalesced   *obs.Counter
 	aliasHits        *obs.Counter
+	sweepJobHits     *obs.Counter
+	sweepJobMisses   *obs.Counter
 	bisectJobHits    *obs.Counter
 	bisectJobMisses  *obs.Counter
 	bisectCoalesced  *obs.Counter
@@ -89,6 +91,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.aliasHits = r.Counter("taskalloc_semantic_alias_hits_total",
 		"Cache hits whose syntactic hash differed from the entry creator's.")
 
+	sweepJobs := r.CounterVec("taskalloc_sweep_job_cache_total",
+		"Job-tier lookups for the cells fresh and resumed sweeps must produce "+
+			"(a journal's recovered prefix is not looked up; a trajectory cell is a miss).", "outcome")
+	m.sweepJobHits = sweepJobs.With("hit")
+	m.sweepJobMisses = sweepJobs.With("miss")
 	bisectJobs := r.CounterVec("taskalloc_bisect_job_cache_total",
 		"Bisect cell evaluations against the job-level result cache.", "outcome")
 	m.bisectJobHits = bisectJobs.With("hit")
@@ -101,7 +108,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.diskResumes = r.Counter("taskalloc_disk_resumes_total",
 		"Incomplete journals resumed (prefix replayed, remainder executed).")
 	m.jobCacheDiskHits = r.Counter("taskalloc_job_cache_disk_hits_total",
-		"Bisect cells served from the disk job cache.")
+		"Sweep and bisect cells served from the disk job tier (promoted into memory).")
 	m.persistErrors = r.Counter("taskalloc_persist_errors_total",
 		"Best-effort durability failures (request served from memory).")
 

@@ -21,12 +21,14 @@ import (
 //	records = one cellRecord per completed cell, in index order
 //	commit  = commitRecord (summary + failure count)
 //
-// Because sweeprun.Stream delivers results in strict index order, the
-// journal's record sequence IS the response's cell order: recovery of
-// k records means cells [0,k) are replayable byte-identically and
-// execution resumes at cell k — from the STORED document, so an alias
-// spelling that resumes someone else's sweep still renders the
-// creator's exact bytes.
+// Cells are journaled in strict index order, whether the job tier
+// supplied them or sweeprun.Stream computed them, so the journal's
+// record sequence IS the response's cell order: recovery of k records
+// means cells [0,k) are replayable byte-identically and execution
+// resumes at cell k — from the STORED document, so an alias spelling
+// that resumes someone else's sweep still renders the creator's exact
+// bytes. Each record carries its cell's job-tier key, so a sweep
+// replayed from its journal warms the tier without re-hashing.
 
 // journalHeader is a sweep journal's header payload.
 type journalHeader struct {
@@ -53,19 +55,15 @@ type cellRecord struct {
 	Report *taskalloc.Report `json:"report,omitempty"`
 	Err    string            `json:"err,omitempty"`
 	Traj   []byte            `json:"traj,omitempty"`
+	// Key is the cell's job-tier key; journals written before records
+	// carried it decode with "" and replay unchanged.
+	Key string `json:"key,omitempty"`
 }
 
 // commitRecord is the terminal journal payload.
 type commitRecord struct {
 	Summary sweeprun.Summary `json:"summary"`
 	Failed  int              `json:"failed"`
-}
-
-// persistedJob is the blob-cache encoding of one job-level result
-// (bisect cells), keyed by wire.SemanticHash.
-type persistedJob struct {
-	Report *taskalloc.Report `json:"report,omitempty"`
-	Err    string            `json:"err,omitempty"`
 }
 
 // diskSweep is the in-memory index entry for one on-disk journal.
@@ -75,7 +73,7 @@ type diskSweep struct {
 
 // cellToRecord converts a completed cell to its journal payload.
 func cellToRecord(i int, c cell) cellRecord {
-	rec := cellRecord{Index: i, Meta: c.meta, Rounds: c.rounds, Err: c.err, Traj: c.traj}
+	rec := cellRecord{Index: i, Meta: c.meta, Rounds: c.rounds, Err: c.err, Traj: c.traj, Key: c.key}
 	if c.err == "" {
 		rep := c.report
 		rec.Report = &rep
@@ -85,7 +83,7 @@ func cellToRecord(i int, c cell) cellRecord {
 
 // recordToCell converts a recovered journal payload back to a cell.
 func recordToCell(rec cellRecord) cell {
-	c := cell{meta: rec.Meta, rounds: rec.Rounds, err: rec.Err, traj: rec.Traj}
+	c := cell{meta: rec.Meta, rounds: rec.Rounds, err: rec.Err, traj: rec.Traj, key: rec.Key}
 	if rec.Report != nil {
 		c.report = *rec.Report
 	}
@@ -231,28 +229,49 @@ func (s *Server) discardRecovered(id string, j *store.Journal) {
 	s.persistError()
 }
 
-// executeOwned runs an owned sweep to completion and publishes it:
-// prefix cells (recovered from a journal, len(prefix) <= len(jobs))
-// are emitted as-is, the remaining jobs execute through the shared
-// pool, each cell checkpointed to j (when non-nil) BEFORE it is
-// emitted — the record is on disk before its bytes can reach a
-// client, so a crash never leaves a client holding bytes the journal
-// cannot replay. Emit receives every cell in strict index order.
-func (s *Server) executeOwned(entry *sweepEntry, jobs []sweeprun.Job, recs []*wire.TrajectoryRecorder, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) {
-	cells := make([]cell, len(jobs))
+// executeOwned runs an owned sweep to completion and publishes it.
+// A cell is known when the recovered journal prefix holds it (prefix,
+// len(prefix) <= len(g.jobs)) or the job tier holds its key; only the
+// unknown cells run, through the shared pool. Every cell is emitted in
+// strict index order, and every cell past the prefix is checkpointed
+// to j (when non-nil) BEFORE it is emitted — the record is on disk
+// before its bytes can reach a client, so a crash never leaves a
+// client holding bytes the journal cannot replay.
+func (s *Server) executeOwned(entry *sweepEntry, g grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) {
+	n := len(g.jobs)
+	cells := make([]cell, n)
+	known := make([]bool, n)
 	copy(cells, prefix)
-	results := make([]sweeprun.Result, len(jobs))
-	for i, c := range prefix {
-		results[i] = sweeprun.Result{Index: i, Job: jobs[i], Report: c.report}
-		if c.err != "" {
-			results[i].Err = errors.New(c.err)
+	var run []int // indices of the cells that must be simulated
+	for i := range cells {
+		if i < len(prefix) {
+			known[i] = true
+		} else if c, ok := s.tierCell(g, i); ok {
+			cells[i], known[i] = c, true
+		} else {
+			run = append(run, i)
 		}
-		emit(i, c)
+		cells[i].key = g.keys[i]
 	}
 
-	off := len(prefix)
+	// advance checkpoints and emits every known cell from next on, up to
+	// the first cell still being simulated.
 	journal := j
-	rest := sweeprun.Stream(jobs[off:], sweeprun.Options{
+	next := 0
+	advance := func() {
+		for ; next < n && known[next]; next++ {
+			if next >= len(prefix) {
+				journal = s.checkpoint(journal, next, cells[next])
+			}
+			emit(next, cells[next])
+		}
+	}
+	advance()
+	jobs := make([]sweeprun.Job, len(run))
+	for k, i := range run {
+		jobs[k] = g.jobs[i]
+	}
+	sweeprun.Stream(jobs, sweeprun.Options{
 		Workers:  workers,
 		Pool:     s.pool,
 		Gate:     s.gate,
@@ -263,39 +282,29 @@ func (s *Server) executeOwned(entry *sweepEntry, jobs []sweeprun.Job, recs []*wi
 			// least d wall-clock, simulating a slow heterogeneous backend.
 			time.Sleep(d)
 		}
-		i := off + res.Index
-		c := cell{meta: res.Job.Meta, rounds: res.Job.Rounds, report: res.Report}
+		// Stream emits in order, and advance has emitted every known
+		// cell before this one: cell i is next.
+		i := run[res.Index]
+		c := cell{meta: res.Job.Meta, rounds: res.Job.Rounds, report: res.Report, key: g.keys[i]}
 		if res.Err != nil {
 			c.err = res.Err.Error()
-		} else if rec := recs[i]; rec != nil {
+		} else if rec := g.recs[i]; rec != nil {
 			// Only successful cells carry a trajectory: a failed cell's
 			// recorder holds just the pre-written header, which would
 			// read as a legitimate zero-round run.
 			c.traj = rec.Bytes()
 		}
-		if journal != nil {
-			appendStart := time.Now()
-			payload, err := json.Marshal(cellToRecord(i, c))
-			if err == nil {
-				err = journal.Append(payload)
-			}
-			s.metrics.stageJournalAppend.ObserveSince(appendStart)
-			if err != nil {
-				// Degrade to memory-only; the journal keeps its valid
-				// prefix for a later resume.
-				_ = journal.Close()
-				journal = nil
-				s.persistError()
-			}
-		}
-		cells[i] = c
-		emit(i, c)
+		cells[i], known[i] = c, true
+		advance()
 	})
-	for i, res := range rest {
-		res.Index = off + i
-		results[off+i] = res
-	}
 
+	results := make([]sweeprun.Result, n)
+	for i, c := range cells {
+		results[i] = sweeprun.Result{Index: i, Job: g.jobs[i], Report: c.report}
+		if c.err != "" {
+			results[i].Err = errors.New(c.err)
+		}
+	}
 	sum := sweeprun.Summarize(results)
 	if journal != nil {
 		payload, err := json.Marshal(commitRecord{Summary: sum, Failed: sum.Failed})
@@ -314,6 +323,42 @@ func (s *Server) executeOwned(entry *sweepEntry, jobs []sweeprun.Job, recs []*wi
 		}
 	}
 	s.publish(entry, cells, sum)
+}
+
+// tierCell serves cell i of g from the job tier, counting the lookup
+// on the sweep job-cache counter. A job that asks for a trajectory is a
+// miss without a lookup: the tier holds reports only.
+func (s *Server) tierCell(g grid, i int) (cell, bool) {
+	if g.recs[i] == nil {
+		if jr, ok := s.lookupJob(g.keys[i]); ok {
+			s.metrics.sweepJobHits.Inc()
+			return cell{meta: g.jobs[i].Meta, rounds: g.jobs[i].Rounds, report: jr.report, err: jr.err}, true
+		}
+	}
+	s.metrics.sweepJobMisses.Inc()
+	return cell{}, false
+}
+
+// checkpoint appends cell i to the journal and returns the handle to
+// keep appending through: nil when durability is off, or once an append
+// failed (the sweep degrades to memory-only; the journal keeps its
+// valid prefix for a later resume).
+func (s *Server) checkpoint(j *store.Journal, i int, c cell) *store.Journal {
+	if j == nil {
+		return nil
+	}
+	start := time.Now()
+	payload, err := json.Marshal(cellToRecord(i, c))
+	if err == nil {
+		err = j.Append(payload)
+	}
+	s.metrics.stageJournalAppend.ObserveSince(start)
+	if err != nil {
+		_ = j.Close()
+		s.persistError()
+		return nil
+	}
+	return j
 }
 
 // serveFromDisk tries to satisfy an owned entry from its journal.
@@ -363,14 +408,14 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, r *http.Request, entry *sw
 	// so an alias spelling that adopts the journal still renders the
 	// creator's exact bytes.
 	sweep, err := wire.DecodeSweep(bytes.NewReader(rec.header.Doc))
-	var (
-		jobs []sweeprun.Job
-		recs []*wire.TrajectoryRecorder
-	)
+	var g grid
 	if err == nil {
-		jobs, recs, err = buildRunnable(sweep)
+		var keys []string
+		if _, keys, err = wire.SemanticSweepKeys(sweep); err == nil {
+			g, err = buildRunnable(sweep, keys)
+		}
 	}
-	if err != nil || len(rec.cells) > len(jobs) || len(jobs) != rec.header.Jobs {
+	if err != nil || len(rec.cells) > len(g.jobs) || len(g.jobs) != rec.header.Jobs {
 		// Unusable journal: the caller executes fresh and charges the
 		// miss itself.
 		s.discardRecovered(entry.id, rec.journal)
@@ -393,7 +438,7 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, r *http.Request, entry *sw
 	s.metrics.diskResumes.Inc()
 	s.setStreamHeaders(w, format, entry.id, "resume")
 	stream, flush := s.newStream(w, format, entry.id, rec.header.Jobs, cursor)
-	s.executeOwned(entry, jobs, recs, rec.cells, rec.journal, workers, func(i int, c cell) {
+	s.executeOwned(entry, g, rec.cells, rec.journal, workers, func(i int, c cell) {
 		if i >= cursor {
 			stream.cell(i, c)
 			flush()
@@ -432,44 +477,4 @@ func (s *Server) renderFrom(w http.ResponseWriter, e *sweepEntry, format string,
 		stream.cell(i, e.cells[i])
 	}
 	stream.finish()
-}
-
-// jobBlobGet consults the disk job cache; ok only for a decodable
-// entry.
-func (s *Server) jobBlobGet(key string) (jobResult, bool) {
-	if s.blob == nil {
-		return jobResult{}, false
-	}
-	raw, ok := s.blob.Get(key)
-	if !ok {
-		return jobResult{}, false
-	}
-	var pj persistedJob
-	if err := json.Unmarshal(raw, &pj); err != nil {
-		return jobResult{}, false
-	}
-	jr := jobResult{err: pj.Err}
-	if pj.Report != nil {
-		jr.report = *pj.Report
-	}
-	return jr, true
-}
-
-// jobBlobPut writes one job result to the disk cache (best-effort).
-func (s *Server) jobBlobPut(key string, jr jobResult) {
-	if s.blob == nil {
-		return
-	}
-	pj := persistedJob{Err: jr.err}
-	if jr.err == "" {
-		rep := jr.report
-		pj.Report = &rep
-	}
-	raw, err := json.Marshal(pj)
-	if err == nil {
-		err = s.blob.Put(key, raw)
-	}
-	if err != nil {
-		s.persistError()
-	}
 }

@@ -27,7 +27,11 @@
 // header says hit or miss; the finer X-Cache header distinguishes
 // hit | miss | coalesced, and Stats/healthz count semantic-alias hits
 // (cache hits whose syntactic hash differs from the entry creator's).
-// Concurrent equivalent submissions coalesce onto one execution.
+// Concurrent equivalent submissions coalesce onto one execution. Below
+// the sweep cache, each cell's report is kept in the job tier under its
+// behavioral job hash, so a new grid that shares cells with an earlier
+// sweep or bisect simulates only the cells no one computed yet — with
+// the same response bytes.
 //
 // All handlers share one colony worker pool and one cross-request
 // simulation gate sized to GOMAXPROCS; Close drains in-flight sweeps
@@ -87,9 +91,10 @@ type Options struct {
 	// is the default when the request leaves max_evals 0); <= 0 means
 	// 128.
 	MaxBisectEvals int
-	// JobCacheEntries caps the job-level result cache the bisect
-	// endpoint reuses cells through (reports only — a few hundred bytes
-	// each); <= 0 means 4096. Eviction is FIFO.
+	// JobCacheEntries caps the memory job tier: job-level results that
+	// sweeps and bisects reuse cell by cell, keyed by the behavioral job
+	// hash (reports only — a few hundred bytes each); <= 0 means 4096.
+	// Eviction is FIFO.
 	JobCacheEntries int
 	// DataDir enables durability: sweep journals are checkpointed under
 	// DataDir/sweeps so a restart can replay completed sweeps and
@@ -100,10 +105,11 @@ type Options struct {
 	// DataBytes caps the journals' disk usage (least-recently-committed
 	// complete journals are evicted past it); <= 0 means 4 GiB.
 	DataBytes int64
-	// CacheDir enables the disk job-result cache (bisect cells), keyed
-	// by wire.SemanticHash and shared across restarts — and across
-	// processes: several backends may mount one directory. Empty
-	// defaults to DataDir/jobcache when DataDir is set, else disabled.
+	// CacheDir enables the disk job tier behind the memory one, keyed by
+	// wire.SemanticHash and shared across restarts — and across
+	// processes: several backends may mount one directory. Bisect cells
+	// are written to it; sweeps and bisects both read it. Empty defaults
+	// to DataDir/jobcache when DataDir is set, else disabled.
 	CacheDir string
 	// CacheDiskBytes caps the disk job cache; <= 0 means 1 GiB.
 	CacheDiskBytes int64
@@ -151,8 +157,8 @@ type Server struct {
 	order     []string // insertion order, for FIFO eviction
 	cacheSize int64    // retained bytes across completed entries
 
-	// Job-level result cache (bisect cells), keyed by wire.SemanticHash,
-	// and the in-flight bisect executions concurrent equivalent requests
+	// The memory job tier (jobtier.go), keyed by wire.SemanticHash, and
+	// the in-flight bisect executions concurrent equivalent requests
 	// coalesce onto (keyed by wire.SemanticBisectHash).
 	jobCache      map[string]jobResult
 	jobOrder      []string // insertion order, for FIFO eviction
@@ -212,8 +218,9 @@ type Stats struct {
 	// journal after a restart (POST submissions so served are
 	// reclassified from SweepMisses to SweepHits); DiskResumes counts
 	// incomplete journals resumed (checkpointed prefix replayed from
-	// disk, remaining cells executed). JobCacheDiskHits counts bisect
-	// cells served from the disk job cache. PersistErrors counts
+	// disk, remaining cells executed). JobCacheDiskHits counts sweep
+	// and bisect cells served from the disk job tier (and promoted into
+	// memory). PersistErrors counts
 	// best-effort durability failures — the request is still served
 	// from memory, but its checkpoints stopped.
 	DiskSweepHits    uint64 `json:"disk_sweep_hits"`
@@ -272,13 +279,15 @@ type sweepEntry struct {
 }
 
 // cell is one completed grid cell — everything any response format
-// renders from.
+// renders from — plus its job-tier key ("" for a cell replayed from a
+// journal written before records carried keys).
 type cell struct {
 	meta   []string
 	rounds int
 	report taskalloc.Report
 	err    string
 	traj   []byte
+	key    string
 }
 
 // New builds a memory-only Server with a fresh shared worker pool. It
@@ -607,7 +616,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id, err := wire.SemanticSweepHash(sweep)
+	// One normalization pass yields the sweep ID and every job's
+	// job-tier key.
+	id, keys, err := wire.SemanticSweepKeys(sweep)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -668,18 +679,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// lookup provisionally was is now definite.
 	s.metrics.sweepMisses.Inc()
 
-	jobs, recs, err := buildRunnable(sweep)
+	g, err := buildRunnable(sweep, keys)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	j := s.createJournal(id, synID, sweep)
 	s.setStreamHeaders(w, format, id, "miss")
-	stream, flush := s.newStream(w, format, id, len(jobs), 0)
-	s.executeOwned(entry, jobs, recs, nil, j, workers, func(i int, c cell) {
-		// Completed sweep cells warm the bisect job cache: a later
-		// bisection over a γ this sweep covered replays from it.
-		s.storeJobFromCell(sweep.Jobs[i], c)
+	stream, flush := s.newStream(w, format, id, len(g.jobs), 0)
+	s.executeOwned(entry, g, nil, j, workers, func(i int, c cell) {
 		renderStart := time.Now()
 		stream.cell(i, c)
 		flush()
@@ -691,8 +699,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // publish completes an entry: records its cells and summary, charges
 // its retained bytes against the cache budget (evicting older entries
-// as needed), and releases every waiter. The field writes
-// happen-before close(done), so waiters read them race-free.
+// as needed), stores every keyed cell in the memory job tier — fresh,
+// reused, or replayed from a journal alike, so a sweep served from disk
+// after a restart warms the bisects that follow it — and releases
+// every waiter. The field writes happen-before close(done), so waiters
+// read them race-free.
 func (s *Server) publish(e *sweepEntry, cells []cell, sum sweeprun.Summary) {
 	var size int64
 	for _, c := range cells {
@@ -702,6 +713,11 @@ func (s *Server) publish(e *sweepEntry, cells []cell, sum sweeprun.Summary) {
 		}
 	}
 	s.mu.Lock()
+	for _, c := range cells {
+		if c.key != "" {
+			s.storeJobLocked(c.key, jobResult{report: c.report, err: c.err})
+		}
+	}
 	e.cells = cells
 	e.summary = sum
 	e.failed = sum.Failed
@@ -734,13 +750,23 @@ func (s *Server) setStreamHeaders(w http.ResponseWriter, format, id, disposition
 	}
 }
 
+// grid is an admitted sweep ready to execute: its sweeprun jobs, the
+// trajectory recorder of every job that asked for one (nil elsewhere),
+// and every job's job-tier key (wire.SemanticSweepKeys).
+type grid struct {
+	jobs []sweeprun.Job
+	recs []*wire.TrajectoryRecorder
+	keys []string
+}
+
 // buildRunnable decodes the wire grid into sweeprun jobs (via
 // wire.ToJobs, which shares identical frozen snapshots across cells),
-// attaching a trajectory recorder to every job that asked for one.
-func buildRunnable(sweep wire.Sweep) ([]sweeprun.Job, []*wire.TrajectoryRecorder, error) {
+// attaching a trajectory recorder to every job that asked for one; keys
+// are the grid's job-tier keys, in job order.
+func buildRunnable(sweep wire.Sweep, keys []string) (grid, error) {
 	jobs, err := wire.ToJobs(sweep)
 	if err != nil {
-		return nil, nil, err
+		return grid{}, err
 	}
 	recs := make([]*wire.TrajectoryRecorder, len(sweep.Jobs))
 	for i, wj := range sweep.Jobs {
@@ -752,7 +778,7 @@ func buildRunnable(sweep wire.Sweep) ([]sweeprun.Job, []*wire.TrajectoryRecorder
 			}
 		}
 	}
-	return jobs, recs, nil
+	return grid{jobs: jobs, recs: recs, keys: keys}, nil
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

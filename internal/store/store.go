@@ -615,10 +615,13 @@ func (j *Journal) Commit(payload []byte) error {
 	if err := writeFrame(j.f, kindCommit, payload); err != nil {
 		return err
 	}
-	if err := j.f.Sync(); err != nil && !j.s.opts.Sync {
-		// Best-effort when Sync is off; the marker below is what makes
-		// completion durable, and it is ordered after this write.
-		_ = err
+	// With Sync on, the log must be on disk before the marker can vouch
+	// for it; a failed fsync leaves the journal uncommitted. With Sync
+	// off, commit costs no fsync, like Append.
+	if j.s.opts.Sync {
+		if err := j.f.Sync(); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
 	}
 	committed := j.size + int64(frameHeaderSize+len(payload))
 	shard := filepath.Join(j.s.dir, j.id[:2])

@@ -20,11 +20,19 @@ func payloads(n int) [][]byte {
 	return out
 }
 
+// forEachSync runs a round-trip or crash test once with Options.Sync
+// off and once on: fsyncing must change nothing recovery sees.
+func forEachSync(t *testing.T, fn func(t *testing.T, opts Options)) {
+	for _, opts := range []Options{{Sync: false}, {Sync: true}} {
+		t.Run(fmt.Sprintf("sync=%v", opts.Sync), func(t *testing.T) { fn(t, opts) })
+	}
+}
+
 // writeJournal builds a journal with n records; commit selects whether
 // it is completed. Returns the store.
-func writeJournal(t *testing.T, dir string, n int, commit bool) *Store {
+func writeJournal(t *testing.T, dir string, opts Options, n int, commit bool) *Store {
 	t.Helper()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +55,13 @@ func writeJournal(t *testing.T, dir string, n int, commit bool) *Store {
 	return s
 }
 
-func TestJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	writeJournal(t, dir, 5, true)
+func TestJournalRoundTrip(t *testing.T) { forEachSync(t, testJournalRoundTrip) }
 
-	s, err := Open(dir, Options{})
+func testJournalRoundTrip(t *testing.T, opts Options) {
+	dir := t.TempDir()
+	writeJournal(t, dir, opts, 5, true)
+
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +94,11 @@ func TestJournalRoundTrip(t *testing.T) {
 // byte-truncation point of an uncommitted journal, recovery returns an
 // exact prefix of the records — never a divergent or corrupted one —
 // and appending after OpenAppend extends that prefix cleanly.
-func TestTornTailEveryTruncation(t *testing.T) {
+func TestTornTailEveryTruncation(t *testing.T) { forEachSync(t, testTornTailEveryTruncation) }
+
+func testTornTailEveryTruncation(t *testing.T, opts Options) {
 	golden := t.TempDir()
-	writeJournal(t, golden, 4, false)
+	writeJournal(t, golden, opts, 4, false)
 	walRel := filepath.Join(testID[:2], testID+walSuffix)
 	full, err := os.ReadFile(filepath.Join(golden, walRel))
 	if err != nil {
@@ -102,7 +114,7 @@ func TestTornTailEveryTruncation(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, walRel), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{})
+		s, err := Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,9 +196,11 @@ func recordsBelow(t *testing.T, full []byte, cut int) int {
 // TestCorruptMiddleRecord: a bit flip inside an early record must stop
 // recovery at the last record before it — never emit the corrupted
 // record or anything after it.
-func TestCorruptMiddleRecord(t *testing.T) {
+func TestCorruptMiddleRecord(t *testing.T) { forEachSync(t, testCorruptMiddleRecord) }
+
+func testCorruptMiddleRecord(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	writeJournal(t, dir, 4, false)
+	writeJournal(t, dir, opts, 4, false)
 	path := filepath.Join(dir, testID[:2], testID+walSuffix)
 	full, err := os.ReadFile(path)
 	if err != nil {
@@ -203,7 +217,7 @@ func TestCorruptMiddleRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +241,11 @@ func TestCorruptMiddleRecord(t *testing.T) {
 // (log truncated after commit) is ErrCorrupt; a commit frame without
 // its marker (crash between frame write and rename) recovers as
 // incomplete with the commit frame dropped.
-func TestCommitMarkerContract(t *testing.T) {
+func TestCommitMarkerContract(t *testing.T) { forEachSync(t, testCommitMarkerContract) }
+
+func testCommitMarkerContract(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	writeJournal(t, dir, 3, true)
+	writeJournal(t, dir, opts, 3, true)
 	wal := filepath.Join(dir, testID[:2], testID+walSuffix)
 	okf := filepath.Join(dir, testID[:2], testID+okSuffix)
 
@@ -241,7 +257,7 @@ func TestCommitMarkerContract(t *testing.T) {
 		if err := os.WriteFile(wal, full[:len(full)-3], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{})
+		s, err := Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +273,7 @@ func TestCommitMarkerContract(t *testing.T) {
 		if err := os.Remove(okf); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{})
+		s, err := Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,9 +303,67 @@ func TestCommitMarkerContract(t *testing.T) {
 	})
 }
 
+// TestCommitSyncFailure: with Sync on, a commit whose fsync fails
+// returns the error and never renames the marker in, so the journal
+// stays incomplete and a later owner recommits it; with Sync off,
+// Commit calls no fsync, so the same file cannot fail it. The write
+// end of a pipe accepts the commit frame but refuses fsync (EINVAL).
+func TestCommitSyncFailure(t *testing.T) {
+	forEachSync(t, func(t *testing.T, opts Options) {
+		dir := t.TempDir()
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Create(testID, []byte(`{"header":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(payloads(1)[0]); err != nil {
+			t.Fatal(err)
+		}
+		pr, pw, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pr.Close()
+		wal := j.f
+		j.f = pw
+		err = j.Commit([]byte(`{"done":true}`))
+		_ = wal.Close()
+		_, statErr := os.Stat(s.okPath(testID))
+		if !opts.Sync {
+			if err != nil {
+				t.Fatalf("commit with Sync off failed on an unsyncable file: %v", err)
+			}
+			return
+		}
+		if err == nil {
+			t.Fatal("commit with Sync on swallowed a failed fsync")
+		}
+		if !errors.Is(statErr, os.ErrNotExist) {
+			t.Fatalf("commit marker renamed in after a failed fsync (stat: %v)", statErr)
+		}
+		_ = j.Close()
+		j2, rec, err := s.OpenAppend(testID)
+		if err != nil {
+			t.Fatalf("journal not resumable after a failed commit: %v", err)
+		}
+		if rec.Complete || len(rec.Records) != 1 {
+			t.Fatalf("complete=%v records=%d, want incomplete with 1 record", rec.Complete, len(rec.Records))
+		}
+		if err := j2.Commit([]byte(`{"done":true}`)); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := s.Load(testID); err != nil || !rec.Complete {
+			t.Fatalf("recommit not recovered: %v", err)
+		}
+	})
+}
+
 func TestOpenAppendRefusesCommitted(t *testing.T) {
 	dir := t.TempDir()
-	s := writeJournal(t, dir, 2, true)
+	s := writeJournal(t, dir, Options{}, 2, true)
 	if _, _, err := s.OpenAppend(testID); !errors.Is(err, ErrExists) {
 		t.Fatalf("OpenAppend on a committed journal: %v, want ErrExists", err)
 	}
@@ -297,15 +371,18 @@ func TestOpenAppendRefusesCommitted(t *testing.T) {
 
 func TestCreateRefusesExisting(t *testing.T) {
 	dir := t.TempDir()
-	s := writeJournal(t, dir, 1, false)
+	s := writeJournal(t, dir, Options{}, 1, false)
 	if _, err := s.Create(testID, nil); !errors.Is(err, ErrExists) {
 		t.Fatalf("Create over an existing journal: %v, want ErrExists", err)
 	}
 }
 
-func TestStoreEviction(t *testing.T) {
+func TestStoreEviction(t *testing.T) { forEachSync(t, testStoreEviction) }
+
+func testStoreEviction(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxBytes: 600})
+	opts.MaxBytes = 600
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,15 @@ func semanticHash(j Job, cache semCache) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("wire: semantic hash job: %w", err)
 	}
+	return semanticDigest(b), nil
+}
+
+// semanticDigest is SemanticHash over a job's marshalled normal form.
+func semanticDigest(normal []byte) string {
 	h := sha256.New()
 	h.Write([]byte(semanticDomain))
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	h.Write(normal)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // SemanticSweepHash digests a whole grid's behavioral normal form: the
@@ -65,18 +70,47 @@ func semanticHash(j Job, cache semCache) (string, error) {
 // cmd/sweep pattern: one frozen snapshot for the whole grid) runs once,
 // not per job.
 func SemanticSweepHash(s Sweep) (string, error) {
+	id, _, err := semanticSweep(s, false)
+	return id, err
+}
+
+// SemanticSweepKeys is SemanticSweepHash plus every job's result key:
+// the SemanticHash of the job with Trajectory cleared, which names the
+// Report a cell produces whatever it renders. The keys come out of the
+// same pass over the same schedule memo as the sweep hash, so a
+// schedule the grid's cells share is normalized once for both.
+func SemanticSweepKeys(s Sweep) (id string, keys []string, err error) {
+	return semanticSweep(s, true)
+}
+
+func semanticSweep(s Sweep, withKeys bool) (string, []string, error) {
 	cache := semCache{}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s%s\n", semanticDomain, orDefault(s.Version, V1))
+	var keys []string
+	if withKeys {
+		keys = make([]string, len(s.Jobs))
+	}
 	for i, j := range s.Jobs {
-		b, err := json.Marshal(semanticJob(j, cache))
+		norm := semanticJob(j, cache)
+		b, err := json.Marshal(norm)
 		if err != nil {
-			return "", fmt.Errorf("wire: semantic hash jobs[%d]: %w", i, err)
+			return "", nil, fmt.Errorf("wire: semantic hash jobs[%d]: %w", i, err)
 		}
 		fmt.Fprintf(h, "%d:", len(b))
 		h.Write(b)
+		if !withKeys {
+			continue
+		}
+		if norm.Trajectory {
+			norm.Trajectory = false
+			if b, err = json.Marshal(norm); err != nil {
+				return "", nil, fmt.Errorf("wire: semantic hash jobs[%d]: %w", i, err)
+			}
+		}
+		keys[i] = semanticDigest(b)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), keys, nil
 }
 
 // SemanticBisectHash digests a bisect request over the template job's

@@ -306,6 +306,68 @@ func TestSemanticSweepHashAliases(t *testing.T) {
 	}
 }
 
+// TestSemanticSweepKeys: the one-pass keys agree with the per-job
+// SemanticHash of each job with Trajectory cleared, the sweep id agrees
+// with SemanticSweepHash, and a job and its trajectory twin share a key
+// (the report they produce is the same) while splitting the sweep id.
+func TestSemanticSweepKeys(t *testing.T) {
+	step := &wire.Schedule{
+		Kind: "step", Base: []int{40, 60},
+		When: []uint64{50}, Vectors: [][]int{{70, 30}},
+	}
+	sched, err := step.ToSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := scenario.Freeze(sched, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozenEnc, err := wire.FromSchedule(frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(sc *wire.Schedule, gamma float64, traj bool) wire.Job {
+		return wire.Job{Rounds: 120, Trajectory: traj, Meta: []string{"g"},
+			Config: wire.Config{Ants: 240, Gamma: gamma, Seed: 7, Shards: 1, Schedule: sc}}
+	}
+	sweep := wire.Sweep{Version: wire.V1, Jobs: []wire.Job{
+		job(&frozenEnc, 0.01, false),
+		job(&frozenEnc, 0.02, true),
+		job(step, 0.02, false),
+		job(nil, 0.03, false), // no demand: keeps its syntactic identity
+	}}
+	id, keys, err := wire.SemanticSweepKeys(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wire.SemanticSweepHash(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != want {
+		t.Fatalf("sweep id %s, SemanticSweepHash %s", id, want)
+	}
+	if len(keys) != len(sweep.Jobs) {
+		t.Fatalf("%d keys for %d jobs", len(keys), len(sweep.Jobs))
+	}
+	for i, j := range sweep.Jobs {
+		j.Trajectory = false
+		if k := mustSemantic(t, j); keys[i] != k {
+			t.Fatalf("keys[%d] = %s, SemanticHash without trajectory = %s", i, keys[i], k)
+		}
+	}
+	if keys[1] != keys[2] {
+		t.Fatal("a trajectory job and its behavioral twin got different keys")
+	}
+	noTraj := sweep
+	noTraj.Jobs = append([]wire.Job(nil), sweep.Jobs...)
+	noTraj.Jobs[1].Trajectory = false
+	if other, _, err := wire.SemanticSweepKeys(noTraj); err != nil || other == id {
+		t.Fatalf("trajectory flag not in the sweep id (err %v)", err)
+	}
+}
+
 // TestSemanticBisectHashAliases: bisect affinity follows the template
 // job's behavioral identity, and the search parameters stay significant.
 func TestSemanticBisectHashAliases(t *testing.T) {
