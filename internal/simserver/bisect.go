@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"time"
 
 	"taskalloc/internal/bisect"
 	"taskalloc/internal/sweeprun"
@@ -25,8 +24,9 @@ import (
 // γ points a sweep covered — is served almost entirely from cache. The
 // rendered cell still carries the syntactic wire.JobHash, so response
 // bytes are unchanged by the cache's keying. Midpoints of all over-target
-// segments are evaluated as one sweeprun batch per refinement round,
-// through the same shared pool and admission gate as sweeps.
+// segments are evaluated as one grid per refinement round, through the
+// runner sweeps use (runCells): the same tier lookup, shared pool,
+// admission gate, and JobDelay hook.
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	if !s.begin() {
@@ -164,98 +164,81 @@ func (s *Server) runBisectCoalesced(r *http.Request, id string, req wire.BisectR
 	return &resp, "", nil
 }
 
-// bisectEvaluator returns the local evaluator for one search: one cell
-// per γ, serving repeats from the job tier (keyed by the behavioral
-// hash, so equivalent template spellings share entries) and running the
-// misses as one sweeprun batch, written through to memory and disk.
-// The rendered cell carries the syntactic JobHash unchanged. The shared
-// refinement loop (internal/bisect) walks the same γ sequence every
-// run, so a repeat request hits the cache on every cell.
+// bisectEvaluator returns the local evaluator for one search. Each
+// round's γ batch is a grid — one cell per γ, keyed by the behavioral
+// hash, so equivalent template spellings share entries — produced by
+// the sweeps' runner (runCells): repeats come from the job tier, the
+// rest are decoded and run as one batch, and are written through to
+// memory and disk. The rendered cell carries the syntactic JobHash
+// unchanged. The shared refinement loop (internal/bisect) walks the
+// same γ sequence every run, so a repeat request hits the cache on
+// every cell and decodes nothing.
 func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Evaluator {
 	return func(gammas []float64) ([]wire.BisectCell, error) {
-		type pending struct {
-			cell int
-			key  string
-			job  sweeprun.Job
+		n := len(gammas)
+		wjobs := make([]wire.Job, n)
+		g := grid{
+			jobs: make([]sweeprun.Job, n),
+			recs: make([]*wire.TrajectoryRecorder, n),
+			keys: make([]string, n),
+			decode: func(idx []int) ([]sweeprun.Job, error) {
+				sub := wire.Sweep{Jobs: make([]wire.Job, len(idx))}
+				for k, i := range idx {
+					sub.Jobs[k] = wjobs[i]
+				}
+				jobs, err := wire.ToJobs(sub)
+				if err != nil {
+					// Every cell is the template with γ overridden, and
+					// no decode check reads γ: report the template's own
+					// error, without ToJobs's jobs[k] prefix.
+					if inner := errors.Unwrap(err); inner != nil {
+						err = inner
+					}
+					return nil, err
+				}
+				return jobs, nil
+			},
 		}
-		var (
-			cells  []wire.BisectCell
-			misses []pending
-		)
-		for _, g := range gammas {
+		cells := make([]wire.BisectCell, n)
+		for i, gamma := range gammas {
 			wj := req.Job
-			cfg := wj.Config // value copy; Gamma override stays local
-			cfg.Gamma = g
-			wj.Config = cfg
+			wj.Config.Gamma = gamma // wj is a copy; the override stays local
 			hash, err := wire.JobHash(wj)
 			if err != nil {
 				return nil, err
 			}
-			key, err := wire.SemanticHash(wj)
-			if err != nil {
+			if g.keys[i], err = wire.SemanticHash(wj); err != nil {
 				return nil, err
 			}
-			cell := wire.BisectCell{Gamma: g, JobHash: hash}
-			hit, ok := s.lookupJob(key)
-			if ok {
-				s.metrics.bisectJobHits.Inc()
-				cell.Cached = true
-				if hit.err != "" {
-					cell.Err = hit.err
-				} else {
-					rep := hit.report
-					cell.Report = &rep
-				}
+			wjobs[i] = wj
+			g.jobs[i] = sweeprun.Job{Meta: wj.Meta, Rounds: wj.Rounds}
+			cells[i] = wire.BisectCell{Gamma: gamma, JobHash: hash}
+		}
+		var fresh []cell
+		err := s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
+			cells[i].Cached = known
+			if c.err != "" {
+				cells[i].Err = c.err
 			} else {
-				s.metrics.bisectJobMisses.Inc()
-				job, err := wj.ToJob()
-				if err != nil {
-					return nil, err
-				}
-				misses = append(misses, pending{cell: len(cells), key: key, job: job})
+				rep := c.report
+				cells[i].Report = &rep
 			}
-			cells = append(cells, cell)
-		}
-		if len(misses) == 0 {
-			return cells, nil
-		}
-		jobs := make([]sweeprun.Job, len(misses))
-		for i, p := range misses {
-			jobs[i] = p.job
-		}
-		results := sweeprun.Stream(jobs, sweeprun.Options{
-			Workers:  workers,
-			Pool:     s.pool,
-			Gate:     s.gate,
-			OnTiming: s.observeJobTiming,
-		}, func(sweeprun.Result) {
-			if d := s.opts.JobDelay; d > 0 {
-				// The same chaos/test hook as the sweep path: every
-				// freshly computed cell costs at least d wall-clock.
-				time.Sleep(d)
+			if !known {
+				fresh = append(fresh, c)
 			}
 		})
-		computed := make([]jobResult, len(results))
+		if err != nil {
+			return nil, err
+		}
 		s.mu.Lock()
-		for i, res := range results {
-			c := &cells[misses[i].cell]
-			var jr jobResult
-			if res.Err != nil {
-				c.Err = res.Err.Error()
-				jr.err = c.Err
-			} else {
-				rep := res.Report
-				c.Report = &rep
-				jr.report = res.Report
-			}
-			s.storeJobLocked(misses[i].key, jr)
-			computed[i] = jr
+		for _, c := range fresh {
+			s.storeJobLocked(c.key, jobResult{report: c.report, err: c.err})
 		}
 		s.mu.Unlock()
 		// Spill fresh results to the disk cache outside the lock (Put
 		// does file IO); idempotent, so concurrent writers are safe.
-		for i, p := range misses {
-			s.jobBlobPut(p.key, computed[i])
+		for _, c := range fresh {
+			s.jobBlobPut(c.key, jobResult{report: c.report, err: c.err})
 		}
 		return cells, nil
 	}

@@ -316,3 +316,24 @@ func TestBisectAdmission(t *testing.T) {
 		})
 	}
 }
+
+// TestBisectUndecodableTemplate: a template that passes validation but
+// cannot be decoded is a 400 carrying the decoder's own error — the
+// message names the template's field, not a jobs array the request
+// does not have.
+func TestBisectUndecodableTemplate(t *testing.T) {
+	srv := New(Options{Workers: 1, MaxCellRounds: 200, MaxBisectEvals: 16})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	req := bisectGoldenRequest(t, 8, 0)
+	req.Job.Config.Algorithm = "x"
+	resp, code, msg := postBisect(t, ts, req)
+	if resp != nil || code != http.StatusBadRequest {
+		t.Fatalf("want 400, got %d (%+v)", code, resp)
+	}
+	if want := `wire: unknown algorithm "x"`; msg != want {
+		t.Fatalf("400 body %q, want %q", msg, want)
+	}
+}

@@ -1,14 +1,17 @@
 package simserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"taskalloc/internal/store"
 	"taskalloc/internal/wire"
 )
 
@@ -153,5 +156,95 @@ func TestBisectDiskCacheWarmAcrossRestart(t *testing.T) {
 	}
 	if st.PersistErrors != 0 {
 		t.Fatalf("persist errors = %d, want 0", st.PersistErrors)
+	}
+}
+
+// TestDurableResumeTimesRender: a resumed sweep times every cell it
+// streams in the render stage, as a fresh POST does — a prefix cell
+// replayed from the journal included — while a replay of the completed
+// sweep stays untimed.
+func TestDurableResumeTimesRender(t *testing.T) {
+	sweep := reuseGrid()
+	goldDir := t.TempDir()
+	srvA, err := Open(Options{Workers: 2, DataDir: goldDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(srvA)
+	resp, full := postSweep(t, tsA.URL, sweep, "")
+	id := resp.Header.Get("X-Sweep-Id")
+	tsA.Close()
+	srvA.Close()
+	gold, err := store.Open(filepath.Join(goldDir, "sweeps"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := gold.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Checkpoint a 2-cell prefix, as a crash after two cells leaves it.
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "sweeps"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := st.Create(id, rec.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range rec.Records[:2] {
+		if err := j.Append(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := Open(Options{Workers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	get := func(cursor string) (string, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "?cursor=" + cursor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET ?cursor=%s: HTTP %d %s (%v)", cursor, resp.StatusCode, body, err)
+		}
+		return resp.Header.Get("X-Cache"), body
+	}
+
+	render := srv.metrics.stageRender
+	before := render.Count()
+	disposition, tail := get("1")
+	if disposition != "resume" {
+		t.Fatalf("X-Cache = %q, want resume", disposition)
+	}
+	// The header line, then cells 1 onward.
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	want := append(append([]byte(nil), lines[0]...), bytes.Join(lines[2:], nil)...)
+	if !bytes.Equal(tail, want) {
+		t.Fatalf("resumed tail differs from the uninterrupted body:\n--- tail\n%s--- full\n%s", tail, full)
+	}
+	if got, want := render.Count()-before, uint64(len(sweep.Jobs)-1); got != want {
+		t.Fatalf("resume observed %d render timings, want one per streamed cell (%d)", got, want)
+	}
+
+	before = render.Count()
+	if disposition, body := get("0"); disposition != "hit" || !bytes.Equal(body, full) {
+		t.Fatalf("replay of the completed sweep: X-Cache %q, body equal %v", disposition, bytes.Equal(body, full))
+	}
+	if got := render.Count() - before; got != 0 {
+		t.Fatalf("replay of a completed sweep observed %d render timings, want 0", got)
 	}
 }

@@ -432,6 +432,69 @@ func TestDurableResumeStitchMidStream(t *testing.T) {
 	}
 }
 
+// TestDurableEvictedJournalIs404: once the store evicts a sweep's
+// journal past -data-bytes, and the memory cache has evicted the sweep
+// too, neither GET advertises it: the summary GET and the cursored GET
+// both answer 404, because the store's index is the one record of
+// on-disk sweeps.
+//
+// A journal whose file vanished behind the store's back is forgotten
+// the same way once a request finds it missing.
+func TestDurableEvictedJournalIs404(t *testing.T) {
+	dir := t.TempDir()
+	opts := simserver.Options{Workers: 2, DataDir: dir, DataBytes: 1, CacheEntries: 1}
+	srv, err := simserver.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+
+	a, err := wire.FromJobs(testGrid(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := wire.Sweep{Version: wire.V1, Jobs: a.Jobs[:2]}
+	respA, _ := postRaw(t, ts.URL, a)
+	respB, _ := postRaw(t, ts.URL, b) // evicts A from the store and from memory
+	idA, idB := respA.Header.Get("X-Sweep-Id"), respB.Header.Get("X-Sweep-Id")
+	wal := func(id string) string { return filepath.Join(dir, "sweeps", id[:2], id+".wal") }
+	if _, err := os.Stat(wal(idA)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("sweep A's journal was not evicted: %v", err)
+	}
+	if st := srv.Stats(); st.DiskJournals != 1 || st.CacheEntries != 1 {
+		t.Fatalf("disk journals %d, cache entries %d; want 1 and 1", st.DiskJournals, st.CacheEntries)
+	}
+	for _, query := range []string{"", "?cursor=0"} {
+		resp, body := getRaw(t, ts.URL+"/v1/sweeps/"+idA+query)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/sweeps/{A}%s after eviction: HTTP %d %s, want 404", query, resp.StatusCode, body)
+		}
+	}
+	ts.Close()
+	srv.Close()
+
+	// Restart (with room for B's journal) so B lives only on disk, then
+	// delete its log: the cursored GET finds it gone, and the summary GET
+	// must not still offer it.
+	opts.DataBytes = 0
+	srv, err = simserver.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts = httptest.NewServer(srv)
+	defer ts.Close()
+	if err := os.Remove(wal(idB)); err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"?cursor=0", ""} {
+		resp, body := getRaw(t, ts.URL+"/v1/sweeps/"+idB+query)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/sweeps/{B}%s after its log vanished: HTTP %d %s, want 404", query, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestTenantAuthEndToEnd covers the tenant layer through the typed
 // client: open endpoints stay open, missing/unknown tokens are typed
 // 401s, the cumulative job quota is a typed 403, and healthz reports

@@ -3,6 +3,7 @@ package simserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"taskalloc/internal/store"
+	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
 )
 
@@ -186,12 +188,13 @@ func TestConcurrentOverlappingSweeps(t *testing.T) {
 	}
 }
 
-// TestKnownCellsMerge is the randomized check of executeOwned's
-// known-cells merge: over random splits of a grid into a recovered
-// journal prefix, memory-tier cells, disk-tier cells, and cells to
-// simulate, at 1–4 workers, every index is emitted once and in order,
-// the journal holds one keyed record per cell in index order, only the
-// unknown cells run, and the rendered bytes equal an all-fresh run.
+// TestKnownCellsMerge is the randomized check of the cell runner
+// (runCells, driven through executeOwned's journaling and publish):
+// over random splits of a grid into a recovered journal prefix,
+// memory-tier cells, disk-tier cells, and cells to simulate, at 1–4
+// workers, every index is emitted once and in order, the journal holds
+// one keyed record per cell in index order, only the unknown cells
+// run, and the rendered bytes equal an all-fresh run.
 func TestKnownCellsMerge(t *testing.T) {
 	sweep := reuseGrid()
 	sweep.Jobs = append(sweep.Jobs, reuseJob(0.03, 7))
@@ -300,6 +303,92 @@ func TestKnownCellsMerge(t *testing.T) {
 		}
 		s.mu.Unlock()
 		s.Close()
+	}
+}
+
+// TestRunCellsDecodesOnlyMisses: a grid that decodes on demand (a
+// bisect round) has only the cells the job tier cannot serve decoded —
+// a fully warm round decodes none — and a decode error comes back
+// before any cell is emitted.
+func TestRunCellsDecodesOnlyMisses(t *testing.T) {
+	sweep := reuseGrid()
+	n := len(sweep.Jobs)
+	_, keys, err := wire.SemanticSweepKeys(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run drives one lazily decoded grid through runCells and returns
+	// the indices it decoded, the emitted cells, and their known flags.
+	run := func(s *Server, fail error) (decoded []int, cells []cell, known []bool, err error) {
+		t.Helper()
+		g := grid{
+			jobs: make([]sweeprun.Job, n),
+			recs: make([]*wire.TrajectoryRecorder, n),
+			keys: keys,
+			decode: func(idx []int) ([]sweeprun.Job, error) {
+				decoded = append(decoded, idx...)
+				if fail != nil {
+					return nil, fail
+				}
+				sub := wire.Sweep{Jobs: make([]wire.Job, len(idx))}
+				for k, i := range idx {
+					sub.Jobs[k] = sweep.Jobs[i]
+				}
+				return wire.ToJobs(sub)
+			},
+		}
+		for i, wj := range sweep.Jobs {
+			g.jobs[i] = sweeprun.Job{Meta: wj.Meta, Rounds: wj.Rounds}
+		}
+		err = s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, 2, func(i int, c cell, k bool) {
+			if i != len(cells) {
+				t.Fatalf("emitted cell %d after %d cells", i, len(cells))
+			}
+			cells = append(cells, c)
+			known = append(known, k)
+		})
+		return decoded, cells, known, err
+	}
+
+	s := New(Options{Workers: 2})
+	defer s.Close()
+	decoded, ref, _, err := run(s, nil)
+	if err != nil || !reflect.DeepEqual(decoded, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("cold round decoded %v (err %v), want every cell", decoded, err)
+	}
+
+	// Warm every cell but 1 and 4: only those two are decoded.
+	warm := func(cells ...int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, i := range cells {
+			s.storeJobLocked(keys[i], jobResult{report: ref[i].report, err: ref[i].err})
+		}
+	}
+	warm(0, 2, 3, 5)
+	decoded, cells, known, err := run(s, nil)
+	if err != nil || !reflect.DeepEqual(decoded, []int{1, 4}) {
+		t.Fatalf("half-warm round decoded %v (err %v), want [1 4]", decoded, err)
+	}
+	if want := []bool{true, false, true, true, false, true}; !reflect.DeepEqual(known, want) {
+		t.Fatalf("known = %v, want %v", known, want)
+	}
+	for i := range cells {
+		if !reflect.DeepEqual(cells[i].report, ref[i].report) || !reflect.DeepEqual(cells[i].meta, ref[i].meta) {
+			t.Fatalf("cell %d differs from the cold round", i)
+		}
+	}
+
+	warm(1, 4)
+	if decoded, cells, _, err = run(s, nil); err != nil || len(decoded) != 0 || len(cells) != n {
+		t.Fatalf("warm round decoded %v and emitted %d cells (err %v), want none decoded, %d emitted", decoded, len(cells), err, n)
+	}
+
+	cold := New(Options{Workers: 2})
+	defer cold.Close()
+	bad := errors.New("undecodable")
+	if _, cells, _, err = run(cold, bad); err != bad || len(cells) != 0 {
+		t.Fatalf("decode failure: err %v after %d emitted cells, want %v before any", err, len(cells), bad)
 	}
 }
 

@@ -66,11 +66,6 @@ type commitRecord struct {
 	Failed  int              `json:"failed"`
 }
 
-// diskSweep is the in-memory index entry for one on-disk journal.
-type diskSweep struct {
-	complete bool
-}
-
 // cellToRecord converts a completed cell to its journal payload.
 func cellToRecord(i int, c cell) cellRecord {
 	rec := cellRecord{Index: i, Meta: c.meta, Rounds: c.rounds, Err: c.err, Traj: c.traj, Key: c.key}
@@ -118,37 +113,17 @@ func (s *Server) createJournal(id, synID string, sweep wire.Sweep) *store.Journa
 		s.persistError()
 		return nil
 	}
-	s.mu.Lock()
-	s.diskIdx[id] = &diskSweep{}
-	s.mu.Unlock()
 	return j
 }
 
-// dropJournal discards a failed submission's journal with its index
-// entry (the owning request never ran, so nothing is worth resuming).
-func (s *Server) dropJournal(j *store.Journal) {
-	if j == nil {
-		return
-	}
-	_ = j.Close()
-	_ = s.store.Remove(j.ID())
-	s.mu.Lock()
-	delete(s.diskIdx, j.ID())
-	s.mu.Unlock()
-}
-
-// hasJournal reports whether id has an on-disk journal.
+// hasJournal reports whether id has an on-disk journal and whether it
+// is committed. The store's index is the only record of on-disk
+// sweeps, so a journal the store evicted reads as absent.
 func (s *Server) hasJournal(id string) (exists, complete bool) {
 	if s.store == nil {
 		return false, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.diskIdx[id]
-	if !ok {
-		return false, false
-	}
-	return true, d.complete
+	return s.store.Lookup(id)
 }
 
 // recovered is a journal decoded back to serving state.
@@ -156,7 +131,6 @@ type recovered struct {
 	header  journalHeader
 	cells   []cell // the checkpointed prefix
 	summary sweeprun.Summary
-	failed  int
 	// journal is the append handle for an incomplete journal (nil when
 	// the journal was complete).
 	journal *store.Journal
@@ -178,11 +152,11 @@ func (s *Server) loadJournal(id string, wantAppend bool) (*recovered, error) {
 		rec, err = s.store.Load(id)
 	}
 	if err != nil {
-		s.mu.Lock()
-		delete(s.diskIdx, id)
-		s.mu.Unlock()
+		// Forget the journal — a vanished file too, so it stops reading
+		// as resumable. Ownership of the sweep entry excludes a
+		// concurrent Create of the same id.
+		_ = s.store.Remove(id)
 		if !errors.Is(err, store.ErrNotExist) {
-			_ = s.store.Remove(id)
 			s.persistError()
 		}
 		return nil, err
@@ -211,7 +185,6 @@ func (s *Server) loadJournal(id string, wantAppend bool) (*recovered, error) {
 			return nil, fmt.Errorf("journal %s: bad commit", id)
 		}
 		out.summary = com.Summary
-		out.failed = com.Failed
 	}
 	return out, nil
 }
@@ -223,82 +196,29 @@ func (s *Server) discardRecovered(id string, j *store.Journal) {
 		_ = j.Close()
 	}
 	_ = s.store.Remove(id)
-	s.mu.Lock()
-	delete(s.diskIdx, id)
-	s.mu.Unlock()
 	s.persistError()
 }
 
 // executeOwned runs an owned sweep to completion and publishes it.
-// A cell is known when the recovered journal prefix holds it (prefix,
-// len(prefix) <= len(g.jobs)) or the job tier holds its key; only the
-// unknown cells run, through the shared pool. Every cell is emitted in
-// strict index order, and every cell past the prefix is checkpointed
-// to j (when non-nil) BEFORE it is emitted — the record is on disk
-// before its bytes can reach a client, so a crash never leaves a
-// client holding bytes the journal cannot replay.
+// runCells supplies every cell in strict index order — from the
+// recovered journal prefix, the job tier, or the shared pool — and
+// every cell past the prefix is checkpointed to j (when non-nil) BEFORE
+// it is emitted: the record is on disk before its bytes can reach a
+// client, so a crash never leaves a client holding bytes the journal
+// cannot replay.
 func (s *Server) executeOwned(entry *sweepEntry, g grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) {
-	n := len(g.jobs)
-	cells := make([]cell, n)
-	known := make([]bool, n)
-	copy(cells, prefix)
-	var run []int // indices of the cells that must be simulated
-	for i := range cells {
-		if i < len(prefix) {
-			known[i] = true
-		} else if c, ok := s.tierCell(g, i); ok {
-			cells[i], known[i] = c, true
-		} else {
-			run = append(run, i)
+	cells := make([]cell, len(g.jobs))
+	// A sweep grid is decoded at admission (buildRunnable sets no
+	// decode hook), so runCells has no error to return here.
+	_ = s.runCells(g, prefix, s.metrics.sweepJobHits, s.metrics.sweepJobMisses, workers, func(i int, c cell, _ bool) {
+		if i >= len(prefix) {
+			j = s.checkpoint(j, i, c)
 		}
-		cells[i].key = g.keys[i]
-	}
-
-	// advance checkpoints and emits every known cell from next on, up to
-	// the first cell still being simulated.
-	journal := j
-	next := 0
-	advance := func() {
-		for ; next < n && known[next]; next++ {
-			if next >= len(prefix) {
-				journal = s.checkpoint(journal, next, cells[next])
-			}
-			emit(next, cells[next])
-		}
-	}
-	advance()
-	jobs := make([]sweeprun.Job, len(run))
-	for k, i := range run {
-		jobs[k] = g.jobs[i]
-	}
-	sweeprun.Stream(jobs, sweeprun.Options{
-		Workers:  workers,
-		Pool:     s.pool,
-		Gate:     s.gate,
-		OnTiming: s.observeJobTiming,
-	}, func(res sweeprun.Result) {
-		if d := s.opts.JobDelay; d > 0 {
-			// Chaos/test hook: make every freshly computed cell cost at
-			// least d wall-clock, simulating a slow heterogeneous backend.
-			time.Sleep(d)
-		}
-		// Stream emits in order, and advance has emitted every known
-		// cell before this one: cell i is next.
-		i := run[res.Index]
-		c := cell{meta: res.Job.Meta, rounds: res.Job.Rounds, report: res.Report, key: g.keys[i]}
-		if res.Err != nil {
-			c.err = res.Err.Error()
-		} else if rec := g.recs[i]; rec != nil {
-			// Only successful cells carry a trajectory: a failed cell's
-			// recorder holds just the pre-written header, which would
-			// read as a legitimate zero-round run.
-			c.traj = rec.Bytes()
-		}
-		cells[i], known[i] = c, true
-		advance()
+		cells[i] = c
+		emit(i, c)
 	})
 
-	results := make([]sweeprun.Result, n)
+	results := make([]sweeprun.Result, len(cells))
 	for i, c := range cells {
 		results[i] = sweeprun.Result{Index: i, Job: g.jobs[i], Report: c.report}
 		if c.err != "" {
@@ -306,37 +226,17 @@ func (s *Server) executeOwned(entry *sweepEntry, g grid, prefix []cell, j *store
 		}
 	}
 	sum := sweeprun.Summarize(results)
-	if journal != nil {
+	if j != nil {
 		payload, err := json.Marshal(commitRecord{Summary: sum, Failed: sum.Failed})
 		if err == nil {
-			err = journal.Commit(payload)
+			err = j.Commit(payload)
 		}
 		if err != nil {
-			_ = journal.Close()
+			_ = j.Close()
 			s.persistError()
-		} else {
-			s.mu.Lock()
-			if d, ok := s.diskIdx[entry.id]; ok {
-				d.complete = true
-			}
-			s.mu.Unlock()
 		}
 	}
 	s.publish(entry, cells, sum)
-}
-
-// tierCell serves cell i of g from the job tier, counting the lookup
-// on the sweep job-cache counter. A job that asks for a trajectory is a
-// miss without a lookup: the tier holds reports only.
-func (s *Server) tierCell(g grid, i int) (cell, bool) {
-	if g.recs[i] == nil {
-		if jr, ok := s.lookupJob(g.keys[i]); ok {
-			s.metrics.sweepJobHits.Inc()
-			return cell{meta: g.jobs[i].Meta, rounds: g.jobs[i].Rounds, report: jr.report, err: jr.err}, true
-		}
-	}
-	s.metrics.sweepJobMisses.Inc()
-	return cell{}, false
 }
 
 // checkpoint appends cell i to the journal and returns the handle to
@@ -361,20 +261,20 @@ func (s *Server) checkpoint(j *store.Journal, i int, c cell) *store.Journal {
 	return j
 }
 
-// serveFromDisk tries to satisfy an owned entry from its journal.
-// It returns the disposition it served ("hit" for a complete journal,
-// "resume" after finishing an incomplete one) and whether it handled
-// the response; ("", false) means no usable journal — execute fresh.
-// synID is the submitting document's syntactic hash ("" for GETs), for
-// alias accounting against the stored creator's.
-func (s *Server) serveFromDisk(w http.ResponseWriter, r *http.Request, entry *sweepEntry, synID, format string, cursor, workers int) (string, bool) {
+// serveFromDisk tries to satisfy an owned entry from its journal and
+// reports whether it handled the response: a complete journal replays
+// (X-Cache hit), an incomplete one resumes (X-Cache resume). false
+// means no usable journal — execute fresh. synID is the submitting
+// document's syntactic hash ("" for GETs), for alias accounting against
+// the stored creator's.
+func (s *Server) serveFromDisk(w http.ResponseWriter, entry *sweepEntry, synID, format string, cursor, workers int) bool {
 	exists, complete := s.hasJournal(entry.id)
 	if !exists {
-		return "", false
+		return false
 	}
 	rec, err := s.loadJournal(entry.id, !complete)
 	if err != nil {
-		return "", false
+		return false
 	}
 	s.mu.Lock()
 	entry.jobs = rec.header.Jobs
@@ -394,14 +294,8 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, r *http.Request, entry *sw
 			s.metrics.sweepHits.Inc()
 		}
 		s.publish(entry, rec.cells, rec.summary)
-		if cursor > len(rec.cells) {
-			httpError(w, http.StatusBadRequest,
-				"cursor %d past end of sweep (%d jobs)", cursor, len(rec.cells))
-			return "hit", true
-		}
-		s.setStreamHeaders(w, format, entry.id, "hit")
-		s.renderFrom(w, entry, format, cursor)
-		return "hit", true
+		s.replay(w, entry, format, "hit", cursor)
+		return true
 	}
 
 	// Incomplete: resume the remaining jobs from the STORED document,
@@ -419,7 +313,7 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, r *http.Request, entry *sw
 		// Unusable journal: the caller executes fresh and charges the
 		// miss itself.
 		s.discardRecovered(entry.id, rec.journal)
-		return "", false
+		return false
 	}
 	// A resuming POST still executes work, so it counts as the miss the
 	// lookup deferred (GET adoptions, synID "", count neither way — as
@@ -433,48 +327,9 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, r *http.Request, entry *sw
 			"cursor %d past end of sweep (%d jobs)", cursor, rec.header.Jobs)
 		// The entry was never published; drop it so a retry can resume.
 		s.drop(entry)
-		return "resume", true
+		return true
 	}
 	s.metrics.diskResumes.Inc()
-	s.setStreamHeaders(w, format, entry.id, "resume")
-	stream, flush := s.newStream(w, format, entry.id, rec.header.Jobs, cursor)
-	s.executeOwned(entry, g, rec.cells, rec.journal, workers, func(i int, c cell) {
-		if i >= cursor {
-			stream.cell(i, c)
-			flush()
-		}
-	})
-	stream.finish()
-	return "resume", true
-}
-
-// newStream builds the response renderer for a (possibly cursored)
-// stream plus its flush hook. A cursor > 0 skips the CSV header so
-// stitched responses concatenate cleanly; the NDJSON header line is
-// always sent (resumed clients drop it — it carries the id they
-// already have).
-func (s *Server) newStream(w http.ResponseWriter, format, id string, jobs, cursor int) (streamRenderer, func()) {
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	var stream streamRenderer
-	switch format {
-	case "csv":
-		stream = newCSVRenderer(w, cursor == 0)
-	default:
-		stream = newNDJSONRenderer(w, wire.StreamHeader{Version: wire.V1, ID: id, Jobs: jobs})
-	}
-	return stream, flush
-}
-
-// renderFrom replays a completed sweep's cells starting at cursor.
-func (s *Server) renderFrom(w http.ResponseWriter, e *sweepEntry, format string, cursor int) {
-	stream, _ := s.newStream(w, format, e.id, e.jobs, cursor)
-	for i := cursor; i < len(e.cells); i++ {
-		stream.cell(i, e.cells[i])
-	}
-	stream.finish()
+	s.streamOwned(w, entry, g, rec.cells, rec.journal, format, "resume", cursor, workers)
+	return true
 }

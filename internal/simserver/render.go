@@ -19,6 +19,17 @@ type streamRenderer interface {
 	finish()
 }
 
+// newStream builds the response renderer for a (possibly cursored)
+// stream. A cursor > 0 skips the CSV header so stitched responses
+// concatenate cleanly; the NDJSON header line is always sent (resumed
+// clients drop it — it carries the id they already have).
+func newStream(w io.Writer, format, id string, jobs, cursor int) streamRenderer {
+	if format == "csv" {
+		return newCSVRenderer(w, cursor == 0)
+	}
+	return newNDJSONRenderer(w, wire.StreamHeader{Version: wire.V1, ID: id, Jobs: jobs})
+}
+
 // ndjsonRenderer emits the StreamHeader line then one wire.Result line
 // per cell, trajectories included.
 type ndjsonRenderer struct {

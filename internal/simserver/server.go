@@ -165,11 +165,10 @@ type Server struct {
 	bisectFlights map[string]*bisectFlight
 
 	// Durability layer (nil when Options.DataDir / CacheDir are empty):
-	// the journal store, the disk job cache, and the index of on-disk
-	// sweeps (guarded by mu).
-	store   *store.Store
-	blob    *store.BlobCache
-	diskIdx map[string]*diskSweep
+	// the journal store — whose index is the one record of on-disk
+	// sweeps — and the disk job cache.
+	store *store.Store
+	blob  *store.BlobCache
 
 	// auth is the tenant layer, nil when Options.Tenants is empty.
 	auth *authState
@@ -274,7 +273,6 @@ type sweepEntry struct {
 	// Written only by the owning request before close(done):
 	cells   []cell
 	summary sweeprun.Summary
-	failed  int
 	size    int64 // approximate retained bytes (trajectories dominate)
 }
 
@@ -344,7 +342,6 @@ func Open(opts Options) (*Server, error) {
 		cache:         make(map[string]*sweepEntry),
 		jobCache:      make(map[string]jobResult),
 		bisectFlights: make(map[string]*bisectFlight),
-		diskIdx:       make(map[string]*diskSweep),
 	}
 	if opts.DataDir != "" {
 		if opts.DataBytes <= 0 {
@@ -357,9 +354,6 @@ func Open(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.store = st
-		for _, e := range st.Entries() {
-			s.diskIdx[e.ID] = &diskSweep{complete: e.Complete}
-		}
 		if opts.CacheDir == "" {
 			opts.CacheDir = filepath.Join(opts.DataDir, "jobcache")
 		}
@@ -652,8 +646,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "sweep %s failed validation; resubmit", id)
 			return
 		}
-		s.setStreamHeaders(w, format, id, disposition)
-		s.renderFrom(w, entry, format, 0)
+		s.replay(w, entry, format, disposition, 0)
 		return
 	}
 
@@ -671,7 +664,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// this submission byte-identically to its creator's run;
 	// serveFromDisk charges the hit/miss counter for the paths it
 	// handles.
-	if _, handled := s.serveFromDisk(w, r, entry, synID, format, 0, workers); handled {
+	if s.serveFromDisk(w, entry, synID, format, 0, workers) {
 		published = true // serveFromDisk publishes or drops the entry itself
 		return
 	}
@@ -685,15 +678,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := s.createJournal(id, synID, sweep)
-	s.setStreamHeaders(w, format, id, "miss")
-	stream, flush := s.newStream(w, format, id, len(g.jobs), 0)
-	s.executeOwned(entry, g, nil, j, workers, func(i int, c cell) {
-		renderStart := time.Now()
-		stream.cell(i, c)
-		flush()
-		s.metrics.stageRender.ObserveSince(renderStart)
-	})
-	stream.finish()
+	s.streamOwned(w, entry, g, nil, j, format, "miss", 0, workers)
 	published = true
 }
 
@@ -720,7 +705,6 @@ func (s *Server) publish(e *sweepEntry, cells []cell, sum sweeprun.Summary) {
 	}
 	e.cells = cells
 	e.summary = sum
-	e.failed = sum.Failed
 	e.size = size
 	if _, live := s.cache[e.id]; live {
 		s.cacheSize += size
@@ -750,13 +734,58 @@ func (s *Server) setStreamHeaders(w http.ResponseWriter, format, id, disposition
 	}
 }
 
-// grid is an admitted sweep ready to execute: its sweeprun jobs, the
+// streamOwned executes an owned sweep (executeOwned) and streams it as
+// it runs — a fresh POST (disposition miss) and a journal resume
+// (resume) alike: the headers, then every cell from cursor on, each
+// flushed and timed in the render stage.
+func (s *Server) streamOwned(w http.ResponseWriter, entry *sweepEntry, g grid, prefix []cell, j *store.Journal, format, disposition string, cursor, workers int) {
+	s.setStreamHeaders(w, format, entry.id, disposition)
+	stream := newStream(w, format, entry.id, len(g.jobs), cursor)
+	flusher, _ := w.(http.Flusher)
+	s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
+		if i < cursor {
+			return
+		}
+		start := time.Now()
+		stream.cell(i, c)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		s.metrics.stageRender.ObserveSince(start)
+	})
+	stream.finish()
+}
+
+// replay renders a completed entry's cells from cursor on: memory hits,
+// coalesced waiters, complete-journal replays, and cursored GETs alike.
+// A cursor past the end is a 400. Replays are not timed in the render
+// stage, which covers cells streamed while their sweep executes.
+func (s *Server) replay(w http.ResponseWriter, e *sweepEntry, format, disposition string, cursor int) {
+	if cursor > len(e.cells) {
+		httpError(w, http.StatusBadRequest,
+			"cursor %d past end of sweep (%d jobs)", cursor, len(e.cells))
+		return
+	}
+	s.setStreamHeaders(w, format, e.id, disposition)
+	stream := newStream(w, format, e.id, e.jobs, cursor)
+	for i := cursor; i < len(e.cells); i++ {
+		stream.cell(i, e.cells[i])
+	}
+	stream.finish()
+}
+
+// grid is a batch of cells ready for runCells: its sweeprun jobs, the
 // trajectory recorder of every job that asked for one (nil elsewhere),
-// and every job's job-tier key (wire.SemanticSweepKeys).
+// and every job's job-tier key (for a sweep, wire.SemanticSweepKeys).
 type grid struct {
 	jobs []sweeprun.Job
 	recs []*wire.TrajectoryRecorder
 	keys []string
+	// decode, when set, decodes the listed cells on demand, and jobs
+	// holds only each cell's Meta and Rounds: a bisect round decodes
+	// just the cells the job tier cannot serve. Sweeps decode at
+	// admission (buildRunnable) and leave it nil.
+	decode func(idx []int) ([]sweeprun.Job, error)
 }
 
 // buildRunnable decodes the wire grid into sweeprun jobs (via
@@ -829,7 +858,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		ID:      e.id,
 		Status:  "done",
 		Jobs:    e.jobs,
-		Failed:  e.failed,
+		Failed:  e.summary.Failed,
 		Summary: &e.summary,
 	}
 	for i, c := range e.cells {
@@ -867,17 +896,17 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request, id stri
 
 	// Memory first; fall back to adopting the on-disk journal (the
 	// adopter becomes the entry owner, so concurrent readers coalesce
-	// instead of double-resuming).
+	// instead of double-resuming). The store is asked outside mu; a
+	// journal evicted in between makes serveFromDisk decline below.
+	onDisk, _ := s.hasJournal(id)
 	s.mu.Lock()
 	e := s.cache[id]
 	owner := false
-	if e == nil {
-		if _, ok := s.diskIdx[id]; ok {
-			e = &sweepEntry{id: id, done: make(chan struct{})}
-			s.cache[id] = e
-			s.order = append(s.order, id)
-			owner = true
-		}
+	if e == nil && onDisk {
+		e = &sweepEntry{id: id, done: make(chan struct{})}
+		s.cache[id] = e
+		s.order = append(s.order, id)
+		owner = true
 	}
 	s.mu.Unlock()
 	if e == nil {
@@ -885,7 +914,7 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 	if owner {
-		if _, handled := s.serveFromDisk(w, r, e, "", format, cursor, s.opts.Workers); handled {
+		if s.serveFromDisk(w, e, "", format, cursor, s.opts.Workers) {
 			return
 		}
 		// The journal vanished (evicted) or was undecodable.
@@ -902,13 +931,7 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request, id stri
 		httpError(w, http.StatusNotFound, "sweep %q failed validation", id)
 		return
 	}
-	if cursor > len(e.cells) {
-		httpError(w, http.StatusBadRequest,
-			"cursor %d past end of sweep (%d jobs)", cursor, len(e.cells))
-		return
-	}
-	s.setStreamHeaders(w, format, id, "hit")
-	s.renderFrom(w, e, format, cursor)
+	s.replay(w, e, format, "hit", cursor)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -122,16 +122,6 @@ type journalInfo struct {
 	open     bool // an un-Closed Journal handle exists
 }
 
-// EntryInfo describes one journal in the store's index.
-type EntryInfo struct {
-	// ID is the journal's identity (the sweep's semantic hash).
-	ID string
-	// Complete reports whether the journal has a commit marker.
-	Complete bool
-	// Bytes is the journal's on-disk size (log + marker).
-	Bytes int64
-}
-
 // Open opens (creating if needed) the journal store rooted at dir and
 // rebuilds its index by scanning the fanout directories.
 func Open(dir string, opts Options) (*Store, error) {
@@ -206,16 +196,15 @@ func (s *Store) okPath(id string) string {
 	return filepath.Join(s.dir, id[:2], id+okSuffix)
 }
 
-// Entries snapshots the index: every journal id with its completeness
-// and size, in unspecified order.
-func (s *Store) Entries() []EntryInfo {
+// Lookup reports whether the index holds a journal for id — one being
+// written counts — and whether that journal is committed. It answers
+// from the index, which eviction and Remove update, so an evicted or
+// removed journal reads as absent at once.
+func (s *Store) Lookup(id string) (exists, complete bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]EntryInfo, 0, len(s.journals))
-	for id, ji := range s.journals {
-		out = append(out, EntryInfo{ID: id, Complete: ji.complete, Bytes: ji.size})
-	}
-	return out
+	ji, ok := s.journals[id]
+	return ok, ok && ji.complete
 }
 
 // Stats reports the index's journal count and total bytes.

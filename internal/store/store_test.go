@@ -84,9 +84,11 @@ func testJournalRoundTrip(t *testing.T, opts Options) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	ents := s.Entries()
-	if len(ents) != 1 || ents[0].ID != testID || !ents[0].Complete {
-		t.Fatalf("index: %+v", ents)
+	if exists, complete := s.Lookup(testID); !exists || !complete {
+		t.Fatalf("index: exists=%v complete=%v, want a complete journal", exists, complete)
+	}
+	if n, _ := s.Stats(); n != 1 {
+		t.Fatalf("index holds %d journals, want 1", n)
 	}
 }
 
@@ -434,6 +436,14 @@ func testStoreEviction(t *testing.T, opts Options) {
 	}
 	if _, err := s.Load(complete[0]); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("oldest complete journal not evicted: %v", err)
+	}
+	// The index forgets an evicted journal at once: the service answers
+	// on-disk lookups from it.
+	if exists, _ := s.Lookup(complete[0]); exists {
+		t.Fatal("Lookup still reports the evicted journal")
+	}
+	if exists, done := s.Lookup(incomplete); !exists || done {
+		t.Fatalf("Lookup(incomplete) = %v, %v; want an incomplete journal", exists, done)
 	}
 }
 
