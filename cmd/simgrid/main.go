@@ -1,9 +1,10 @@
 // Command simgrid is the multi-host grid coordinator front end: it
 // shards a wire-format job grid across several simserve backends by
 // canonical job-hash range — equal ranges, with idle backends stealing
-// pending chunks from slow ones — merges the ordered result streams,
-// and writes output byte-identical to the same sweep POSTed to a single
-// backend. See internal/gridcoord for the partitioning, stealing,
+// pending chunks from slow ones and backing up chunks a slow backend is
+// still computing — merges the ordered result streams, and writes
+// output byte-identical to the same sweep POSTed to a single backend.
+// See internal/gridcoord for the partitioning, stealing, backup,
 // merge-order, and failure-handling contracts.
 //
 //	simgrid -backends http://h1:8080,http://h2:8080,http://h3:8080 -jobs grid.json
@@ -32,6 +33,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,9 +58,9 @@ func main() {
 		format       = flag.String("format", "ndjson", "merged output format: ndjson | csv")
 		workers      = flag.Int("workers", 0, "per-backend ?workers override (0 = backend default)")
 		attempts     = flag.Int("attempts", 3, "per-job attempt budget across backend failures")
-		stealChunk   = flag.Int("steal-chunk", 0, "work-stealing chunk size in jobs (0 = auto, negative = static ranges, no stealing)")
+		stealChunk   = flag.Int("steal-chunk", 0, "work-stealing chunk size in jobs (0 = auto, negative = static ranges, no stealing or backups)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "abort a backend stream delivering no result for this long (0 = disabled)")
-		verbose      = flag.Bool("v", false, "log progress, steals, backend losses, and retries to stderr")
+		verbose      = flag.Bool("v", false, "log progress, steals, backups, backend losses, and retries to stderr")
 		token        = flag.String("token", "", "tenant bearer token sent to every backend (empty for open backends; $SIMGRID_TOKEN overrides)")
 		metricsAdr   = flag.String("metrics-addr", "", "serve the coordinator's GET /v1/metrics on this address (empty = disabled)")
 		pprofAdr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -168,9 +170,9 @@ func main() {
 		fatal("%v", err)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "simgrid: %d jobs over %d backends %v, delivered %v; %d stolen, %d retried, %d backends lost; trace %s\n",
+		fmt.Fprintf(os.Stderr, "simgrid: %d jobs over %d backends %v, delivered %v; %d stolen, %d backed up, %d retried, %d backends lost; trace %s\n",
 			len(sweep.Jobs), len(backends), stats.JobsPerBackend, stats.Delivered,
-			stats.Steals, stats.Retried, stats.BackendsLost, stats.TraceID)
+			stats.Steals, stats.Backups, stats.Retried, stats.BackendsLost, stats.TraceID)
 	}
 }
 
@@ -216,13 +218,19 @@ func logEvent(ev gridcoord.Event) {
 	case gridcoord.EventSteal:
 		fmt.Fprintf(os.Stderr, "simgrid: backend %d stole %d jobs from backend %d\n",
 			ev.Backend, ev.Jobs, ev.From)
+	case gridcoord.EventBackup:
+		fmt.Fprintf(os.Stderr, "simgrid: backend %d backing up %d jobs still running on backend %d\n",
+			ev.Backend, ev.Jobs, ev.From)
 	case gridcoord.EventBackendLost:
 		fmt.Fprintf(os.Stderr, "simgrid: backend %d lost with %d jobs undelivered: %v\n",
 			ev.Backend, ev.Jobs, ev.Err)
 	case gridcoord.EventRedispatch:
 		fmt.Fprintf(os.Stderr, "simgrid: re-dispatched %d jobs to backend %d\n", ev.Jobs, ev.Backend)
 	case gridcoord.EventBackendDone:
-		if ev.Err != nil {
+		if errors.Is(ev.Err, gridcoord.ErrSuperseded) {
+			fmt.Fprintf(os.Stderr, "simgrid: backend %d superseded (its twin finished the chunk first) after %d jobs in %v\n",
+				ev.Backend, ev.Jobs, ev.Elapsed.Round(time.Millisecond))
+		} else if ev.Err != nil {
 			fmt.Fprintf(os.Stderr, "simgrid: backend %d stream ended after %d jobs in %v: %v\n",
 				ev.Backend, ev.Jobs, ev.Elapsed.Round(time.Millisecond), ev.Err)
 		} else {

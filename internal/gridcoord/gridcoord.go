@@ -17,31 +17,41 @@
 // chunks that its worker streams in range order; a worker that drains
 // its own queue steals pending chunks from the most-loaded peer's
 // tail, which is how a slow backend sheds load. Stealing moves only
-// jobs that have not started streaming, so no job ever runs twice
-// because of a steal, and the merged output is byte-identical at any
-// steal schedule: the collector orders results by global job index,
-// never by arrival.
+// jobs that have not started streaming.
+//
+// Backups: a worker with nothing left to claim re-runs ("backs up") a
+// chunk that another backend is still computing — MapReduce's backup
+// tasks, which take a straggler off the critical path once the queues
+// are empty. Only a chunk whose backend answered X-Cache: miss is
+// backed up (a hit, coalesced or resumed stream is a replay), each at
+// most once, the one with the most unmerged jobs first. Both copies
+// stream the same sub-sweep; the merger keeps each job's first
+// delivery, and the copy whose stream ends cleanly first cancels its
+// twin, which is superseded (ErrSuperseded), not failed. A job may thus
+// run on two backends but is merged exactly once, and the merged output
+// is byte-identical at any steal or backup schedule: the collector
+// orders results by global job index, never by arrival.
 //
 // Failure handling: when a backend dies mid-chunk (transport error,
-// truncated stream), the chunk's undelivered jobs are re-queued on the
-// next surviving backend, bounded by a per-job attempt budget; the dead
-// backend's pending chunks redistribute through the same stealing path
-// at no attempt cost. Results already delivered are kept — each job
-// runs at most once per attempt, and the merged order never depends on
-// timing, so output bytes are identical whether or not a retry
-// happened. Rejections (HTTP 4xx other than 429) are not retried: a
-// backend that rejects a sub-sweep would reject it identically
-// everywhere.
+// truncated stream), the chunk's unmerged jobs are re-queued on the
+// next surviving backend, bounded by a per-job attempt budget — unless
+// the chunk's twin is still streaming, in which case the twin carries
+// it. The dead backend's pending chunks redistribute through the
+// stealing path at no attempt cost. Results already merged are kept,
+// and the merged order never depends on timing, so output bytes are
+// identical whether or not a retry happened. Rejections (HTTP 4xx
+// other than 429) are not retried: a backend that rejects a sub-sweep
+// would reject it identically everywhere.
 //
 // Adaptive grids: Bisect runs the shared refinement search
-// (internal/bisect) on the coordinator and sends each round's γ cells
-// as one sub-sweep per owning backend, the owner being the same
-// equal-range owner of each cell's SemanticHash — the search path is
-// deterministic, so a repeat request replays every sub-sweep from the
-// backends' sweep caches. SweepStatus fans a completed run's summary
-// query out to the backends that streamed its chunks and fuses the
-// results into the single-host response; Handler serves both over
-// HTTP.
+// (internal/bisect) on the coordinator and dispatches each round's γ
+// cells through the same scheduler as a static plan: one chunk per
+// owning backend, the owner being the same equal-range owner of each
+// cell's SemanticHash, never stolen — the search path is deterministic,
+// so a repeat request replays every sub-sweep from the backends' sweep
+// caches. SweepStatus fans a completed run's summary query out to the
+// backends that streamed its chunks and fuses the results into the
+// single-host response; Handler serves both over HTTP.
 package gridcoord
 
 import (
@@ -53,6 +63,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -95,8 +106,8 @@ type Options struct {
 	// backend's range is split into chunks of this size, and idle
 	// backends steal pending chunks from the most-loaded peer. 0 picks
 	// a size automatically (about a quarter of the mean range, at least
-	// 1); negative disables stealing entirely — each range streams as
-	// one static chunk, the pre-adaptive behavior.
+	// 1); negative disables stealing and backups entirely — each range
+	// streams as one static chunk, the pre-adaptive behavior.
 	StealChunk int
 	// StallTimeout aborts a backend stream that delivers no result for
 	// this long (the transport alone cannot detect a peer that accepts
@@ -108,7 +119,8 @@ type Options struct {
 	// default; <= 0 means 128.
 	MaxBisectEvals int
 	// Observe, if non-nil, receives progress events (results delivered,
-	// chunks stolen, backends lost, ranges re-dispatched). Called from
+	// chunks stolen or backed up, backends lost, ranges re-dispatched),
+	// for sweeps and bisect rounds alike. Called from
 	// coordinator goroutines; it must be safe for concurrent use.
 	Observe func(Event)
 	// Token is the tenant bearer token sent to every backend (each
@@ -116,7 +128,7 @@ type Options struct {
 	// for open backends.
 	Token string
 	// Registry, if non-nil, receives the coordinator's metric families
-	// (run counts, steals, redispatches, per-backend delivery/
+	// (run counts, steals, backups, redispatches, per-backend delivery/
 	// stream-latency/throughput/assignment) for the caller to expose —
 	// cmd/simgrid serves it on -metrics-addr. Families register at New,
 	// so use one Registry per Coordinator. Nil records to a private,
@@ -130,7 +142,8 @@ type EventKind int
 // The event kinds Observe receives.
 const (
 	// EventResult: one job's result was delivered by a backend (before
-	// merge emission).
+	// merge emission). Only a job's first delivery counts: a backup's
+	// duplicate of a job its twin already delivered fires nothing.
 	EventResult EventKind = iota
 	// EventBackendLost: a backend failed; the failed chunk's
 	// undelivered jobs will be re-dispatched if the attempt budget
@@ -143,12 +156,22 @@ const (
 	// exactly once per launched stream — success or failure, even when
 	// the backend died before delivering its first job — with the
 	// delivered count, the stream's wall-clock duration, and the
-	// failure (nil on success).
+	// failure (nil on success, ErrSuperseded for a stream cancelled
+	// because its twin finished the chunk first).
 	EventBackendDone
 	// EventSteal: an idle backend claimed a pending chunk from another
 	// backend's queue (From) before streaming it itself.
 	EventSteal
+	// EventBackup: an idle backend started re-running a chunk that
+	// another backend (From) is still computing.
+	EventBackup
 )
+
+// ErrSuperseded is the Err of an EventBackendDone whose stream lost a
+// backup race: its twin — the same chunk on another backend — ended
+// cleanly first, so the coordinator cancelled this stream. The backend
+// is not counted lost and nothing is re-queued.
+var ErrSuperseded = errors.New("gridcoord: stream superseded by its twin")
 
 // Event is one coordinator progress notification.
 type Event struct {
@@ -157,13 +180,15 @@ type Event struct {
 	// Backend is the backend index the event concerns.
 	Backend int
 	// From is the backend index a stolen chunk was queued on
-	// (EventSteal only).
+	// (EventSteal), or the backend still computing a backed-up chunk
+	// (EventBackup).
 	From int
-	// Index is the delivered job's global index (EventResult only).
+	// Index is the delivered job's global index (EventResult only); for
+	// a bisect round, the cell's position in the round's γ batch.
 	Index int
 	// Jobs counts the jobs involved (EventBackendLost: undelivered;
-	// EventRedispatch: re-queued; EventSteal: stolen; EventBackendDone:
-	// delivered).
+	// EventRedispatch: re-queued; EventSteal: stolen; EventBackup: the
+	// chunk re-run; EventBackendDone: delivered).
 	Jobs int
 	// Elapsed is the stream's wall-clock duration (EventBackendDone
 	// only).
@@ -182,12 +207,14 @@ type Stats struct {
 	// JobsPerBackend is the initial hash-range assignment size per
 	// backend (before any stealing).
 	JobsPerBackend []int
-	// Delivered counts the job results each backend actually delivered
-	// (summing to the sweep size on success; redistributed under
-	// stealing and failover).
+	// Delivered counts the job results each backend delivered to the
+	// merge — a job's first copy only — summing to the sweep size on
+	// success; redistributed under stealing, backups and failover.
 	Delivered []int
 	// Steals counts chunks claimed across backend queues.
 	Steals int
+	// Backups counts in-flight chunks an idle backend re-ran.
+	Backups int
 	// Retried counts job re-submissions after backend failures.
 	Retried int
 	// BackendsLost counts backends marked dead during the run.
@@ -297,7 +324,7 @@ func (c *Coordinator) chunkSizeFor(jobs int) int {
 // coordinator recomputes the semantic sweep hash (the service's public
 // sweep ID) for the stream header, re-indexes each backend's local
 // results to their global positions, and emits in strict job order —
-// whatever steal schedule or failover path the run takes.
+// whatever steal, backup or failover path the run takes.
 func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, w io.Writer) (Stats, error) {
 	if format != FormatNDJSON && format != FormatCSV {
 		return Stats{}, fmt.Errorf("gridcoord: unknown format %q", format)
@@ -324,70 +351,24 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 		}), len(sweep.Jobs))
 	}
 
-	// A fatal error (rejection, exhausted budget, no backends left)
-	// cancels every in-flight backend stream: the run's outcome is
-	// already decided, so finishing the merge would only delay the
-	// report by the slowest sub-sweep.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	// One trace ID per run: every backend call this sweep makes carries
 	// it as X-Trace-Id, so the backends' request logs can be joined on
-	// it to reconstruct the whole grid run. Clients are copy-on-write,
-	// so stamping is per-run, not per-Coordinator.
+	// it to reconstruct the whole grid run.
 	traceID := obs.NewID()
-	st := &runState{
-		clients:   make([]*client.Client, len(c.clients)),
-		queues:    make([][]chunk, len(c.clients)),
-		alive:     make([]bool, len(c.clients)),
-		attempts:  make([]int, len(sweep.Jobs)),
-		delivered: make([]int, len(c.clients)),
-		assigned:  make([]int, len(c.clients)),
-		stealOK:   c.opts.StealChunk >= 0,
-		cancel:    cancel,
-	}
-	st.cond = sync.NewCond(&st.mu)
-	for b, cl := range c.clients {
-		st.clients[b] = cl.WithTraceID(traceID)
-	}
 	c.metrics.sweeps.Inc()
-	stats := Stats{TraceID: traceID, JobsPerBackend: make([]int, len(c.clients))}
-	chunkSize := c.chunkSizeFor(len(sweep.Jobs))
+	size := 0 // static mode: each range streams as one chunk
+	if c.opts.StealChunk >= 0 {
+		size = c.chunkSizeFor(len(sweep.Jobs))
+	}
+	stats, chunks, err := c.dispatch(ctx, c.traced(traceID), sweep.Jobs, chunked(assign, size),
+		c.opts.StealChunk >= 0, func(i int, res wire.Result, _ bool) { m.deliver(i, res) })
+	stats.TraceID = traceID
+	stats.JobsPerBackend = make([]int, len(assign))
 	for b, idxs := range assign {
-		st.alive[b] = true
-		st.assigned[b] = len(idxs)
 		stats.JobsPerBackend[b] = len(idxs)
-		c.metrics.assigned[b].Set(float64(len(idxs)))
-		if st.stealOK {
-			for len(idxs) > 0 {
-				k := chunkSize
-				if k > len(idxs) {
-					k = len(idxs)
-				}
-				st.queues[b] = append(st.queues[b], chunk{idxs: idxs[:k]})
-				idxs = idxs[k:]
-			}
-		} else if len(idxs) > 0 {
-			st.queues[b] = []chunk{{idxs: idxs}}
-		}
 	}
-
-	var wg sync.WaitGroup
-	for b := range c.clients {
-		wg.Add(1)
-		go c.worker(ctx, &wg, st, m, sweep, b)
-	}
-	wg.Wait()
-
-	st.mu.Lock()
-	stats.Retried = st.retried
-	stats.BackendsLost = st.lost
-	stats.Steals = st.steals
-	stats.Delivered = st.delivered
-	fatal := st.fatal
-	chunks := st.chunks
-	st.mu.Unlock()
-	if fatal != nil {
-		return stats, fatal
+	if err != nil {
+		return stats, err
 	}
 	if err := m.finish(); err != nil {
 		return stats, err
@@ -396,11 +377,38 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	return stats, nil
 }
 
+// traced returns the backend clients stamped with traceID. Clients are
+// copy-on-write, so stamping is per call, not per Coordinator.
+func (c *Coordinator) traced(traceID string) []*client.Client {
+	out := make([]*client.Client, len(c.clients))
+	for b, cl := range c.clients {
+		out[b] = cl.WithTraceID(traceID)
+	}
+	return out
+}
+
 // chunk is one contiguous slice of a backend's assigned range: the unit
-// of streaming, stealing, and failover. idxs are global job indices in
-// ascending order.
+// of streaming, stealing, backups, and failover. idxs are global job
+// indices in ascending order.
 type chunk struct {
 	idxs []int
+}
+
+// chunked splits each backend's range into chunks of size jobs, in
+// range order; size <= 0 keeps each non-empty range whole.
+func chunked(assign [][]int, size int) [][]chunk {
+	queues := make([][]chunk, len(assign))
+	for b, idxs := range assign {
+		for len(idxs) > 0 {
+			k := len(idxs)
+			if size > 0 && size < k {
+				k = size
+			}
+			queues[b] = append(queues[b], chunk{idxs: idxs[:k]})
+			idxs = idxs[k:]
+		}
+	}
+	return queues
 }
 
 // chunkRecord remembers one successfully streamed chunk: which backend
@@ -413,27 +421,126 @@ type chunkRecord struct {
 	idxs    []int
 }
 
-// runState is one Run's shared scheduling state, plus the run's
-// trace-stamped clients (one per backend, all carrying the run's
-// X-Trace-Id).
+// runState is one dispatch's shared scheduling state: the
+// trace-stamped clients (one per backend), the jobs, and where their
+// results go.
 type runState struct {
 	clients []*client.Client
+	jobs    []wire.Job
+	deliver func(i int, res wire.Result, cached bool)
 
 	mu        sync.Mutex
-	cond      *sync.Cond // claimable-work / inflight-drained signal
+	cond      *sync.Cond // claimable-work / flight-changed signal
 	queues    [][]chunk  // pending chunks per backend, in range order
+	flights   []*flight  // chunks being streamed right now
 	alive     []bool
 	attempts  []int
-	delivered []int // per-backend delivered-result counts
-	assigned  []int // per-backend current assignment (steals move it)
-	inflight  int   // chunks being streamed right now
+	merged    []bool // per job: a copy's result went to deliver
+	delivered []int  // per-backend merged-result counts
+	assigned  []int  // per-backend current assignment (steals move it)
 	steals    int
+	backups   int
 	retried   int
 	lost      int
 	chunks    []chunkRecord
 	stealOK   bool
+	backupOK  bool
 	fatal     error
 	cancel    context.CancelFunc // aborts in-flight streams on fatal
+}
+
+// flight is one chunk being streamed: by the primary copy that claimed
+// it and, once an idle backend backs it up, by a second copy. Guarded
+// by runState.mu.
+type flight struct {
+	ch       chunk
+	miss     bool // the primary's backend answered X-Cache: miss
+	cached   bool // the primary's provenance, given to every merged job
+	backedUp bool
+	live     []*copyStream
+}
+
+// copyStream is one stream of a flight's chunk on backend b.
+type copyStream struct {
+	f      *flight
+	b      int
+	backup bool
+	cancel context.CancelFunc
+	// superseded: the twin ended cleanly first (guarded by runState.mu).
+	superseded bool
+}
+
+// dispatch streams the queued chunks of jobs on the backends — the one
+// scheduler sweeps and bisect rounds share. Each backend's worker
+// streams one chunk at a time: the head of its own queue, else (when
+// steal) the tail of the most-loaded peer's queue, else — unless
+// Options.StealChunk is negative — a backup of a chunk another backend
+// is still computing. deliver receives each job's first delivery only,
+// with the cache provenance of its chunk's primary stream. dispatch
+// returns the run's counters (Delivered, Steals, Backups, Retried,
+// BackendsLost) and the chunks streamed to completion, or the error
+// that left a job undelivered.
+func (c *Coordinator) dispatch(ctx context.Context, clients []*client.Client, jobs []wire.Job,
+	queues [][]chunk, steal bool, deliver func(i int, res wire.Result, cached bool)) (Stats, []chunkRecord, error) {
+	// A fatal error (rejection, exhausted budget, no backends left)
+	// cancels every in-flight backend stream: the run's outcome is
+	// already decided, so finishing the merge would only delay the
+	// report by the slowest sub-sweep.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	st := &runState{
+		clients:   clients,
+		jobs:      jobs,
+		deliver:   deliver,
+		queues:    queues,
+		alive:     make([]bool, len(clients)),
+		attempts:  make([]int, len(jobs)),
+		merged:    make([]bool, len(jobs)),
+		delivered: make([]int, len(clients)),
+		assigned:  make([]int, len(clients)),
+		stealOK:   steal,
+		backupOK:  c.opts.StealChunk >= 0,
+		cancel:    cancel,
+	}
+	st.cond = sync.NewCond(&st.mu)
+	for b := range clients {
+		st.alive[b] = true
+		for _, ch := range queues[b] {
+			st.assigned[b] += len(ch.idxs)
+		}
+		c.metrics.assigned[b].Set(float64(st.assigned[b]))
+	}
+
+	var wg sync.WaitGroup
+	for b := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.worker(ctx, st, b)
+		}()
+	}
+	wg.Wait()
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	stats := Stats{
+		Delivered:    st.delivered,
+		Steals:       st.steals,
+		Backups:      st.backups,
+		Retried:      st.retried,
+		BackendsLost: st.lost,
+	}
+	if st.fatal != nil {
+		return stats, nil, st.fatal
+	}
+	for i, ok := range st.merged {
+		if !ok {
+			// Every failure path re-queues or fails the run, so this is a
+			// scheduler bug — never report a truncated merge as success.
+			return stats, nil, fmt.Errorf("gridcoord: job %d was never delivered", i)
+		}
+	}
+	return stats, st.chunks, nil
 }
 
 // fail records the run's fatal error (first one wins), cancels the
@@ -448,22 +555,19 @@ func (st *runState) fail(err error) {
 }
 
 // claimLocked picks the next chunk for backend b: the head of its own
-// queue, else — when stealing is enabled — the tail chunk of the peer
-// with the most pending jobs (ties to the lowest index). Tail-stealing
-// takes the work the owner is farthest from reaching. Caller holds
-// st.mu.
+// queue, else the tail chunk of the peer with the most pending jobs
+// (ties to the lowest index) — any peer when stealing is enabled, only
+// a dead one otherwise. Tail-stealing takes the work the owner is
+// farthest from reaching. Caller holds st.mu.
 func (st *runState) claimLocked(b int) (chunk, int, bool) {
 	if q := st.queues[b]; len(q) > 0 {
 		ch := q[0]
 		st.queues[b] = q[1:]
 		return ch, b, true
 	}
-	if !st.stealOK {
-		return chunk{}, 0, false
-	}
 	victim, most := -1, 0
 	for v := range st.queues {
-		if v == b {
+		if v == b || (!st.stealOK && st.alive[v]) {
 			continue
 		}
 		pending := 0
@@ -483,182 +587,292 @@ func (st *runState) claimLocked(b int) (chunk, int, bool) {
 	return ch, victim, true
 }
 
+// backupLocked picks the chunk an idle worker backs up: among chunks
+// whose primary's backend answered X-Cache: miss and that have no
+// backup yet, the one with the most unmerged jobs (ties to the oldest
+// flight). Nil in static mode or when none qualifies. The caller's
+// backend is idle, so every such chunk streams elsewhere. Caller holds
+// st.mu.
+func (st *runState) backupLocked() *flight {
+	if !st.backupOK {
+		return nil
+	}
+	var best *flight
+	most := 0
+	for _, f := range st.flights {
+		if !f.miss || f.backedUp {
+			continue
+		}
+		left := 0
+		for _, i := range f.ch.idxs {
+			if !st.merged[i] {
+				left++
+			}
+		}
+		if left > most {
+			best, most = f, left
+		}
+	}
+	return best
+}
+
+// drainedLocked reports whether the run is drained: nothing pending in
+// any queue (a chunk this worker may not claim is its owner's to
+// stream, and may still fail and re-queue here) and nothing in flight.
+// Caller holds st.mu.
+func (st *runState) drainedLocked() bool {
+	for _, q := range st.queues {
+		if len(q) > 0 {
+			return false
+		}
+	}
+	return len(st.flights) == 0
+}
+
 // worker is backend b's streaming loop: claim a chunk (own queue first,
-// then steal), stream it, repeat — until the backend dies, the run
-// fails, or no work remains anywhere and nothing is in flight (an
-// in-flight chunk can still fail and re-queue, so idle workers wait
-// rather than exit).
-func (c *Coordinator) worker(ctx context.Context, wg *sync.WaitGroup, st *runState,
-	m *merger, sweep wire.Sweep, b int) {
-	defer wg.Done()
+// then steal), else back up another backend's chunk, stream it, repeat
+// — until the backend dies, the run fails, or no work remains anywhere
+// and nothing is in flight (an in-flight chunk can still fail and
+// re-queue, or become worth a backup, so idle workers wait rather than
+// exit).
+func (c *Coordinator) worker(ctx context.Context, st *runState, b int) {
 	for {
 		st.mu.Lock()
 		var (
-			ch   chunk
-			from int
+			f      *flight
+			backup bool
+			ev     []Event
 		)
-		for {
+		for f == nil {
 			if st.fatal != nil || !st.alive[b] {
 				st.mu.Unlock()
 				return
 			}
-			var ok bool
-			if ch, from, ok = st.claimLocked(b); ok {
-				break
-			}
-			if st.inflight == 0 {
-				// Nothing pending, nothing in flight: the run is drained.
+			if ch, from, ok := st.claimLocked(b); ok {
+				// Claim and accounting are one critical section: every job
+				// is attempt-charged exactly once per primary stream it
+				// rides (backups are free).
+				for _, i := range ch.idxs {
+					st.attempts[i]++
+				}
+				f = &flight{ch: ch}
+				st.flights = append(st.flights, f)
+				if from != b {
+					st.steals++
+					st.assigned[from] -= len(ch.idxs)
+					st.assigned[b] += len(ch.idxs)
+					c.metrics.steals.Inc()
+					c.metrics.assigned[from].Set(float64(st.assigned[from]))
+					c.metrics.assigned[b].Set(float64(st.assigned[b]))
+					ev = append(ev, Event{Kind: EventSteal, Backend: b, From: from, Jobs: len(ch.idxs)})
+				}
+			} else if f = st.backupLocked(); f != nil {
+				backup = true
+				f.backedUp = true
+				st.backups++
+				c.metrics.backups.Inc()
+				ev = append(ev, Event{Kind: EventBackup, Backend: b, From: f.live[0].b, Jobs: len(f.ch.idxs)})
+			} else if st.drainedLocked() {
 				// Wake the other idle workers so they see it too.
 				st.cond.Broadcast()
 				st.mu.Unlock()
 				return
+			} else {
+				st.cond.Wait()
 			}
-			st.cond.Wait()
 		}
-		// Claim and accounting are one critical section: every job is
-		// attempt-charged exactly once per stream it rides.
-		for _, i := range ch.idxs {
-			st.attempts[i]++
-		}
-		st.inflight++
-		stolen := from != b
-		if stolen {
-			st.steals++
-			st.assigned[from] -= len(ch.idxs)
-			st.assigned[b] += len(ch.idxs)
-			c.metrics.steals.Inc()
-			c.metrics.assigned[from].Set(float64(st.assigned[from]))
-			c.metrics.assigned[b].Set(float64(st.assigned[b]))
-		}
+		sctx, cancel := context.WithCancel(ctx)
+		cp := &copyStream{f: f, b: b, backup: backup, cancel: cancel}
+		f.live = append(f.live, cp)
 		st.mu.Unlock()
-		if stolen {
-			c.observe(Event{Kind: EventSteal, Backend: b, From: from, Jobs: len(ch.idxs)})
-		}
+		c.observeAll(ev)
 
-		c.stream(ctx, st, m, sweep, b, ch)
-
-		// A failed stream re-queues its remainder inside stream (before
-		// this decrement), so a waiter woken here always re-checks the
-		// queues before concluding the run is drained.
-		st.mu.Lock()
-		st.inflight--
-		st.cond.Broadcast()
-		st.mu.Unlock()
+		c.stream(sctx, st, cp)
 	}
 }
 
-// stream submits one chunk to backend b and delivers its results to the
-// merger. On failure — transport error, broken stream order, stall —
-// the undelivered remainder goes through chunkFailed.
-func (c *Coordinator) stream(ctx context.Context, st *runState, m *merger,
-	sweep wire.Sweep, b int, ch chunk) {
-	sub := wire.Sweep{Version: wire.V1, Jobs: make([]wire.Job, len(ch.idxs))}
-	for k, i := range ch.idxs {
-		sub.Jobs[k] = sweep.Jobs[i]
+// observeAll fires the Observe hook for each event, in order.
+func (c *Coordinator) observeAll(evs []Event) {
+	for _, ev := range evs {
+		c.observe(ev)
 	}
-	delivered := 0
+}
+
+// started records a primary stream's admission verdict: whether its
+// chunk may be backed up (a miss — the backend is computing it) and
+// the provenance every merged job of the chunk reports.
+func (st *runState) started(f *flight, sub *client.Submission) {
+	st.mu.Lock()
+	f.miss = sub.Disposition == "miss"
+	f.cached = sub.Cached
+	st.mu.Unlock()
+	if f.miss {
+		st.cond.Broadcast() // an idle worker may now back it up
+	}
+}
+
+// first claims job i's merge slot for a result from backend b: true,
+// with the chunk's provenance, when no copy delivered job i before.
+func (st *runState) first(f *flight, b, i int) (cached, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.merged[i] {
+		return false, false
+	}
+	st.merged[i] = true
+	st.delivered[b]++
+	return f.cached, true
+}
+
+// stream runs one copy of a flight's chunk on its backend, delivers the
+// jobs no other copy delivered first, and settles the outcome through
+// end. A stream that breaks — transport error, broken stream order,
+// stall — is a failure; ctx is the copy's own, cancelled when its twin
+// wins.
+func (c *Coordinator) stream(ctx context.Context, st *runState, cp *copyStream) {
+	defer cp.cancel()
+	f, b := cp.f, cp.b
+	sub := wire.Sweep{Version: wire.V1, Jobs: make([]wire.Job, len(f.ch.idxs))}
+	for k, i := range f.ch.idxs {
+		sub.Jobs[k] = st.jobs[i]
+	}
+	read, merged := 0, 0
 	start := time.Now()
 	var protoErr error
 	// The stall watchdog: a peer that accepts the request and then goes
 	// silent never surfaces a transport error, so the coordinator
 	// cancels the stream itself when no result lands for StallTimeout.
-	sctx := ctx
 	var stalled atomic.Bool
 	var watchdog *time.Timer
 	if d := c.opts.StallTimeout; d > 0 {
-		var cancelStream context.CancelFunc
-		sctx, cancelStream = context.WithCancel(ctx)
-		defer cancelStream()
 		watchdog = time.AfterFunc(d, func() {
 			stalled.Store(true)
-			cancelStream()
+			cp.cancel()
 		})
 		defer watchdog.Stop()
 	}
 	// DiscardResults: the merger owns buffering (released on emission),
 	// so the client must not retain a second full copy.
-	_, err := st.clients[b].SubmitSweep(sctx, sub,
-		client.SubmitOptions{Workers: c.opts.Workers, DiscardResults: true},
-		func(res wire.Result) {
-			if watchdog != nil {
-				watchdog.Reset(c.opts.StallTimeout)
-			}
-			// The service streams its sub-sweep strictly in order; a
-			// line off that contract (a non-simserve peer, a
-			// version-skewed binary, a mangling proxy) is a backend
-			// failure like any other — never an index panic, and
-			// never a result merged under the wrong job.
-			if protoErr != nil {
-				return
-			}
-			if res.Index != delivered {
-				protoErr = fmt.Errorf("gridcoord: backend %d broke stream order: result index %d, want %d",
-					b, res.Index, delivered)
-				return
-			}
-			if delivered >= len(ch.idxs) {
-				protoErr = fmt.Errorf("gridcoord: backend %d streamed more results than its %d jobs",
-					b, len(ch.idxs))
-				return
-			}
-			global := ch.idxs[res.Index]
-			delivered++
+	opts := client.SubmitOptions{Workers: c.opts.Workers, DiscardResults: true}
+	if !cp.backup {
+		opts.OnStart = func(s *client.Submission) { st.started(f, s) }
+	}
+	_, err := st.clients[b].SubmitSweep(ctx, sub, opts, func(res wire.Result) {
+		if watchdog != nil {
+			watchdog.Reset(c.opts.StallTimeout)
+		}
+		// The service streams its sub-sweep strictly in order; a line
+		// off that contract (a non-simserve peer, a version-skewed
+		// binary, a mangling proxy) is a backend failure like any other
+		// — never an index panic, and never a result merged under the
+		// wrong job.
+		if protoErr != nil {
+			return
+		}
+		if res.Index != read {
+			protoErr = fmt.Errorf("gridcoord: backend %d broke stream order: result index %d, want %d",
+				b, res.Index, read)
+			return
+		}
+		if read >= len(f.ch.idxs) {
+			protoErr = fmt.Errorf("gridcoord: backend %d streamed more results than its %d jobs",
+				b, len(f.ch.idxs))
+			return
+		}
+		global := f.ch.idxs[res.Index]
+		read++
+		if cached, ok := st.first(f, b, global); ok {
+			merged++
 			c.observe(Event{Kind: EventResult, Backend: b, Index: global})
-			m.deliver(global, res)
-		})
+			st.deliver(global, res, cached)
+		}
+	})
 	if err == nil {
 		err = protoErr
 	}
-	if err == nil && delivered != len(ch.idxs) {
+	if err == nil && read != len(f.ch.idxs) {
 		// A backend whose header under-claims the job count produces a
 		// stream that decodes cleanly yet delivers too few results; left
 		// unchecked, the shortfall would silently vanish from the merge.
 		err = fmt.Errorf("gridcoord: backend %d stream ended after %d of %d results",
-			b, delivered, len(ch.idxs))
+			b, read, len(f.ch.idxs))
 	}
-	if err != nil && stalled.Load() && ctx.Err() == nil {
+	if err != nil && stalled.Load() {
 		err = fmt.Errorf("gridcoord: backend %d stalled: no result in %v: %w",
 			b, c.opts.StallTimeout, err)
 	}
 	elapsed := time.Since(start)
+	c.metrics.streamDone(b, merged, elapsed)
+	var subID string
+	if err == nil {
+		// Partition hashed every job already, so this cannot fail; if it
+		// did, the chunk would only be missing from SweepStatus.
+		subID, _ = wire.SemanticSweepHash(sub)
+	}
+	c.end(st, cp, merged, elapsed, subID, err)
+}
+
+// end settles one copy's outcome and reports it. The first copy of a
+// chunk to end cleanly records the chunk and cancels its twin, which is
+// superseded: not failed, its backend still alive. A copy that fails
+// while its twin is live leaves the chunk to the twin; the last copy to
+// fail re-queues the chunk's unmerged jobs.
+func (c *Coordinator) end(st *runState, cp *copyStream, merged int, elapsed time.Duration, subID string, err error) {
+	f, b := cp.f, cp.b
 	st.mu.Lock()
-	st.delivered[b] += delivered
-	st.mu.Unlock()
-	c.metrics.streamDone(b, delivered, elapsed)
+	f.live = slices.DeleteFunc(f.live, func(o *copyStream) bool { return o == cp })
+	switch {
+	case cp.superseded:
+		err = ErrSuperseded
+	case err == nil:
+		for _, twin := range f.live {
+			twin.superseded = true
+			twin.cancel()
+		}
+		if subID != "" {
+			st.chunks = append(st.chunks, chunkRecord{backend: b, id: subID, idxs: f.ch.idxs})
+		}
+	}
 	// The terminal stream event fires on every path — a backend that
 	// dies before its first delivered job still reports, with the
 	// failure attached.
-	c.observe(Event{Kind: EventBackendDone, Backend: b, Jobs: delivered, Elapsed: elapsed, Err: err})
-	if err == nil {
-		if subID, herr := wire.SemanticSweepHash(sub); herr == nil {
-			st.mu.Lock()
-			st.chunks = append(st.chunks, chunkRecord{backend: b, id: subID, idxs: ch.idxs})
-			st.mu.Unlock()
+	ev := []Event{{Kind: EventBackendDone, Backend: b, Jobs: merged, Elapsed: elapsed, Err: err}}
+	if err != nil && !cp.superseded {
+		var unmerged []int
+		for _, i := range f.ch.idxs {
+			if !st.merged[i] {
+				unmerged = append(unmerged, i)
+			}
 		}
-		return
+		ev = append(ev, Event{Kind: EventBackendLost, Backend: b, Jobs: len(unmerged), Err: err})
+		if st.alive[b] {
+			st.alive[b] = false
+			st.lost++
+			c.metrics.lost.Inc()
+		}
+		if len(f.live) == 0 {
+			ev = c.requeueLocked(st, b, unmerged, err, ev)
+		}
 	}
-	remaining := ch.idxs[delivered:]
-	c.observe(Event{Kind: EventBackendLost, Backend: b, Jobs: len(remaining), Err: err})
-	c.chunkFailed(st, b, remaining, err)
+	if len(f.live) == 0 {
+		st.flights = slices.DeleteFunc(st.flights, func(o *flight) bool { return o == f })
+	}
+	// Wake idle workers after the re-queue, so a waiter re-checks the
+	// queues before concluding the run is drained.
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	c.observeAll(ev)
 }
 
-// chunkFailed marks backend b dead and re-queues the failed chunk's
-// undelivered jobs at the head of the next surviving backend's queue,
-// honoring the per-job attempt budget. The dead backend's still-pending
-// chunks stay where they are — the stealing path redistributes them at
-// no attempt cost. Rejections (HTTP 4xx other than 429) are fatal
-// immediately: every backend shares the admission rules, so a retry
-// would be rejected identically.
-func (c *Coordinator) chunkFailed(st *runState, b int, remaining []int, cause error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.alive[b] {
-		st.alive[b] = false
-		st.lost++
-		c.metrics.lost.Inc()
-	}
+// requeueLocked puts a failed chunk's unmerged jobs at the head of the
+// next surviving backend's queue, honoring the per-job attempt budget,
+// and returns ev with the redispatch event appended. Rejections (HTTP
+// 4xx other than 429) are fatal immediately: every backend shares the
+// admission rules, so a retry would be rejected identically. Caller
+// holds st.mu.
+func (c *Coordinator) requeueLocked(st *runState, b int, remaining []int, cause error, ev []Event) []Event {
 	if len(remaining) == 0 || st.fatal != nil {
-		return
+		return ev
 	}
 	var apiErr *client.APIError
 	if errors.As(cause, &apiErr) && apiErr.StatusCode >= 400 && apiErr.StatusCode < 500 &&
@@ -666,13 +880,13 @@ func (c *Coordinator) chunkFailed(st *runState, b int, remaining []int, cause er
 		// 429 is the one transient 4xx (a tenant rate limit refills on
 		// its own); any other rejection is identical everywhere.
 		st.fail(fmt.Errorf("gridcoord: backend %d rejected sub-sweep: %w", b, cause))
-		return
+		return ev
 	}
 	for _, i := range remaining {
 		if st.attempts[i] >= c.opts.Attempts {
 			st.fail(fmt.Errorf("gridcoord: job %d exhausted its %d attempts (last: %w)",
 				i, c.opts.Attempts, cause))
-			return
+			return ev
 		}
 	}
 	next := -1
@@ -685,7 +899,7 @@ func (c *Coordinator) chunkFailed(st *runState, b int, remaining []int, cause er
 	if next == -1 {
 		st.fail(fmt.Errorf("gridcoord: all backends failed (%d jobs undelivered; last: %w)",
 			len(remaining), cause))
-		return
+		return ev
 	}
 	st.retried += len(remaining)
 	c.metrics.redispatches.Inc()
@@ -695,8 +909,7 @@ func (c *Coordinator) chunkFailed(st *runState, b int, remaining []int, cause er
 	c.metrics.assigned[b].Set(float64(st.assigned[b]))
 	c.metrics.assigned[next].Set(float64(st.assigned[next]))
 	st.queues[next] = append([]chunk{{idxs: remaining}}, st.queues[next]...)
-	c.observe(Event{Kind: EventRedispatch, Backend: next, Jobs: len(remaining)})
-	st.cond.Broadcast()
+	return append(ev, Event{Kind: EventRedispatch, Backend: next, Jobs: len(remaining)})
 }
 
 // --- merge: ordered collection + single-host-identical rendering ---
@@ -714,31 +927,26 @@ type mergeRenderer interface {
 // (trajectory-bearing results can be many MB each), so retained memory
 // is bounded by the out-of-order window, not the sweep size.
 type merger struct {
-	mu        sync.Mutex
-	results   []*wire.Result
-	delivered []bool
-	cursor    int
-	render    mergeRenderer
-	err       error
+	mu      sync.Mutex
+	results []*wire.Result // delivered, not yet emitted
+	cursor  int
+	render  mergeRenderer
+	err     error
 }
 
 func newMerger(r mergeRenderer, n int) *merger {
-	return &merger{results: make([]*wire.Result, n), delivered: make([]bool, n), render: r}
+	return &merger{results: make([]*wire.Result, n), render: r}
 }
 
 // deliver records global job index i's result and flushes the newly
-// completed prefix. Duplicate deliveries (a retry racing a slow first
-// stream) keep the first result; both attempts ran the identical job,
-// so the bytes are the same either way.
+// completed prefix. Each index is delivered once: the dispatcher keeps
+// a job's first copy and drops a backup's duplicate before it gets
+// here.
 func (m *merger) deliver(i int, res wire.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.delivered[i] {
-		return
-	}
-	m.delivered[i] = true
 	m.results[i] = &res
-	for m.cursor < len(m.delivered) && m.delivered[m.cursor] {
+	for m.cursor < len(m.results) && m.results[m.cursor] != nil {
 		if m.err == nil {
 			m.err = m.render.result(m.cursor, *m.results[m.cursor])
 		}

@@ -7,14 +7,14 @@ import (
 	"taskalloc/internal/obs"
 )
 
-// gridMetrics is the coordinator's own telemetry: run counts, failure
-// handling, and per-backend delivery/stream-latency/throughput series
-// (backend label = index into Options.Backends, the same index every
-// Event carries). Families register on Options.Registry when the
-// caller provides one — cmd/simgrid serves it on its own /v1/metrics —
-// and on a private throwaway registry otherwise, so the recording path
-// is unconditional. Metric names register once: give each Coordinator
-// its own Registry.
+// gridMetrics is the coordinator's own telemetry: run counts, steals,
+// backups, failure handling, and per-backend delivery/stream-latency/
+// throughput series (backend label = index into Options.Backends, the
+// same index every Event carries). Families register on
+// Options.Registry when the caller provides one — cmd/simgrid serves it
+// on its own /v1/metrics — and on a private throwaway registry
+// otherwise, so the recording path is unconditional. Metric names
+// register once: give each Coordinator its own Registry.
 type gridMetrics struct {
 	sweeps       *obs.Counter
 	bisects      *obs.Counter
@@ -22,6 +22,7 @@ type gridMetrics struct {
 	retried      *obs.Counter
 	lost         *obs.Counter
 	steals       *obs.Counter
+	backups      *obs.Counter
 
 	// Per-backend children, indexed like Options.Backends.
 	delivered  []*obs.Counter
@@ -47,15 +48,17 @@ func newGridMetrics(r *obs.Registry, backends int) *gridMetrics {
 			"Backends marked dead during runs."),
 		steals: r.Counter("taskalloc_grid_steals_total",
 			"Job chunks claimed from another backend's queue (work stealing)."),
+		backups: r.Counter("taskalloc_grid_backups_total",
+			"In-flight job chunks re-run by an idle backend (backup streams)."),
 	}
 	deliveredVec := r.CounterVec("taskalloc_grid_jobs_delivered_total",
-		"Job results delivered, by backend index.", "backend")
+		"Job results merged (each job's first delivered copy, sweep jobs and bisect cells alike), by backend index.", "backend")
 	streamVec := r.HistogramVec("taskalloc_grid_backend_stream_seconds",
 		"Wall-clock duration of one backend sub-sweep stream.", nil, "backend")
 	thrVec := r.GaugeVec("taskalloc_grid_backend_throughput_jobs_per_second",
 		"Observed delivery rate of the backend's most recent stream.", "backend")
 	assignedVec := r.GaugeVec("taskalloc_grid_backend_assigned_jobs",
-		"Jobs currently assigned to the backend (initial range minus stolen away plus stolen in), for the most recent run.", "backend")
+		"Jobs currently assigned to the backend (initial range minus stolen away plus stolen in), for the most recent sweep or bisect round.", "backend")
 	for b := 0; b < backends; b++ {
 		lbl := strconv.Itoa(b)
 		m.delivered = append(m.delivered, deliveredVec.With(lbl))

@@ -57,10 +57,14 @@ func fakeCell(local int, j wire.Job) wire.Result {
 	return wire.Result{Index: local, Meta: j.Meta, Report: &rep}
 }
 
-// fakeBackend serves POST /v1/sweeps with fakeCell lines. Per-iteration
-// chaos knobs: a per-line delay, and a one-shot abort that kills the
-// first stream after a chosen number of lines (the next request serves
-// normally — the coordinator should have re-dispatched the remainder).
+// fakeBackend serves POST /v1/sweeps with fakeCell lines, answering
+// X-Cache: miss and flushing its headers and stream header before the
+// first delay, as simserve does for a sweep it computes — so its chunks
+// are eligible for backups. Per-iteration chaos knobs: a per-line
+// delay, and a one-shot abort that kills the first stream after a
+// chosen number of lines (the next request serves normally — the
+// coordinator should have re-dispatched the remainder, or left it to a
+// live twin).
 type fakeBackend struct {
 	mu         sync.Mutex
 	lineDelay  time.Duration
@@ -100,9 +104,13 @@ func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Cache", "miss")
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(wire.StreamHeader{Version: wire.V1, ID: id, Jobs: len(sweep.Jobs)})
 	fl, _ := w.(http.Flusher)
+	if fl != nil {
+		fl.Flush()
+	}
 	for k, j := range sweep.Jobs {
 		if abortAt >= 0 && k >= abortAt {
 			if fl != nil {
@@ -164,8 +172,8 @@ func expectedCSV(t *testing.T, sweep wire.Sweep) []byte {
 // randomized (chunk size, per-backend speed, mid-stream abort) schedules against fake backends whose results are pure functions of
 // the job. Every schedule must (a) merge byte-identically to the
 // single-host rendering, (b) deliver each job exactly once, and (c)
-// keep Stats consistent with the observed event stream — steals counted
-// one-to-one, delivered counts summing to the grid.
+// keep Stats consistent with the observed event stream — steals and
+// backups counted one-to-one, delivered counts summing to the grid.
 func TestRandomizedStealSchedules(t *testing.T) {
 	const n = 3
 	fakes := make([]*fakeBackend, n)
@@ -207,6 +215,7 @@ func TestRandomizedStealSchedules(t *testing.T) {
 			perJob     = make([]int, jobs)
 			stealSeen  int
 			stealsMove int
+			backupSeen int
 		)
 		coord, err := New(Options{
 			Backends:   urls,
@@ -221,6 +230,8 @@ func TestRandomizedStealSchedules(t *testing.T) {
 				case EventSteal:
 					stealSeen++
 					stealsMove += ev.Jobs
+				case EventBackup:
+					backupSeen++
 				}
 			},
 		})
@@ -249,6 +260,9 @@ func TestRandomizedStealSchedules(t *testing.T) {
 		}
 		if stats.Steals != stealSeen {
 			t.Fatalf("iter %d: Stats.Steals = %d but %d EventSteal observed", it, stats.Steals, stealSeen)
+		}
+		if stats.Backups != backupSeen {
+			t.Fatalf("iter %d: Stats.Backups = %d but %d EventBackup observed", it, stats.Backups, backupSeen)
 		}
 		if stealsMove > jobs {
 			t.Fatalf("iter %d: steal events moved %d jobs, more than the %d-job grid", it, stealsMove, jobs)

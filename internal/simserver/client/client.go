@@ -83,6 +83,13 @@ type SubmitOptions struct {
 	// sweeps can carry multi-MB trajectory lines, this keeps client
 	// memory bounded by one line instead of the whole response.
 	DiscardResults bool
+	// OnStart, if non-nil, is called once the server accepts the
+	// request (HTTP 200), with Cached and Disposition set and before
+	// any line of the stream is read. The service sends its headers
+	// when it takes the request, so a caller learns whether the server
+	// is computing (miss) or replaying while the first cell is still
+	// running. Called on the submitting goroutine.
+	OnStart func(*Submission)
 }
 
 // Submission reports how a submission was served.
@@ -227,18 +234,24 @@ func (c *Client) SubmitSweep(ctx context.Context, sweep wire.Sweep, opts SubmitO
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp)
 	}
-	return consumeNDJSON(resp, 0, opts.DiscardResults, onResult)
+	return consumeNDJSON(resp, 0, opts, onResult)
 }
 
-// consumeNDJSON reads a sweep stream from an HTTP response, decorating
-// the decoded Submission with the response's cache headers.
-func consumeNDJSON(resp *http.Response, cursor int, discard bool, onResult func(wire.Result)) (*Submission, error) {
-	sub, err := DecodeStream(resp.Body, cursor, discard, onResult)
-	if sub != nil {
-		sub.Cached = resp.Header.Get("X-Sweep-Cache") == "hit"
-		sub.Disposition = resp.Header.Get("X-Cache")
+// consumeNDJSON reads a sweep stream from an HTTP response into a
+// Submission carrying the response's cache headers, announced through
+// opts.OnStart before the body is read.
+func consumeNDJSON(resp *http.Response, cursor int, opts SubmitOptions, onResult func(wire.Result)) (*Submission, error) {
+	sub := &Submission{
+		Cached:      resp.Header.Get("X-Sweep-Cache") == "hit",
+		Disposition: resp.Header.Get("X-Cache"),
 	}
-	return sub, err
+	if opts.OnStart != nil {
+		opts.OnStart(sub)
+	}
+	if err := decodeStream(sub, resp.Body, cursor, opts.DiscardResults, onResult); err != nil {
+		return nil, err
+	}
+	return sub, nil
 }
 
 // DecodeStream decodes a sweep NDJSON stream from r: the header line,
@@ -253,16 +266,24 @@ func consumeNDJSON(resp *http.Response, cursor int, discard bool, onResult func(
 // uses.
 func DecodeStream(r io.Reader, cursor int, discard bool, onResult func(wire.Result)) (*Submission, error) {
 	sub := &Submission{}
+	if err := decodeStream(sub, r, cursor, discard, onResult); err != nil {
+		return nil, err
+	}
+	return sub, nil
+}
+
+// decodeStream is DecodeStream into sub.
+func decodeStream(sub *Submission, r io.Reader, cursor int, discard bool, onResult func(wire.Result)) error {
 	// Lines are read through a growing reader, not a capped scanner:
 	// an inline trajectory for a multi-million-round job is one NDJSON
 	// line of arbitrary (memory-bounded) length.
 	lines := bufio.NewReaderSize(r, 64*1024)
 	header, err := readLine(lines)
 	if err != nil {
-		return nil, fmt.Errorf("client: read stream header: %w", err)
+		return fmt.Errorf("client: read stream header: %w", err)
 	}
 	if err := json.Unmarshal(header, &sub.Header); err != nil {
-		return nil, fmt.Errorf("client: decode stream header: %w", err)
+		return fmt.Errorf("client: decode stream header: %w", err)
 	}
 	lineCount := 0
 	for {
@@ -271,11 +292,11 @@ func DecodeStream(r io.Reader, cursor int, discard bool, onResult func(wire.Resu
 			break
 		}
 		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("client: read stream: %w", err)
+			return fmt.Errorf("client: read stream: %w", err)
 		}
 		var res wire.Result
 		if jsonErr := json.Unmarshal(line, &res); jsonErr != nil {
-			return nil, fmt.Errorf("client: decode result line %d: %w", lineCount, jsonErr)
+			return fmt.Errorf("client: decode result line %d: %w", lineCount, jsonErr)
 		}
 		lineCount++
 		if !discard {
@@ -289,10 +310,10 @@ func DecodeStream(r io.Reader, cursor int, discard bool, onResult func(wire.Resu
 		}
 	}
 	if want := sub.Header.Jobs - cursor; lineCount != want {
-		return nil, fmt.Errorf("client: stream truncated: %d of %d results",
+		return fmt.Errorf("client: stream truncated: %d of %d results",
 			lineCount, want)
 	}
-	return sub, nil
+	return nil
 }
 
 // ResumeSweep reconnects to a sweep's result stream at cursor
@@ -320,7 +341,7 @@ func (c *Client) ResumeSweep(ctx context.Context, id string, cursor int, opts Su
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp)
 	}
-	return consumeNDJSON(resp, cursor, opts.DiscardResults, onResult)
+	return consumeNDJSON(resp, cursor, opts, onResult)
 }
 
 // SubmitSweepCSV POSTs the grid with format=csv and returns the raw

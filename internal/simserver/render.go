@@ -67,6 +67,7 @@ func newCSVRenderer(w io.Writer, withHeader bool) *csvRenderer {
 	r := &csvRenderer{w: csv.NewWriter(w)}
 	if withHeader {
 		_ = r.w.Write(sweeprun.CSVHeader())
+		r.w.Flush() // so a stream flushed at admission carries the header row
 	}
 	return r
 }

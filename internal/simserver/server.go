@@ -736,12 +736,18 @@ func (s *Server) setStreamHeaders(w http.ResponseWriter, format, id, disposition
 
 // streamOwned executes an owned sweep (executeOwned) and streams it as
 // it runs — a fresh POST (disposition miss) and a journal resume
-// (resume) alike: the headers, then every cell from cursor on, each
-// flushed and timed in the render stage.
+// (resume) alike: the headers, flushed at once, then every cell from
+// cursor on, each flushed and timed in the render stage.
 func (s *Server) streamOwned(w http.ResponseWriter, entry *sweepEntry, g grid, prefix []cell, j *store.Journal, format, disposition string, cursor, workers int) {
 	s.setStreamHeaders(w, format, entry.id, disposition)
 	stream := newStream(w, format, entry.id, len(g.jobs), cursor)
 	flusher, _ := w.(http.Flusher)
+	// The headers and the stream header leave before any cell is
+	// computed: a caller (the grid coordinator backing up a straggler)
+	// learns at admission that this request is computing, not replaying.
+	if flusher != nil {
+		flusher.Flush()
+	}
 	s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
 		if i < cursor {
 			return

@@ -1,8 +1,10 @@
 package simserver_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -468,4 +470,104 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamHeadersFlushedAtAdmission: a fresh sweep sends its response
+// headers and stream header before its first cell is computed, so a
+// caller can tell "computing" (X-Cache: miss) from "replaying" at
+// admission — the signal the grid coordinator's backups key on. Each
+// one-job sweep sleeps 2 s (JobDelay) before its cell; the headers, the
+// NDJSON header line, the CSV header row, and the client's OnStart hook
+// must all arrive in under 1 s.
+func TestStreamHeadersFlushedAtAdmission(t *testing.T) {
+	srv := simserver.New(simserver.Options{JobDelay: 2 * time.Second})
+	t.Cleanup(srv.Close)
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	const admitted = time.Second
+	oneJob := func(seed uint64) wire.Sweep {
+		return wire.Sweep{Version: wire.V1, Jobs: []wire.Job{{
+			Rounds: 20,
+			Config: wire.Config{Ants: 50, Demands: []int{10, 15}, Gamma: 1.0 / 32, Seed: seed, Shards: 1},
+		}}}
+	}
+	// post returns the response and its first body line, timed from the
+	// request.
+	post := func(t *testing.T, sweep wire.Sweep, format string) (*http.Response, string, time.Duration) {
+		body, err := wire.MarshalSweep(sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.Post(hs.URL+"/v1/sweeps?format="+format, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		line, err := bufio.NewReader(resp.Body).ReadString('\n')
+		if err != nil {
+			t.Fatalf("read first line: %v", err)
+		}
+		return resp, line, time.Since(start)
+	}
+
+	t.Run("ndjson", func(t *testing.T) {
+		t.Parallel()
+		sweep := oneJob(901)
+		resp, line, elapsed := post(t, sweep, "ndjson")
+		if elapsed > admitted {
+			t.Errorf("headers and stream header took %v, want under %v (before the 2 s cell)", elapsed, admitted)
+		}
+		id, err := wire.SemanticSweepHash(sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Errorf("X-Cache = %q, want miss", got)
+		}
+		if got := resp.Header.Get("X-Sweep-Id"); got != id {
+			t.Errorf("X-Sweep-Id = %q, want %s", got, id)
+		}
+		var header wire.StreamHeader
+		if err := json.Unmarshal([]byte(line), &header); err != nil || header.ID != id || header.Jobs != 1 {
+			t.Errorf("first line %q (%v), want the stream header of sweep %s", line, err, id)
+		}
+	})
+	t.Run("csv", func(t *testing.T) {
+		t.Parallel()
+		_, line, elapsed := post(t, oneJob(902), "csv")
+		if elapsed > admitted {
+			t.Errorf("CSV header row took %v, want under %v", elapsed, admitted)
+		}
+		if want := strings.Join(sweeprun.CSVHeader(), ",") + "\n"; line != want {
+			t.Errorf("first CSV line %q, want the header row %q", line, want)
+		}
+	})
+	t.Run("client-onstart", func(t *testing.T) {
+		t.Parallel()
+		c := client.New(hs.URL, nil)
+		start := time.Now()
+		var (
+			startedAfter time.Duration
+			verdict      string
+			cached       bool
+		)
+		sub, err := c.SubmitSweep(context.Background(), oneJob(903), client.SubmitOptions{
+			OnStart: func(s *client.Submission) {
+				startedAfter, verdict, cached = time.Since(start), s.Disposition, s.Cached
+			},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if startedAfter == 0 || startedAfter > admitted {
+			t.Errorf("OnStart fired after %v, want under %v", startedAfter, admitted)
+		}
+		if verdict != "miss" || cached {
+			t.Errorf("OnStart saw disposition %q cached %v, want miss/false", verdict, cached)
+		}
+		if len(sub.Results) != 1 || sub.Disposition != "miss" {
+			t.Errorf("submission %+v, want one result with disposition miss", sub)
+		}
+	})
 }
