@@ -20,8 +20,8 @@
 //
 // -serve runs the coordinator as a service instead: POST /v1/sweeps
 // streams merged grids, POST /v1/bisect runs the sharded refinement
-// search, GET /v1/sweeps/{id} fans the summary query out to the
-// backends and fuses the answers.
+// search, GET /v1/sweeps/{id} serves the status of one of the last 32
+// completed runs, recorded from the run's own merge (no backend call).
 //
 // Observability: each run mints a trace ID sent to every backend as
 // X-Trace-Id (printed by -v; grep it in the backends' access logs).

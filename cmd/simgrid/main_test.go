@@ -40,7 +40,14 @@ type serveProc struct {
 
 func startServe(t *testing.T, bin string, args ...string) *serveProc {
 	t.Helper()
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	return startListener(t, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+}
+
+// startListener boots a service binary that announces "listening on
+// <addr>" as its first stdout line (simserve, or simgrid -serve).
+func startListener(t *testing.T, bin string, args ...string) *serveProc {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +62,7 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 	})
 	sc := bufio.NewScanner(stdout)
 	if !sc.Scan() {
-		t.Fatalf("no listen line from simserve: %v", sc.Err())
+		t.Fatalf("no listen line from %s: %v", filepath.Base(bin), sc.Err())
 	}
 	addr, ok := strings.CutPrefix(sc.Text(), "listening on ")
 	if !ok {
@@ -158,6 +165,94 @@ func TestE2EGridParity(t *testing.T) {
 			t.Errorf("simgrid %s stream differs from the single-host response (%d vs %d bytes)",
 				format, out.Len(), len(want))
 		}
+	}
+}
+
+// get GETs url and returns the status code, Content-Type and body.
+func get(t *testing.T, url string) (int, string, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
+}
+
+// post POSTs the sweep to url's /v1/sweeps in format and returns the
+// Content-Type and body of a 200 response.
+func post(t *testing.T, url string, sweep wire.Sweep, format string) (string, []byte) {
+	t.Helper()
+	doc, err := wire.MarshalSweep(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/sweeps?format="+format, "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %s: %s", url, resp.Status, body)
+	}
+	return resp.Header.Get("Content-Type"), body
+}
+
+// TestE2EGridServe boots three real simserve backends, a single-host
+// reference and simgrid -serve, and holds the coordinator's HTTP
+// surface to the reference's: POST /v1/sweeps in NDJSON and CSV gives
+// the same body bytes and Content-Type, GET /v1/sweeps/{id} the same
+// status body, and an unknown id is a 404.
+func TestE2EGridServe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots service binaries")
+	}
+	tmp := t.TempDir()
+	serveBin := buildBinary(t, tmp, "simserve", "../simserve")
+	gridBin := buildBinary(t, tmp, "simgrid", ".")
+
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		addrs = append(addrs, startServe(t, serveBin).addr)
+	}
+	reference := startServe(t, serveBin).addr
+	grid := startListener(t, gridBin, "-serve", "127.0.0.1:0", "-backends", strings.Join(addrs, ",")).addr
+
+	sweep := e2eSweep(401)
+	for _, format := range []string{"ndjson", "csv"} {
+		wantType, want := post(t, reference, sweep, format)
+		gotType, got := post(t, grid, sweep, format)
+		if gotType != wantType {
+			t.Errorf("%s Content-Type %q, single host sends %q", format, gotType, wantType)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("simgrid -serve %s body differs from the single-host response (%d vs %d bytes)",
+				format, len(got), len(want))
+		}
+	}
+
+	id, err := wire.SemanticSweepHash(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, want := get(t, reference+"/v1/sweeps/"+id)
+	if code != http.StatusOK {
+		t.Fatalf("single-host GET: %d: %s", code, want)
+	}
+	code, _, got := get(t, grid+"/v1/sweeps/"+id)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("simgrid -serve GET: %d\n got: %s\nwant: %s", code, got, want)
+	}
+	if code, _, body := get(t, grid+"/v1/sweeps/"+strings.Repeat("0", 64)); code != http.StatusNotFound {
+		t.Errorf("GET of an unknown sweep: %d %s, want 404", code, body)
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"taskalloc/internal/bisect"
 	"taskalloc/internal/simserver"
 )
 
@@ -58,7 +59,7 @@ func main() {
 		maxJobs  = flag.Int("max-jobs", 10000, "largest accepted grid (jobs per sweep)")
 		maxRnds  = flag.Int("max-cell-rounds", 10_000_000, "largest accepted per-cell horizon")
 		maxAnts  = flag.Int("max-cell-ants", 10_000_000, "largest accepted per-cell colony size")
-		maxBis   = flag.Int("max-bisect-evals", 128, "largest accepted bisect evaluation budget (POST /v1/bisect)")
+		maxBis   = flag.Int("max-bisect-evals", bisect.DefaultMaxEvals, "largest accepted bisect evaluation budget (POST /v1/bisect)")
 		jobCache = flag.Int("job-cache-entries", 4096, "job results (sweep and bisect cells, reports only) kept in memory for reuse by later sweeps and bisects")
 		drainFor = flag.Duration("drain-timeout", time.Minute,
 			"grace for in-flight HTTP handlers on shutdown (sweeps still drain fully after it; a second signal force-kills)")

@@ -18,6 +18,11 @@ import (
 	"taskalloc/internal/wire"
 )
 
+// DefaultMaxEvals is the evaluation budget of a request that leaves
+// max_evals 0: the simulation service's default limit and the budget
+// the grid coordinator stamps on such a request.
+const DefaultMaxEvals = 128
+
 // GammaWidthFloor stops refining a segment whose γ width cannot
 // meaningfully halve in float64 — without it, a regret band that never
 // narrows (a noise floor) would burn the whole budget on one segment.

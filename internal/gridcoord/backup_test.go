@@ -305,7 +305,7 @@ func TestStragglerBackupSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.SweepStatus(context.Background(), id)
+	got, err := coord.SweepStatus(id)
 	if err != nil {
 		t.Fatalf("SweepStatus after a superseded straggler: %v", err)
 	}

@@ -43,7 +43,7 @@ func (c *Coordinator) Bisect(ctx context.Context, req wire.BisectRequest) (*wire
 		return nil, err
 	}
 	if req.MaxEvals == 0 {
-		req.MaxEvals = c.opts.MaxBisectEvals
+		req.MaxEvals = bisect.DefaultMaxEvals
 	}
 	req.Job.Trajectory = false // bisect cells never stream trajectories
 	c.metrics.bisects.Inc()
@@ -84,7 +84,7 @@ func (c *Coordinator) evalRound(ctx context.Context, clients []*client.Client, t
 	if err != nil {
 		return nil, err
 	}
-	_, _, err = c.dispatch(ctx, clients, jobs, chunked(owners, 0), false,
+	_, err = c.dispatch(ctx, clients, jobs, chunked(owners, 0), false,
 		func(k int, res wire.Result, cached bool) {
 			cells[k].Cached = cached
 			if res.Err != "" {

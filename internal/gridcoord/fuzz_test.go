@@ -11,7 +11,8 @@ import (
 
 // FuzzBackendStream drives arbitrary bytes through the exact path a
 // backend response takes into the merged output: client.DecodeStream,
-// the coordinator's stream-order checks, and the NDJSON merger. The
+// the coordinator's stream-order checks, and the NDJSON merger, which
+// renders through the wire.BodyWriter every backend renders with. The
 // contract under fuzzing: malformed, truncated, or reordered input must
 // surface as an error — never a panic, and never bytes that diverge
 // from the deterministic rendering of the correctly delivered prefix.
@@ -41,9 +42,7 @@ func FuzzBackendStream(f *testing.F) {
 			// mirroring one backend sub-sweep.
 			idxs := []int{0, 1, 2}
 			var out bytes.Buffer
-			m := newMerger(newNDJSONMerge(&out, wire.StreamHeader{
-				Version: wire.V1, ID: "merged", Jobs: len(idxs),
-			}), len(idxs))
+			m := newMerger(&out, FormatNDJSON, "merged", make([]wire.Job, len(idxs)))
 			var delivered []wire.Result
 			var protoErr bool
 			_, err := client.DecodeStream(bytes.NewReader(data), 0, true, func(res wire.Result) {

@@ -49,15 +49,19 @@
 // owning backend, the owner being the same equal-range owner of each
 // cell's SemanticHash, never stolen — the search path is deterministic,
 // so a repeat request replays every sub-sweep from the backends' sweep
-// caches. SweepStatus fans a completed run's summary query out to the
-// backends that streamed its chunks and fuses the results into the
-// single-host response; Handler serves both over HTTP.
+// caches.
+//
+// Status: Run records the status of each run it completes from its own
+// merge — the merged results with trajectories dropped, summarized by
+// sweeprun.Summarize, the aggregation a single host runs — so
+// SweepStatus answers the single-host GET /v1/sweeps/{id} for the most
+// recent runs without calling a backend: after a failover, after the
+// backends evicted the chunks, or with every backend down. Handler
+// serves sweeps, bisects and status over HTTP.
 package gridcoord
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -114,10 +118,6 @@ type Options struct {
 	// the request and then hangs); the chunk's undelivered jobs
 	// re-dispatch under the attempt budget. 0 disables the watchdog.
 	StallTimeout time.Duration
-	// MaxBisectEvals is the default evaluation budget stamped on bisect
-	// requests that leave max_evals 0, mirroring the backends' own
-	// default; <= 0 means 128.
-	MaxBisectEvals int
 	// Observe, if non-nil, receives progress events (results delivered,
 	// chunks stolen or backed up, backends lost, ranges re-dispatched),
 	// for sweeps and bisect rounds alike. Called from
@@ -228,9 +228,9 @@ type Coordinator struct {
 	clients []*client.Client
 	metrics *gridMetrics
 
-	// rmu guards the completed-run registry SweepStatus fans out from.
+	// rmu guards the completed-run registry SweepStatus serves from.
 	rmu      sync.Mutex
-	runs     map[string]*runRecord
+	runs     map[string]*wire.SweepStatus
 	runOrder []string
 }
 
@@ -242,10 +242,7 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.Attempts <= 0 {
 		opts.Attempts = 3
 	}
-	if opts.MaxBisectEvals <= 0 {
-		opts.MaxBisectEvals = 128
-	}
-	c := &Coordinator{opts: opts, runs: make(map[string]*runRecord)}
+	c := &Coordinator{opts: opts, runs: make(map[string]*wire.SweepStatus)}
 	for _, b := range opts.Backends {
 		cl := client.New(b, opts.HTTPClient)
 		if opts.Token != "" {
@@ -324,7 +321,8 @@ func (c *Coordinator) chunkSizeFor(jobs int) int {
 // coordinator recomputes the semantic sweep hash (the service's public
 // sweep ID) for the stream header, re-indexes each backend's local
 // results to their global positions, and emits in strict job order —
-// whatever steal, backup or failover path the run takes.
+// whatever steal, backup or failover path the run takes. A completed
+// run's status is then served by SweepStatus.
 func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, w io.Writer) (Stats, error) {
 	if format != FormatNDJSON && format != FormatCSV {
 		return Stats{}, fmt.Errorf("gridcoord: unknown format %q", format)
@@ -341,15 +339,7 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 		return Stats{}, err
 	}
 
-	var m *merger
-	switch format {
-	case FormatCSV:
-		m = newMerger(newCSVMerge(w, sweep.Jobs), len(sweep.Jobs))
-	default:
-		m = newMerger(newNDJSONMerge(w, wire.StreamHeader{
-			Version: wire.V1, ID: id, Jobs: len(sweep.Jobs),
-		}), len(sweep.Jobs))
-	}
+	m := newMerger(w, format, id, sweep.Jobs)
 
 	// One trace ID per run: every backend call this sweep makes carries
 	// it as X-Trace-Id, so the backends' request logs can be joined on
@@ -360,7 +350,7 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	if c.opts.StealChunk >= 0 {
 		size = c.chunkSizeFor(len(sweep.Jobs))
 	}
-	stats, chunks, err := c.dispatch(ctx, c.traced(traceID), sweep.Jobs, chunked(assign, size),
+	stats, err := c.dispatch(ctx, c.traced(traceID), sweep.Jobs, chunked(assign, size),
 		c.opts.StealChunk >= 0, func(i int, res wire.Result, _ bool) { m.deliver(i, res) })
 	stats.TraceID = traceID
 	stats.JobsPerBackend = make([]int, len(assign))
@@ -373,7 +363,7 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	if err := m.finish(); err != nil {
 		return stats, err
 	}
-	c.recordRun(id, sweep.Jobs, chunks)
+	c.recordRun(m.status(id))
 	return stats, nil
 }
 
@@ -411,16 +401,6 @@ func chunked(assign [][]int, size int) [][]chunk {
 	return queues
 }
 
-// chunkRecord remembers one successfully streamed chunk: which backend
-// ran it, the sub-sweep's semantic hash (the backend's public sweep ID
-// for it), and the global indices it covered — enough for SweepStatus
-// to fan the summary query back out.
-type chunkRecord struct {
-	backend int
-	id      string
-	idxs    []int
-}
-
 // runState is one dispatch's shared scheduling state: the
 // trace-stamped clients (one per backend), the jobs, and where their
 // results go.
@@ -442,7 +422,6 @@ type runState struct {
 	backups   int
 	retried   int
 	lost      int
-	chunks    []chunkRecord
 	stealOK   bool
 	backupOK  bool
 	fatal     error
@@ -478,10 +457,9 @@ type copyStream struct {
 // is still computing. deliver receives each job's first delivery only,
 // with the cache provenance of its chunk's primary stream. dispatch
 // returns the run's counters (Delivered, Steals, Backups, Retried,
-// BackendsLost) and the chunks streamed to completion, or the error
-// that left a job undelivered.
+// BackendsLost), and the error that left a job undelivered, if any.
 func (c *Coordinator) dispatch(ctx context.Context, clients []*client.Client, jobs []wire.Job,
-	queues [][]chunk, steal bool, deliver func(i int, res wire.Result, cached bool)) (Stats, []chunkRecord, error) {
+	queues [][]chunk, steal bool, deliver func(i int, res wire.Result, cached bool)) (Stats, error) {
 	// A fatal error (rejection, exhausted budget, no backends left)
 	// cancels every in-flight backend stream: the run's outcome is
 	// already decided, so finishing the merge would only delay the
@@ -531,16 +509,16 @@ func (c *Coordinator) dispatch(ctx context.Context, clients []*client.Client, jo
 		BackendsLost: st.lost,
 	}
 	if st.fatal != nil {
-		return stats, nil, st.fatal
+		return stats, st.fatal
 	}
 	for i, ok := range st.merged {
 		if !ok {
 			// Every failure path re-queues or fails the run, so this is a
 			// scheduler bug — never report a truncated merge as success.
-			return stats, nil, fmt.Errorf("gridcoord: job %d was never delivered", i)
+			return stats, fmt.Errorf("gridcoord: job %d was never delivered", i)
 		}
 	}
-	return stats, st.chunks, nil
+	return stats, nil
 }
 
 // fail records the run's fatal error (first one wins), cancels the
@@ -803,21 +781,15 @@ func (c *Coordinator) stream(ctx context.Context, st *runState, cp *copyStream) 
 	}
 	elapsed := time.Since(start)
 	c.metrics.streamDone(b, merged, elapsed)
-	var subID string
-	if err == nil {
-		// Partition hashed every job already, so this cannot fail; if it
-		// did, the chunk would only be missing from SweepStatus.
-		subID, _ = wire.SemanticSweepHash(sub)
-	}
-	c.end(st, cp, merged, elapsed, subID, err)
+	c.end(st, cp, merged, elapsed, err)
 }
 
 // end settles one copy's outcome and reports it. The first copy of a
-// chunk to end cleanly records the chunk and cancels its twin, which is
-// superseded: not failed, its backend still alive. A copy that fails
-// while its twin is live leaves the chunk to the twin; the last copy to
-// fail re-queues the chunk's unmerged jobs.
-func (c *Coordinator) end(st *runState, cp *copyStream, merged int, elapsed time.Duration, subID string, err error) {
+// chunk to end cleanly cancels its twin, which is superseded: not
+// failed, its backend still alive. A copy that fails while its twin is
+// live leaves the chunk to the twin; the last copy to fail re-queues the
+// chunk's unmerged jobs.
+func (c *Coordinator) end(st *runState, cp *copyStream, merged int, elapsed time.Duration, err error) {
 	f, b := cp.f, cp.b
 	st.mu.Lock()
 	f.live = slices.DeleteFunc(f.live, func(o *copyStream) bool { return o == cp })
@@ -828,9 +800,6 @@ func (c *Coordinator) end(st *runState, cp *copyStream, merged int, elapsed time
 		for _, twin := range f.live {
 			twin.superseded = true
 			twin.cancel()
-		}
-		if subID != "" {
-			st.chunks = append(st.chunks, chunkRecord{backend: b, id: subID, idxs: f.ch.idxs})
 		}
 	}
 	// The terminal stream event fires on every path — a backend that
@@ -914,111 +883,85 @@ func (c *Coordinator) requeueLocked(st *runState, b int, remaining []int, cause 
 
 // --- merge: ordered collection + single-host-identical rendering ---
 
-// mergeRenderer renders one result; calls arrive in strict global job
-// order, serialized by the merger.
-type mergeRenderer interface {
-	result(global int, res wire.Result) error
-	finish() error
-}
-
 // merger buffers out-of-order deliveries and emits the completed
 // prefix in job order — sweeprun.Ordered's collection invariant,
-// re-created across hosts. Emitted results are released immediately
-// (trajectory-bearing results can be many MB each), so retained memory
-// is bounded by the out-of-order window, not the sweep size.
+// re-created across hosts — through the same wire.BodyWriter a backend
+// renders with. Decoding a backend's line and re-encoding it is
+// byte-stable: Go's JSON encoder emits the shortest float
+// representation that round-trips, and taskalloc.Report's NaN↔null
+// mapping is symmetric. An emitted result's trajectory (it can be many
+// MB) is released at once; the rest, a few hundred bytes per cell, is
+// kept for the run's status, so the out-of-order window bounds the
+// trajectories retained.
 type merger struct {
 	mu      sync.Mutex
-	results []*wire.Result // delivered, not yet emitted
-	cursor  int
-	render  mergeRenderer
+	jobs    []wire.Job
+	pending []*wire.Result // delivered, not yet emitted
+	emitted []wire.Result  // in job order, trajectories dropped
+	body    *wire.BodyWriter
 	err     error
 }
 
-func newMerger(r mergeRenderer, n int) *merger {
-	return &merger{results: make([]*wire.Result, n), render: r}
+func newMerger(w io.Writer, format Format, id string, jobs []wire.Job) *merger {
+	return &merger{
+		jobs:    jobs,
+		pending: make([]*wire.Result, len(jobs)),
+		emitted: make([]wire.Result, 0, len(jobs)),
+		body: wire.NewBodyWriter(w, string(format),
+			wire.StreamHeader{Version: wire.V1, ID: id, Jobs: len(jobs)}, 0),
+	}
 }
 
-// deliver records global job index i's result and flushes the newly
-// completed prefix. Each index is delivered once: the dispatcher keeps
-// a job's first copy and drops a backup's duplicate before it gets
-// here.
+// deliver records global job index i's result and emits the newly
+// completed prefix, re-indexed to global positions. Each index is
+// delivered once: the dispatcher keeps a job's first copy and drops a
+// backup's duplicate before it gets here.
 func (m *merger) deliver(i int, res wire.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.results[i] = &res
-	for m.cursor < len(m.results) && m.results[m.cursor] != nil {
+	res.Index = i
+	m.pending[i] = &res
+	for n := len(m.emitted); n < len(m.pending) && m.pending[n] != nil; n++ {
+		out := *m.pending[n]
+		m.pending[n] = nil
 		if m.err == nil {
-			m.err = m.render.result(m.cursor, *m.results[m.cursor])
+			m.err = m.body.Cell(out, m.jobs[n].Rounds)
 		}
-		m.results[m.cursor] = nil
-		m.cursor++
+		out.Trajectory = ""
+		m.emitted = append(m.emitted, out)
 	}
 }
 
-// finish flushes the renderer and reports the first render error.
+// finish reports the first render error.
 func (m *merger) finish() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
+	return m.err
+}
+
+// status is the single-host GET /v1/sweeps/{id} body of a completed
+// merge: every result, trajectories elided, and the summary
+// sweeprun.Summarize computes over the same per-cell reports a single
+// host aggregates.
+func (m *merger) status(id string) *wire.SweepStatus {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	results := make([]sweeprun.Result, len(m.emitted))
+	for i, res := range m.emitted {
+		results[i] = sweeprun.Result{Index: i, Job: sweeprun.Job{Meta: res.Meta, Rounds: m.jobs[i].Rounds}}
+		if res.Err != "" {
+			results[i].Err = errors.New(res.Err)
+		} else if res.Report != nil {
+			results[i].Report = *res.Report
+		}
 	}
-	return m.render.finish()
-}
-
-// ndjsonMerge re-emits the single-host NDJSON stream: the header line,
-// then each result re-indexed to its global position. Decoding a
-// backend's line and re-encoding it is byte-stable: Go's JSON encoder
-// emits the shortest float representation that round-trips, and
-// taskalloc.Report's NaN↔null mapping is symmetric.
-type ndjsonMerge struct {
-	enc *json.Encoder
-	err error
-}
-
-func newNDJSONMerge(w io.Writer, header wire.StreamHeader) *ndjsonMerge {
-	m := &ndjsonMerge{enc: json.NewEncoder(w)}
-	m.err = m.enc.Encode(header)
-	return m
-}
-
-func (m *ndjsonMerge) result(global int, res wire.Result) error {
-	if m.err != nil {
-		return m.err
+	sum := sweeprun.Summarize(results)
+	return &wire.SweepStatus{
+		ID:      id,
+		Status:  "done",
+		Jobs:    len(m.jobs),
+		Failed:  sum.Failed,
+		Summary: &sum,
+		Results: m.emitted,
 	}
-	res.Index = global
-	if err := m.enc.Encode(res); err != nil {
-		// Mirror the server renderer: a cell that cannot re-encode still
-		// gets its line, as an error, deterministically.
-		return m.enc.Encode(wire.Result{Index: global, Meta: res.Meta, Err: "encode: " + err.Error()})
-	}
-	return nil
-}
-
-func (m *ndjsonMerge) finish() error { return m.err }
-
-// csvMerge re-emits the single-host CSV: the shared sweeprun header,
-// then one row per successful cell in job order (failed cells skipped),
-// through the same CSVRow helper the server and cmd/sweep render with.
-type csvMerge struct {
-	w    *csv.Writer
-	jobs []wire.Job
-}
-
-func newCSVMerge(w io.Writer, jobs []wire.Job) *csvMerge {
-	m := &csvMerge{w: csv.NewWriter(w), jobs: jobs}
-	_ = m.w.Write(sweeprun.CSVHeader())
-	return m
-}
-
-func (m *csvMerge) result(global int, res wire.Result) error {
-	if res.Err != "" || res.Report == nil {
-		return m.w.Error()
-	}
-	_ = m.w.Write(sweeprun.CSVRow(res.Meta, *res.Report, m.jobs[global].Rounds))
-	return m.w.Error()
-}
-
-func (m *csvMerge) finish() error {
-	m.w.Flush()
-	return m.w.Error()
 }

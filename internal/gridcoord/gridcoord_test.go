@@ -16,6 +16,7 @@ import (
 
 	"taskalloc/internal/goldencases"
 	"taskalloc/internal/simserver"
+	"taskalloc/internal/simserver/client"
 	"taskalloc/internal/wire"
 )
 
@@ -272,6 +273,10 @@ func TestBackendFailureMidSweep(t *testing.T) {
 		t.Errorf("merged NDJSON after mid-sweep failure differs from single host\n got: %s\nwant: %s",
 			firstDiffLine(got.Bytes(), want), firstDiffLine(want, got.Bytes()))
 	}
+	// The victim's one delivered job came from a stream that failed, so
+	// no completed chunk on any backend covers it; the status is the
+	// merge's own and still equals the single host's GET.
+	checkStatus(t, coord, urls[3], sweep)
 
 	// CSV with the victim already dead (connection-level failure on a
 	// fresh submission): the whole range redistributes, bytes hold.
@@ -292,6 +297,73 @@ func TestBackendFailureMidSweep(t *testing.T) {
 		t.Errorf("merged CSV with a dead backend differs from single host\n got: %s\nwant: %s",
 			firstDiffLine(csvOut.Bytes(), wantCSV), firstDiffLine(wantCSV, csvOut.Bytes()))
 	}
+}
+
+// checkStatus asserts the coordinator's status of a completed run of
+// sweep is the JSON the single host at refURL answers GET
+// /v1/sweeps/{id} with.
+func checkStatus(t *testing.T, coord *Coordinator, refURL string, sweep wire.Sweep) {
+	t.Helper()
+	id, err := wire.SemanticSweepHash(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := coord.SweepStatus(id)
+	if err != nil {
+		t.Fatalf("SweepStatus: %v", err)
+	}
+	ref, err := client.New(refURL, nil).GetSweep(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, _ := json.Marshal(got)
+	refJSON, _ := json.Marshal(ref)
+	if !bytes.Equal(gotJSON, refJSON) {
+		t.Errorf("coordinator status differs from the single host's GET:\n got: %s\nwant: %s", gotJSON, refJSON)
+	}
+}
+
+// TestSweepStatusOutlivesBackendCaches: backends that keep two sweeps
+// each stream more chunks than that in one run, so by the time the run
+// completes they have evicted most of its sub-sweeps. The coordinator's
+// status is its own merge's, so it still equals the single host's GET —
+// and keeps doing so with every backend shut down.
+func TestSweepStatusOutlivesBackendCaches(t *testing.T) {
+	sweep := testSweep(t)
+	var urls []string
+	var servers []*httptest.Server
+	for i := 0; i < 3; i++ {
+		srv := simserver.New(simserver.Options{Workers: 2, CacheEntries: 2})
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+		servers = append(servers, ts)
+	}
+	reference := bootBackends(t, 1, nil)[0]
+	want := singleHost(t, reference, sweep, "ndjson")
+
+	coord, err := New(Options{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("merged NDJSON differs from single host\n got: %s\nwant: %s",
+			firstDiffLine(got.Bytes(), want), firstDiffLine(want, got.Bytes()))
+	}
+	if chunks := len(sweep.Jobs) / coord.chunkSizeFor(len(sweep.Jobs)); chunks <= 2*len(urls) {
+		t.Fatalf("%d chunks fit in the backends' caches; the test needs more", chunks)
+	}
+	checkStatus(t, coord, reference, sweep)
+
+	for _, ts := range servers {
+		ts.Close()
+	}
+	checkStatus(t, coord, reference, sweep)
 }
 
 // TestMalformedBackendStream: a peer that violates the stream contract

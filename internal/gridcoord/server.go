@@ -1,140 +1,58 @@
 package gridcoord
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
-	"taskalloc/internal/obs"
 	"taskalloc/internal/simserver/client"
-	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
 )
 
 // The coordinator's own HTTP surface: POST /v1/sweeps streams the
 // merged grid run, POST /v1/bisect runs the sharded refinement search,
-// and GET /v1/sweeps/{id} fans the summary query out to the backends
-// that streamed a completed run's chunks and fuses their answers into
-// the single-host response body.
+// and GET /v1/sweeps/{id} serves a completed run's status from the
+// registry Run records it in.
 
 // ErrUnknownSweep is returned by SweepStatus (and mapped to 404 by
 // Handler) for a sweep ID no completed run in the registry matches.
 var ErrUnknownSweep = errors.New("gridcoord: unknown sweep")
 
 // runRetention bounds the completed-run registry SweepStatus serves
-// from: the most recent runs, evicted FIFO. Summaries are fetched from
-// the backends on demand, so a record costs only the job list and the
-// chunk map.
+// from: the most recent runs, evicted FIFO. A record is the run's
+// status — a few hundred bytes per cell.
 const runRetention = 32
 
-// runRecord remembers one completed run: the sweep's jobs (for rounds
-// and coverage checks) and which backend streamed which chunk under
-// which sub-sweep ID.
-type runRecord struct {
-	jobs   []wire.Job
-	chunks []chunkRecord
-}
-
-// recordRun registers a completed run for SweepStatus fan-out, evicting
-// the oldest past the retention bound.
-func (c *Coordinator) recordRun(id string, jobs []wire.Job, chunks []chunkRecord) {
-	jc := make([]wire.Job, len(jobs))
-	copy(jc, jobs)
+// recordRun registers a completed run's status, evicting the oldest
+// past the retention bound.
+func (c *Coordinator) recordRun(status *wire.SweepStatus) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	if _, ok := c.runs[id]; !ok {
-		c.runOrder = append(c.runOrder, id)
+	if _, ok := c.runs[status.ID]; !ok {
+		c.runOrder = append(c.runOrder, status.ID)
 	}
-	c.runs[id] = &runRecord{jobs: jc, chunks: chunks}
+	c.runs[status.ID] = status
 	for len(c.runOrder) > runRetention {
 		delete(c.runs, c.runOrder[0])
 		c.runOrder = c.runOrder[1:]
 	}
 }
 
-// SweepStatus reconstructs the single-host GET /v1/sweeps/{id} body for
-// a completed grid run: it queries, in parallel, each backend that
-// streamed one of the run's chunks for that chunk's sub-sweep summary,
-// re-indexes the per-cell results to their global positions, and
-// recomputes the fused summary with sweeprun.Summarize — the same
-// aggregation a single host runs over the same per-cell reports, so
-// the fused document equals the single-host one. Returns
-// ErrUnknownSweep when no completed run with this ID is registered.
-func (c *Coordinator) SweepStatus(ctx context.Context, id string) (*wire.SweepStatus, error) {
+// SweepStatus returns the single-host GET /v1/sweeps/{id} body of one
+// of the last 32 completed grid runs: Run records it from its own
+// merge, so it calls no backend, and it holds after a failover, after
+// the backends evicted the run's chunks, and with every backend down.
+// The status is shared and must not be modified. Returns
+// ErrUnknownSweep when no retained run has this ID.
+func (c *Coordinator) SweepStatus(id string) (*wire.SweepStatus, error) {
 	c.rmu.Lock()
-	rec := c.runs[id]
-	c.rmu.Unlock()
-	if rec == nil {
+	defer c.rmu.Unlock()
+	status := c.runs[id]
+	if status == nil {
 		return nil, ErrUnknownSweep
 	}
-	traceID := obs.NewID()
-	results := make([]wire.Result, len(rec.jobs))
-	got := make([]bool, len(rec.jobs))
-	errs := make([]error, len(rec.chunks))
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	for ci, ch := range rec.chunks {
-		wg.Add(1)
-		go func(ci int, ch chunkRecord) {
-			defer wg.Done()
-			status, err := c.clients[ch.backend].WithTraceID(traceID).GetSweep(ctx, ch.id)
-			if err != nil {
-				errs[ci] = fmt.Errorf("gridcoord: backend %d sweep %s: %w", ch.backend, ch.id, err)
-				return
-			}
-			if status.Status != "done" || len(status.Results) != len(ch.idxs) {
-				errs[ci] = fmt.Errorf("gridcoord: backend %d sweep %s: status %q with %d of %d results",
-					ch.backend, ch.id, status.Status, len(status.Results), len(ch.idxs))
-				return
-			}
-			mu.Lock()
-			for k, res := range status.Results {
-				g := ch.idxs[k]
-				res.Index = g
-				results[g] = res
-				got[g] = true
-			}
-			mu.Unlock()
-		}(ci, ch)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for g, ok := range got {
-		if !ok {
-			// A job delivered by a stream that later failed has no
-			// queryable sub-sweep on any backend; the fused document
-			// would be partial, so refuse rather than diverge.
-			return nil, fmt.Errorf("gridcoord: sweep %s: job %d not covered by a completed chunk", id, g)
-		}
-	}
-	runResults := make([]sweeprun.Result, len(results))
-	for g, res := range results {
-		rr := sweeprun.Result{Index: g, Job: sweeprun.Job{Meta: res.Meta, Rounds: rec.jobs[g].Rounds}}
-		if res.Err != "" {
-			rr.Err = errors.New(res.Err)
-		} else if res.Report != nil {
-			rr.Report = *res.Report
-		}
-		runResults[g] = rr
-	}
-	sum := sweeprun.Summarize(runResults)
-	return &wire.SweepStatus{
-		ID:      id,
-		Status:  "done",
-		Jobs:    len(rec.jobs),
-		Failed:  sum.Failed,
-		Summary: &sum,
-		Results: results,
-	}, nil
+	return status, nil
 }
 
 // maxCoordBodyBytes caps a coordinator-served request document; the
@@ -143,7 +61,7 @@ const maxCoordBodyBytes = 64 << 20
 
 // Handler returns the coordinator's HTTP surface: POST /v1/sweeps
 // (merged grid stream, ?format=ndjson|csv), POST /v1/bisect (sharded
-// refinement search), GET /v1/sweeps/{id} (fan-out summary fusion),
+// refinement search), GET /v1/sweeps/{id} (a retained run's status),
 // GET /v1/healthz, and — when Options.Registry is set — GET /v1/metrics
 // with the coordinator's own series. cmd/simgrid -serve mounts it.
 func (c *Coordinator) Handler() http.Handler {
@@ -186,11 +104,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if format == FormatCSV {
-		w.Header().Set("Content-Type", "text/csv")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", wire.ContentType(string(format)))
 	w.Header().Set("X-Sweep-Id", id)
 	// From the first merged byte on, a failure can only truncate the
 	// body — the status line is already on the wire. The client's
@@ -230,13 +144,9 @@ func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	status, err := c.SweepStatus(r.Context(), r.PathValue("id"))
-	if errors.Is(err, ErrUnknownSweep) {
-		httpError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
-		return
-	}
+	status, err := c.SweepStatus(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		httpError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

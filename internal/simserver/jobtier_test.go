@@ -217,11 +217,11 @@ func TestKnownCellsMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		r := newNDJSONRenderer(&buf, wire.StreamHeader{Version: wire.V1, ID: id, Jobs: n})
+		render := newBody(&buf, "ndjson", id, n, 0)
 		entry := &sweepEntry{id: id, done: make(chan struct{})}
 		s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
 			order = append(order, i)
-			r.cell(i, c)
+			render(i, c)
 		})
 		return order, buf.Bytes(), entry.cells
 	}

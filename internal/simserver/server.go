@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"taskalloc"
+	"taskalloc/internal/bisect"
 	"taskalloc/internal/store"
 	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
@@ -89,7 +90,7 @@ type Options struct {
 	CacheBytes int64
 	// MaxBisectEvals caps one bisect request's evaluated γ cells (and
 	// is the default when the request leaves max_evals 0); <= 0 means
-	// 128.
+	// bisect.DefaultMaxEvals.
 	MaxBisectEvals int
 	// JobCacheEntries caps the memory job tier: job-level results that
 	// sweeps and bisects reuse cell by cell, keyed by the behavioral job
@@ -330,7 +331,7 @@ func Open(opts Options) (*Server, error) {
 		opts.CacheBytes = 256 << 20
 	}
 	if opts.MaxBisectEvals <= 0 {
-		opts.MaxBisectEvals = 128
+		opts.MaxBisectEvals = bisect.DefaultMaxEvals
 	}
 	if opts.JobCacheEntries <= 0 {
 		opts.JobCacheEntries = 4096
@@ -720,11 +721,7 @@ func (s *Server) publish(e *sweepEntry, cells []cell, sum sweeprun.Summary) {
 // (hit | miss | coalesced); X-Sweep-Cache keeps its original binary
 // contract (miss only for the executing owner) for existing clients.
 func (s *Server) setStreamHeaders(w http.ResponseWriter, format, id, disposition string) {
-	if format == "csv" {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", wire.ContentType(format))
 	w.Header().Set("X-Sweep-Id", id)
 	w.Header().Set("X-Cache", disposition)
 	if disposition == "miss" {
@@ -740,7 +737,7 @@ func (s *Server) setStreamHeaders(w http.ResponseWriter, format, id, disposition
 // cursor on, each flushed and timed in the render stage.
 func (s *Server) streamOwned(w http.ResponseWriter, entry *sweepEntry, g grid, prefix []cell, j *store.Journal, format, disposition string, cursor, workers int) {
 	s.setStreamHeaders(w, format, entry.id, disposition)
-	stream := newStream(w, format, entry.id, len(g.jobs), cursor)
+	render := newBody(w, format, entry.id, len(g.jobs), cursor)
 	flusher, _ := w.(http.Flusher)
 	// The headers and the stream header leave before any cell is
 	// computed: a caller (the grid coordinator backing up a straggler)
@@ -753,13 +750,12 @@ func (s *Server) streamOwned(w http.ResponseWriter, entry *sweepEntry, g grid, p
 			return
 		}
 		start := time.Now()
-		stream.cell(i, c)
+		render(i, c)
 		if flusher != nil {
 			flusher.Flush()
 		}
 		s.metrics.stageRender.ObserveSince(start)
 	})
-	stream.finish()
 }
 
 // replay renders a completed entry's cells from cursor on: memory hits,
@@ -773,11 +769,10 @@ func (s *Server) replay(w http.ResponseWriter, e *sweepEntry, format, dispositio
 		return
 	}
 	s.setStreamHeaders(w, format, e.id, disposition)
-	stream := newStream(w, format, e.id, e.jobs, cursor)
+	render := newBody(w, format, e.id, e.jobs, cursor)
 	for i := cursor; i < len(e.cells); i++ {
-		stream.cell(i, e.cells[i])
+		render(i, e.cells[i])
 	}
-	stream.finish()
 }
 
 // grid is a batch of cells ready for runCells: its sweeprun jobs, the

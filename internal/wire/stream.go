@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"encoding/csv"
+	"encoding/json"
+	"io"
+
 	"taskalloc"
 	"taskalloc/internal/sweeprun"
 )
@@ -32,6 +36,75 @@ type Result struct {
 	// Trajectory is the golden-format trajectory CSV, present only when
 	// the job requested it.
 	Trajectory string `json:"trajectory,omitempty"`
+}
+
+// ContentType is the Content-Type of a sweep body in format ("csv",
+// else NDJSON): what a backend and the grid coordinator both send with
+// a POST /v1/sweeps stream and a cursored GET.
+func ContentType(format string) string {
+	if format == "csv" {
+		return "text/csv; charset=utf-8"
+	}
+	return "application/x-ndjson"
+}
+
+// BodyWriter renders a sweep body — the stream a POST /v1/sweeps
+// answers and a cursored GET replays — one cell at a time, in job
+// order. A backend's fresh, resumed and replayed streams and the grid
+// coordinator's merge all write through it, so their bodies are
+// byte-identical by construction.
+//
+// NDJSON is the StreamHeader line, then one Result line per cell,
+// trajectories included. CSV is exactly cmd/sweep's output: the
+// sweeprun header row, then one sweeprun.CSVRow per successful cell
+// (failed cells are skipped), each row flushed as it is written.
+type BodyWriter struct {
+	enc *json.Encoder // NDJSON; nil for CSV
+	csv *csv.Writer   // CSV; nil for NDJSON
+	err error         // NDJSON: the first write error
+}
+
+// NewBodyWriter starts a body in format ("csv", else NDJSON) on w. The
+// NDJSON header line is always written (a resuming client drops it: it
+// names the sweep the client already has); the CSV header row is
+// written, and flushed, only at cursor 0, so a cursored continuation
+// concatenates onto the interrupted body.
+func NewBodyWriter(w io.Writer, format string, header StreamHeader, cursor int) *BodyWriter {
+	if format == "csv" {
+		b := &BodyWriter{csv: csv.NewWriter(w)}
+		if cursor == 0 {
+			_ = b.csv.Write(sweeprun.CSVHeader())
+			b.csv.Flush()
+		}
+		return b
+	}
+	b := &BodyWriter{enc: json.NewEncoder(w)}
+	b.err = b.enc.Encode(header) // Encode appends the newline NDJSON needs
+	return b
+}
+
+// Cell writes one cell's result; rounds is its job's horizon (the CSV
+// switch rate's denominator). It returns the body's first write error.
+// An NDJSON result that cannot be encoded (a NaN that slipped past the
+// Report handling, say) still gets its line, carrying an "encode:"
+// error: Encode marshals before it writes, so the failed attempt wrote
+// nothing, and the failure is deterministic per cell, so every
+// rendering of the cell is the same.
+func (b *BodyWriter) Cell(res Result, rounds int) error {
+	if b.csv != nil {
+		if res.Err == "" && res.Report != nil {
+			_ = b.csv.Write(sweeprun.CSVRow(res.Meta, *res.Report, rounds))
+			b.csv.Flush() // per row, so an HTTP flusher has bytes to push
+		}
+		return b.csv.Error()
+	}
+	if b.err != nil {
+		return b.err
+	}
+	if err := b.enc.Encode(res); err != nil {
+		b.err = b.enc.Encode(Result{Index: res.Index, Meta: res.Meta, Err: "encode: " + err.Error()})
+	}
+	return b.err
 }
 
 // SweepStatus is the GET /v1/sweeps/{id} body.
