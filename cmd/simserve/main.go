@@ -17,10 +17,10 @@
 // auth with per-tenant quotas and rate limits (a JSON array of tenant
 // objects; see API.md).
 //
-// Observability: GET /v1/metrics serves Prometheus text exposition,
+// Observability: GET /v1/metrics serves Prometheus text exposition of
+// every counter the service keeps (GET /v1/healthz is liveness only),
 // -access-log emits one JSON line per request to stderr, and
-// -pprof-addr serves net/http/pprof on its own listener. On shutdown
-// the lifetime cache/durability totals are logged to stderr.
+// -pprof-addr serves net/http/pprof on its own listener.
 //
 // The bound address is printed on stdout as "listening on <addr>" once
 // the listener is up (with -addr :0 this is how callers learn the
@@ -46,6 +46,7 @@ import (
 
 	"taskalloc/internal/bisect"
 	"taskalloc/internal/simserver"
+	"taskalloc/internal/wire"
 )
 
 func main() {
@@ -55,7 +56,7 @@ func main() {
 		maxConc  = flag.Int("max-concurrent", 0, "simulations in flight across all requests (0 = GOMAXPROCS)")
 		cacheCap = flag.Int("cache-entries", 128, "completed sweeps kept for cached replay")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "retained-bytes budget of the result cache (trajectories dominate)")
-		maxBody  = flag.Int64("max-body-bytes", 64<<20, "largest accepted submission document")
+		maxBody  = flag.Int64("max-body-bytes", wire.MaxBodyBytes, "largest accepted submission document")
 		maxJobs  = flag.Int("max-jobs", 10000, "largest accepted grid (jobs per sweep)")
 		maxRnds  = flag.Int("max-cell-rounds", 10_000_000, "largest accepted per-cell horizon")
 		maxAnts  = flag.Int("max-cell-ants", 10_000_000, "largest accepted per-cell colony size")
@@ -158,9 +159,5 @@ func main() {
 		log.Printf("simserve: shutdown: %v", err)
 	}
 	srv.Close() // drain + return every checked-out shard worker
-	st := srv.Stats()
-	log.Printf("simserve: totals: sweeps hit=%d miss=%d coalesced=%d; disk sweep_hits=%d resumes=%d job_cache_hits=%d; persist_errors=%d",
-		st.SweepHits, st.SweepMisses, st.SweepCoalesced,
-		st.DiskSweepHits, st.DiskResumes, st.JobCacheDiskHits, st.PersistErrors)
 	log.Printf("simserve: drained, exiting")
 }

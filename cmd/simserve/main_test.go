@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -25,8 +24,8 @@ import (
 // TestE2ESmoke is the end-to-end smoke CI runs: build and boot the
 // real simserve binary, POST the whole golden-corpus sweep through the
 // typed client with trajectories on, byte-compare every streamed
-// trajectory against testdata/golden, verify the cache replay, and
-// shut the process down gracefully.
+// trajectory against testdata/golden, verify the cache replay and the
+// live /v1/metrics counters, and shut the process down gracefully.
 func TestE2ESmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the service binary")
@@ -146,6 +145,7 @@ func TestE2ESmoke(t *testing.T) {
 		`taskalloc_sweep_requests_total{disposition="hit"} 1`,
 		`taskalloc_stage_seconds_count{stage="engine_run"}`,
 		`taskalloc_http_requests_total{route="POST /v1/sweeps",code="200"} 2`,
+		"taskalloc_persist_errors_total 0",
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("metrics exposition missing %q", want)
@@ -166,10 +166,8 @@ func TestE2ESmoke(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("simserve did not drain within 30s of SIGTERM")
 	}
-	// The shutdown log summarizes the lifetime cache/durability totals.
-	if logs := errBuf.String(); !strings.Contains(logs, "simserve: totals: sweeps hit=1 miss=1") ||
-		!strings.Contains(logs, "persist_errors=0") {
-		t.Errorf("shutdown summary missing or wrong:\n%s", logs)
+	if logs := errBuf.String(); !strings.Contains(logs, "simserve: drained, exiting") {
+		t.Errorf("shutdown log missing the drain line:\n%s", logs)
 	}
 }
 
@@ -223,7 +221,7 @@ func durabilitySweep(jobs int) wire.Sweep {
 // middle of an NDJSON stream, restart on the same directory, reconnect
 // with ?cursor=N, and byte-compare the stitched response against an
 // uninterrupted run — then verify the CSV replay, the warm cache hit,
-// and the disk_resumes counter.
+// and the resume on /v1/metrics.
 func TestE2EDurability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the service binary")
@@ -357,21 +355,26 @@ func TestE2EDurability(t *testing.T) {
 		t.Fatal("re-submission after restart not byte-identical")
 	}
 
-	// healthz accounts the resume.
-	_, health := get("/v1/healthz")
-	var hb struct {
-		Stats struct {
-			DiskResumes   uint64 `json:"disk_resumes"`
-			PersistErrors uint64 `json:"persist_errors"`
-		} `json:"stats"`
+	// The exposition accounts the resume.
+	_, exposition := get("/v1/metrics")
+	sample := func(series string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(string(exposition), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/v1/metrics has no series %s", series)
+		return 0
 	}
-	if err := json.Unmarshal(health, &hb); err != nil {
-		t.Fatal(err)
+	if got := sample("taskalloc_disk_resumes_total"); got < 1 {
+		t.Fatalf("disk resumes = %g, want >= 1", got)
 	}
-	if hb.Stats.DiskResumes < 1 {
-		t.Fatalf("disk_resumes = %d, want >= 1", hb.Stats.DiskResumes)
-	}
-	if hb.Stats.PersistErrors != 0 {
-		t.Fatalf("persist_errors = %d, want 0", hb.Stats.PersistErrors)
+	if got := sample("taskalloc_persist_errors_total"); got != 0 {
+		t.Fatalf("persist errors = %g, want 0", got)
 	}
 }

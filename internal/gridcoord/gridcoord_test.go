@@ -469,16 +469,15 @@ func TestRejectionIsFatal(t *testing.T) {
 // where the second run's jobs go.
 func TestResubmittedGridHitsBackendCaches(t *testing.T) {
 	const n = 3
-	servers := make([]*simserver.Server, n)
 	urls := make([]string, n)
-	for i := range servers {
+	for i := range urls {
 		var delay time.Duration
 		if i == 1 {
 			delay = 2 * time.Millisecond
 		}
-		servers[i] = simserver.New(simserver.Options{Workers: 2, JobDelay: delay})
-		t.Cleanup(servers[i].Close)
-		ts := httptest.NewServer(servers[i])
+		srv := simserver.New(simserver.Options{Workers: 2, JobDelay: delay})
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
@@ -509,22 +508,48 @@ func TestResubmittedGridHitsBackendCaches(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatal("re-submitted grid merged to different bytes")
 	}
-	var hits, misses uint64
-	for _, s := range servers {
-		st := s.Stats()
-		hits += st.SweepHits
-		misses += st.SweepMisses
+	var hits, misses float64
+	for _, u := range urls {
+		hits += backendMetric(t, u, `taskalloc_sweep_requests_total{disposition="hit"}`)
+		misses += backendMetric(t, u, `taskalloc_sweep_requests_total{disposition="miss"}`)
 	}
 	if misses != n || hits != n {
-		t.Errorf("backend sweep caches: %d misses, %d hits over two runs; want %d and %d (second run fully warm)",
+		t.Errorf("backend sweep caches: %g misses, %g hits over two runs; want %d and %d (second run fully warm)",
 			misses, hits, n, n)
 	}
+}
+
+// backendMetric scrapes a backend's GET /v1/metrics and returns one
+// series' value (name plus labels), failing when it is absent.
+func backendMetric(t *testing.T, base, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s/v1/metrics has no series %s", base, series)
+	return 0
 }
 
 // TestBisectThroughCoordinator: the coordinator shards each refinement
 // round across the backends with deterministic per-γ affinity, so a
 // repeat request replays every shard from a warm backend cache; killing
-// a backend fails its shards over to survivors.
+// the backend that owns a round-1 cell fails its shards over to
+// survivors, and the coordinator reports the loss.
 func TestBisectThroughCoordinator(t *testing.T) {
 	urls := bootBackends(t, 3, nil)
 	coord, err := New(Options{Backends: urls})
@@ -564,16 +589,24 @@ func TestBisectThroughCoordinator(t *testing.T) {
 			again.CacheHits, again.Evals)
 	}
 
-	// Failover: replace one backend with a dead address; the shards it
-	// owns must still succeed on a survivor (cold cache).
-	h, err := wire.BisectHash(req)
+	// Failover: replace the range owner of the γ_lo endpoint cell — which
+	// every search evaluates in round 1 — with a dead address; the shards
+	// it owns must still succeed on a survivor (cold cache).
+	lo := req.Job
+	lo.Config.Gamma = req.GammaLo
+	h, err := wire.SemanticHash(lo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerIndex(t, h, len(urls))
 	broken := append([]string(nil), urls...)
 	broken[owner] = "http://127.0.0.1:1"
-	failover, err := New(Options{Backends: broken})
+	var ownerLost atomic.Bool
+	failover, err := New(Options{Backends: broken, Observe: func(ev Event) {
+		if ev.Kind == EventBackendLost && ev.Backend == owner {
+			ownerLost.Store(true)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,6 +616,9 @@ func TestBisectThroughCoordinator(t *testing.T) {
 	}
 	if resp.Evals != first.Evals {
 		t.Errorf("failover response evaluated %d cells, owner evaluated %d", resp.Evals, first.Evals)
+	}
+	if !ownerLost.Load() {
+		t.Errorf("no EventBackendLost for the dead owner, backend %d", owner)
 	}
 }
 

@@ -55,10 +55,6 @@ func (c *Coordinator) SweepStatus(id string) (*wire.SweepStatus, error) {
 	return status, nil
 }
 
-// maxCoordBodyBytes caps a coordinator-served request document; the
-// backends' own admission still applies per sub-sweep.
-const maxCoordBodyBytes = 64 << 20
-
 // Handler returns the coordinator's HTTP surface: POST /v1/sweeps
 // (merged grid stream, ?format=ndjson|csv), POST /v1/bisect (sharded
 // refinement search), GET /v1/sweeps/{id} (a retained run's status),
@@ -91,9 +87,9 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown format %q", r.URL.Query().Get("format"))
 		return
 	}
-	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, maxCoordBodyBytes))
+	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	if sweep.Version == "" {
@@ -116,9 +112,9 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {
-	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, 8<<20))
+	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	resp, err := c.Bisect(r.Context(), req)

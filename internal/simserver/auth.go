@@ -29,7 +29,7 @@ import (
 // TenantConfig declares one tenant: its bearer token, a cumulative job
 // quota, and a token-bucket rate limit over requests.
 type TenantConfig struct {
-	// Name identifies the tenant in healthz stats (never the token).
+	// Name labels the tenant's /v1/metrics series (never the token).
 	Name string `json:"name"`
 	// Token is the bearer token (compared constant-time).
 	Token string `json:"token"`
@@ -43,26 +43,10 @@ type TenantConfig struct {
 	Burst int `json:"burst,omitempty"`
 }
 
-// TenantStats counts one tenant's dispositions since the server
-// started. All counters are monotone.
-type TenantStats struct {
-	// Requests counts authenticated requests admitted past the rate
-	// limiter (including ones later rejected by validation or quota).
-	Requests uint64 `json:"requests"`
-	// RateLimited counts requests rejected 429 by the token bucket.
-	RateLimited uint64 `json:"rate_limited"`
-	// QuotaRejected counts submissions rejected 403 by the job quota.
-	QuotaRejected uint64 `json:"quota_rejected"`
-	// JobsSubmitted is the cumulative sweep jobs charged against the
-	// quota.
-	JobsSubmitted uint64 `json:"jobs_submitted"`
-}
-
 // tenant is one tenant's live state: its config, token bucket, and
 // counters. The bucket uses the server's clock (injectable in tests).
-// The disposition counters are obs children cached at construction —
-// they are the single source of truth, read back by snapshot() for the
-// healthz JSON and exposed by name on /v1/metrics.
+// The disposition counters are obs children cached at construction,
+// exported by tenant name on /v1/metrics.
 type tenant struct {
 	cfg TenantConfig
 
@@ -161,16 +145,6 @@ func (t *tenant) chargeJobs(n int) bool {
 	return true
 }
 
-// snapshot reads the tenant's counters back into the healthz schema.
-func (t *tenant) snapshot() TenantStats {
-	return TenantStats{
-		Requests:      t.mRequests.Value(),
-		RateLimited:   t.mRateLimited.Value(),
-		QuotaRejected: t.mQuotaRejected.Value(),
-		JobsSubmitted: t.mJobs.Value(),
-	}
-}
-
 // tenantKey is the context key the middleware stores the caller under.
 type tenantKey struct{}
 
@@ -222,17 +196,4 @@ func writeErrorBody(w http.ResponseWriter, code int, body wire.ErrorBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(body)
-}
-
-// tenantStats snapshots every tenant's counters by name, nil when auth
-// is disabled (so healthz omits the field entirely).
-func (s *Server) tenantStats() map[string]TenantStats {
-	if s.auth == nil {
-		return nil
-	}
-	out := make(map[string]TenantStats, len(s.auth.tenants))
-	for _, t := range s.auth.tenants {
-		out[t.cfg.Name] = t.snapshot()
-	}
-	return out
 }

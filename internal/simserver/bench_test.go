@@ -191,9 +191,8 @@ func BenchmarkSemanticAlias(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		st := srv.Stats()
-		if st.SemanticAliasHits < uint64(b.N) {
-			b.Fatalf("semantic alias hits %d < %d iterations", st.SemanticAliasHits, b.N)
+		if hits := metric(b, hs.URL, "taskalloc_semantic_alias_hits_total"); hits < float64(b.N) {
+			b.Fatalf("semantic alias hits %.0f < %d iterations", hits, b.N)
 		}
 	})
 }

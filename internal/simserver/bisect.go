@@ -50,12 +50,7 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 
 	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "%v", err)
+		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	// Admission: the same per-cell bounds as POST /v1/sweeps, plus the

@@ -212,7 +212,7 @@ func TestBisectConcurrentCoalesce(t *testing.T) {
 	}
 	go post()
 	deadline := time.Now().Add(30 * time.Second)
-	for srv.Stats().BisectJobMisses == 0 {
+	for srv.metrics.bisectJobMisses.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first bisect never started evaluating")
 		}

@@ -79,9 +79,10 @@ func TestRateLimitTokenBucket(t *testing.T) {
 		t.Fatalf("post-refill request: HTTP %d (%s), want 404", resp.StatusCode, body)
 	}
 
-	stats := srv.tenantStats()["acme"]
-	if stats.Requests != 3 || stats.RateLimited != 1 {
-		t.Fatalf("tenant stats = %+v, want 3 admitted, 1 rate-limited", stats)
+	requests := srv.metrics.tenantRequests.With("acme").Value()
+	limited := srv.metrics.tenantRateLimited.With("acme").Value()
+	if requests != 3 || limited != 1 {
+		t.Fatalf("tenant requests %d, rate-limited %d; want 3 admitted, 1 rate-limited", requests, limited)
 	}
 }
 
@@ -150,12 +151,11 @@ func TestBisectDiskCacheWarmAcrossRestart(t *testing.T) {
 			t.Fatalf("cell %d report diverged across restart", i)
 		}
 	}
-	st := srvB.Stats()
-	if st.JobCacheDiskHits == 0 || st.JobCacheDiskHits != uint64(first.Evals) {
-		t.Fatalf("job cache disk hits = %d, want %d", st.JobCacheDiskHits, first.Evals)
+	if hits := srvB.metrics.jobCacheDiskHits.Value(); hits == 0 || hits != uint64(first.Evals) {
+		t.Fatalf("job cache disk hits = %d, want %d", hits, first.Evals)
 	}
-	if st.PersistErrors != 0 {
-		t.Fatalf("persist errors = %d, want 0", st.PersistErrors)
+	if errs := srvB.metrics.persistErrors.Value(); errs != 0 {
+		t.Fatalf("persist errors = %d, want 0", errs)
 	}
 }
 

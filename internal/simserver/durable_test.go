@@ -101,18 +101,18 @@ func TestDurableRestartReplay(t *testing.T) {
 		t.Fatal("alias replay after restart not byte-identical")
 	}
 
-	st := srvB.Stats()
-	if st.DiskSweepHits != 1 {
-		t.Fatalf("disk sweep hits = %d, want 1", st.DiskSweepHits)
+	if got := metric(t, tsB.URL, "taskalloc_disk_sweep_hits_total"); got != 1 {
+		t.Fatalf("disk sweep hits = %g, want 1", got)
 	}
-	if st.SemanticAliasHits != 1 {
-		t.Fatalf("semantic alias hits = %d, want 1", st.SemanticAliasHits)
+	if got := metric(t, tsB.URL, "taskalloc_semantic_alias_hits_total"); got != 1 {
+		t.Fatalf("semantic alias hits = %g, want 1", got)
 	}
-	if st.PersistErrors != 0 {
-		t.Fatalf("persist errors = %d, want 0", st.PersistErrors)
+	if got := metric(t, tsB.URL, "taskalloc_persist_errors_total"); got != 0 {
+		t.Fatalf("persist errors = %g, want 0", got)
 	}
-	if st.DiskJournals == 0 || st.DiskBytes == 0 {
-		t.Fatalf("journal store empty after restart: %+v", st)
+	journals := metric(t, tsB.URL, "taskalloc_store_journals")
+	if diskBytes := metric(t, tsB.URL, "taskalloc_store_bytes"); journals == 0 || diskBytes == 0 {
+		t.Fatalf("journal store empty after restart: %g journals, %g bytes", journals, diskBytes)
 	}
 }
 
@@ -317,14 +317,13 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 			if !bytes.Equal(body, fullBody) {
 				t.Fatalf("recover-then-serve differs from never-crashed run:\n--- recovered\n%s--- golden\n%s", body, fullBody)
 			}
-			st := srv.Stats()
 			disposition := resp.Header.Get("X-Cache")
 			if tc.resumes {
 				if disposition != "resume" {
 					t.Fatalf("X-Cache = %q, want resume", disposition)
 				}
-				if st.DiskResumes != 1 {
-					t.Fatalf("disk resumes = %d, want 1", st.DiskResumes)
+				if got := metric(t, ts.URL, "taskalloc_disk_resumes_total"); got != 1 {
+					t.Fatalf("disk resumes = %g, want 1", got)
 				}
 			} else if disposition != "miss" {
 				t.Fatalf("X-Cache = %q, want miss (journal unrecoverable)", disposition)
@@ -427,8 +426,8 @@ func TestDurableResumeStitchMidStream(t *testing.T) {
 	if !bytes.Equal(stitched, fullBody) {
 		t.Fatalf("stitched resume differs from uninterrupted body:\n--- stitched\n%s--- full\n%s", stitched, fullBody)
 	}
-	if st := srvB.Stats(); st.DiskResumes != 1 {
-		t.Fatalf("disk resumes = %d, want 1", st.DiskResumes)
+	if got := metric(t, tsB.URL, "taskalloc_disk_resumes_total"); got != 1 {
+		t.Fatalf("disk resumes = %g, want 1", got)
 	}
 }
 
@@ -461,8 +460,9 @@ func TestDurableEvictedJournalIs404(t *testing.T) {
 	if _, err := os.Stat(wal(idA)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("sweep A's journal was not evicted: %v", err)
 	}
-	if st := srv.Stats(); st.DiskJournals != 1 || st.CacheEntries != 1 {
-		t.Fatalf("disk journals %d, cache entries %d; want 1 and 1", st.DiskJournals, st.CacheEntries)
+	journals := metric(t, ts.URL, "taskalloc_store_journals")
+	if entries := metric(t, ts.URL, "taskalloc_sweep_cache_entries"); journals != 1 || entries != 1 {
+		t.Fatalf("disk journals %g, cache entries %g; want 1 and 1", journals, entries)
 	}
 	for _, query := range []string{"", "?cursor=0"} {
 		resp, body := getRaw(t, ts.URL+"/v1/sweeps/"+idA+query)
@@ -497,8 +497,8 @@ func TestDurableEvictedJournalIs404(t *testing.T) {
 
 // TestTenantAuthEndToEnd covers the tenant layer through the typed
 // client: open endpoints stay open, missing/unknown tokens are typed
-// 401s, the cumulative job quota is a typed 403, and healthz reports
-// per-tenant stats.
+// 401s, the cumulative job quota is a typed 403, and /v1/metrics
+// reports per-tenant counters.
 func TestTenantAuthEndToEnd(t *testing.T) {
 	srv, err := simserver.Open(simserver.Options{
 		Workers: 2,
@@ -565,26 +565,16 @@ func TestTenantAuthEndToEnd(t *testing.T) {
 		t.Fatalf("QuotaError does not unwrap to a 403 APIError: %v", err)
 	}
 
-	// healthz reports the tenant's counters by name, never its token.
-	resp, body := getRaw(t, ts.URL+"/v1/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: HTTP %d: %s", resp.StatusCode, body)
-	}
-	var health struct {
-		Status  string                           `json:"status"`
-		Tenants map[string]simserver.TenantStats `json:"tenants"`
-	}
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
-	acme, ok := health.Tenants["acme"]
-	if !ok {
-		t.Fatalf("healthz tenants = %v, want acme", health.Tenants)
-	}
-	if acme.JobsSubmitted != 12 || acme.QuotaRejected != 1 || acme.Requests != 3 {
-		t.Fatalf("tenant stats = %+v, want 12 jobs, 1 quota rejection, 3 requests", acme)
+	// The unauthenticated exposition reports the tenant's counters by
+	// name, never its token.
+	body := scrape(t, ts.URL)
+	jobs := sampleValue(body, `taskalloc_tenant_jobs_submitted_total{tenant="acme"} `)
+	rejected := sampleValue(body, `taskalloc_tenant_quota_rejected_total{tenant="acme"} `)
+	requests := sampleValue(body, `taskalloc_tenant_requests_total{tenant="acme"} `)
+	if jobs != "12" || rejected != "1" || requests != "3" {
+		t.Fatalf("tenant acme: %q jobs, %q quota rejections, %q requests; want 12, 1, 3", jobs, rejected, requests)
 	}
 	if bytes.Contains(body, []byte("sekret-acme")) {
-		t.Fatal("healthz body leaks the tenant token")
+		t.Fatal("exposition leaks the tenant token")
 	}
 }

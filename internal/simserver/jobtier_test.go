@@ -422,8 +422,8 @@ func TestJournalReplayWarmsBisect(t *testing.T) {
 	tsB := httptest.NewServer(srvB)
 	defer tsB.Close()
 	resp, again := postSweep(t, tsB.URL, sweep, "")
-	if d := resp.Header.Get("X-Cache"); d != "hit" || srvB.Stats().DiskSweepHits != 1 {
-		t.Fatalf("re-POST after restart: X-Cache %q, disk sweep hits %d; want a disk hit", d, srvB.Stats().DiskSweepHits)
+	if d, hits := resp.Header.Get("X-Cache"), srvB.metrics.diskSweepHits.Value(); d != "hit" || hits != 1 {
+		t.Fatalf("re-POST after restart: X-Cache %q, disk sweep hits %d; want a disk hit", d, hits)
 	}
 	if !bytes.Equal(again, first) {
 		t.Fatal("replay after restart not byte-identical")
@@ -454,10 +454,10 @@ func TestJournalReplayWarmsBisect(t *testing.T) {
 			t.Fatalf("cell γ=%g report differs from the sweep's:\n%s\n%s", c.Gamma, got, want)
 		}
 	}
-	st := srvB.Stats()
-	if st.BisectJobHits != 2 || st.JobCacheDiskHits != 0 || out.CacheHits != 2 {
+	hits, diskHits := srvB.metrics.bisectJobHits.Value(), srvB.metrics.jobCacheDiskHits.Value()
+	if hits != 2 || diskHits != 0 || out.CacheHits != 2 {
 		t.Fatalf("bisect job hits %d (response %d), disk hits %d; want 2, 2, 0",
-			st.BisectJobHits, out.CacheHits, st.JobCacheDiskHits)
+			hits, out.CacheHits, diskHits)
 	}
 }
 

@@ -11,14 +11,12 @@ import (
 	"taskalloc/internal/sweeprun"
 )
 
-// Telemetry layer (DESIGN.md §14): every counter the ad-hoc Stats
-// struct used to hold now lives on obs primitives — atomic, monotone,
-// and rendered on GET /v1/metrics in Prometheus text format — and the
-// request path is wrapped with per-route latency/status accounting, a
-// per-request ID, optional structured access logging, and per-stage
-// histograms (admission, cache lookup, engine run, render, journal
-// append). Stats() and /v1/healthz re-derive the exact JSON schema
-// clients already scrape, so nothing upstream changes.
+// Telemetry layer (DESIGN.md §14): every counter the server keeps lives
+// on obs primitives — atomic, monotone, and rendered on GET /v1/metrics
+// in Prometheus text format, their one export — and the request path
+// is wrapped with per-route latency/status accounting, a per-request
+// ID, optional structured access logging, and per-stage histograms
+// (admission, cache lookup, engine run, render, journal append).
 
 // serverMetrics is one Server's metric families, with the hot-path
 // histogram children resolved once at construction (Vec lookups take a
@@ -37,7 +35,7 @@ type serverMetrics struct {
 	stageRender        *obs.Histogram
 	stageJournalAppend *obs.Histogram
 
-	// Cache-disposition counters (the Stats struct's sources of truth).
+	// Cache-disposition counters.
 	sweepHits        *obs.Counter
 	sweepMisses      *obs.Counter
 	sweepCoalesced   *obs.Counter

@@ -117,15 +117,16 @@ func TestSemanticAliasEndToEnd(t *testing.T) {
 		t.Fatalf("alias replay not byte-identical:\n fresh: %d bytes\ncached: %d bytes", len(freshBody), len(cachedBody))
 	}
 
-	st := srv.Stats()
-	if st.SweepMisses != 1 || st.SweepHits != 1 {
-		t.Fatalf("stats = %+v, want 1 miss + 1 hit", st)
+	misses := metric(t, ts.URL, `taskalloc_sweep_requests_total{disposition="miss"}`)
+	hits := metric(t, ts.URL, `taskalloc_sweep_requests_total{disposition="hit"}`)
+	if misses != 1 || hits != 1 {
+		t.Fatalf("sweeps: %g misses, %g hits; want 1 miss + 1 hit", misses, hits)
 	}
-	if st.SemanticAliasHits != 1 {
-		t.Fatalf("semantic alias hits = %d, want 1", st.SemanticAliasHits)
+	if got := metric(t, ts.URL, "taskalloc_semantic_alias_hits_total"); got != 1 {
+		t.Fatalf("semantic alias hits = %g, want 1", got)
 	}
-	if st.CacheEntries != 1 {
-		t.Fatalf("cache entries = %d, want 1 (aliases share the entry)", st.CacheEntries)
+	if got := metric(t, ts.URL, "taskalloc_sweep_cache_entries"); got != 1 {
+		t.Fatalf("cache entries = %g, want 1 (aliases share the entry)", got)
 	}
 }
 
@@ -142,17 +143,16 @@ func TestSemanticAliasEvictionAccounting(t *testing.T) {
 
 		generative, frozen := aliasSweeps(t, true)
 		postRaw(t, ts.URL, generative)
-		after1 := srv.Stats()
-		if after1.CacheBytes <= 0 {
-			t.Fatalf("entry charged %d bytes, want > 0", after1.CacheBytes)
+		bytes1 := metric(t, ts.URL, "taskalloc_sweep_cache_bytes")
+		if bytes1 <= 0 {
+			t.Fatalf("entry charged %g bytes, want > 0", bytes1)
 		}
 		postRaw(t, ts.URL, frozen)
-		after2 := srv.Stats()
-		if after2.CacheBytes != after1.CacheBytes {
-			t.Fatalf("alias hit changed the charged bytes: %d -> %d", after1.CacheBytes, after2.CacheBytes)
+		if bytes2 := metric(t, ts.URL, "taskalloc_sweep_cache_bytes"); bytes2 != bytes1 {
+			t.Fatalf("alias hit changed the charged bytes: %g -> %g", bytes1, bytes2)
 		}
-		if after2.CacheEntries != 1 {
-			t.Fatalf("cache entries = %d, want 1", after2.CacheEntries)
+		if got := metric(t, ts.URL, "taskalloc_sweep_cache_entries"); got != 1 {
+			t.Fatalf("cache entries = %g, want 1", got)
 		}
 	})
 
@@ -183,9 +183,10 @@ func TestSemanticAliasEvictionAccounting(t *testing.T) {
 		if !bytes.Equal(firstBody, secondBody) {
 			t.Fatal("fresh alias runs diverged")
 		}
-		st := srv.Stats()
-		if st.SweepMisses != 3 || st.SweepHits != 0 {
-			t.Fatalf("stats = %+v, want 3 misses and no hits", st)
+		misses := metric(t, ts.URL, `taskalloc_sweep_requests_total{disposition="miss"}`)
+		hits := metric(t, ts.URL, `taskalloc_sweep_requests_total{disposition="hit"}`)
+		if misses != 3 || hits != 0 {
+			t.Fatalf("sweeps: %g misses, %g hits; want 3 misses and no hits", misses, hits)
 		}
 	})
 }
@@ -231,14 +232,15 @@ func TestConcurrentAliasSubmissionsCoalesce(t *testing.T) {
 	if !bytes.Equal(a.body, b.body) {
 		t.Fatal("concurrent alias submissions got different bodies")
 	}
-	st := srv.Stats()
-	if st.SweepMisses != 1 {
-		t.Fatalf("misses = %d, want 1 (one execution)", st.SweepMisses)
+	if misses := metric(t, ts.URL, `taskalloc_sweep_requests_total{disposition="miss"}`); misses != 1 {
+		t.Fatalf("misses = %g, want 1 (one execution)", misses)
 	}
-	if st.SweepHits+st.SweepCoalesced != 1 {
-		t.Fatalf("stats = %+v, want exactly one joiner", st)
+	hits := metric(t, ts.URL, `taskalloc_sweep_requests_total{disposition="hit"}`)
+	coalesced := metric(t, ts.URL, `taskalloc_sweep_requests_total{disposition="coalesced"}`)
+	if hits+coalesced != 1 {
+		t.Fatalf("%g hits + %g coalesced, want exactly one joiner", hits, coalesced)
 	}
-	if st.SemanticAliasHits != 1 {
-		t.Fatalf("semantic alias hits = %d, want 1", st.SemanticAliasHits)
+	if got := metric(t, ts.URL, "taskalloc_semantic_alias_hits_total"); got != 1 {
+		t.Fatalf("semantic alias hits = %g, want 1", got)
 	}
 }

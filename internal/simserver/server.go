@@ -25,8 +25,9 @@
 // schedule, a degenerate Markov chain vs. its step) — is served from
 // cache byte-identically to the fresh response. The X-Sweep-Cache
 // header says hit or miss; the finer X-Cache header distinguishes
-// hit | miss | coalesced, and Stats/healthz count semantic-alias hits
-// (cache hits whose syntactic hash differs from the entry creator's).
+// hit | miss | coalesced, and GET /v1/metrics counts semantic-alias
+// hits (cache hits whose syntactic hash differs from the entry
+// creator's).
 // Concurrent equivalent submissions coalesce onto one execution. Below
 // the sweep cache, each cell's report is kept in the job tier under its
 // behavioral job hash, so a new grid that shares cells with an earlier
@@ -41,7 +42,6 @@ package simserver
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -72,7 +72,7 @@ type Options struct {
 	// Eviction is FIFO over completed sweeps.
 	CacheEntries int
 	// MaxBodyBytes caps a submission document's size (the decoder
-	// materializes the whole grid); <= 0 means 64 MiB.
+	// materializes the whole grid); <= 0 means wire.MaxBodyBytes.
 	MaxBodyBytes int64
 	// MaxJobs caps a single sweep's grid size; <= 0 means 10000.
 	MaxJobs int
@@ -177,8 +177,8 @@ type Server struct {
 	// nil means time.Now.
 	nowFn func() time.Time
 
-	// metrics is the telemetry layer (always non-nil; see metrics.go).
-	// Every counter the Stats snapshot reports lives here.
+	// metrics is the telemetry layer (always non-nil; see metrics.go):
+	// every counter the server keeps, exported on GET /v1/metrics.
 	metrics *serverMetrics
 	// accessLog is the structured request logger, nil when
 	// Options.AccessLog is nil.
@@ -191,77 +191,6 @@ func (s *Server) now() time.Time {
 		return s.nowFn()
 	}
 	return time.Now()
-}
-
-// Stats counts cache dispositions since the server started. All
-// counters are monotone; Gauges (CacheEntries, CacheBytes) reflect the
-// moment of the Stats call.
-type Stats struct {
-	// SweepHits / SweepMisses / SweepCoalesced classify POST /v1/sweeps
-	// submissions: served from a completed cache entry, executed fresh,
-	// or joined onto a running execution.
-	SweepHits      uint64 `json:"sweep_hits"`
-	SweepMisses    uint64 `json:"sweep_misses"`
-	SweepCoalesced uint64 `json:"sweep_coalesced"`
-	// SemanticAliasHits counts the subset of SweepHits + SweepCoalesced
-	// whose syntactic hash (wire.SweepHash) differed from the hash of
-	// the submission that created the entry — the wins only the
-	// behavioral cache key can deliver.
-	SemanticAliasHits uint64 `json:"semantic_alias_hits"`
-	// BisectJobHits / BisectJobMisses classify per-γ cell evaluations
-	// against the job-level result cache; BisectCoalesced counts bisect
-	// requests that joined an in-flight equivalent execution.
-	BisectJobHits   uint64 `json:"bisect_job_hits"`
-	BisectJobMisses uint64 `json:"bisect_job_misses"`
-	BisectCoalesced uint64 `json:"bisect_coalesced"`
-	// DiskSweepHits counts sweeps served entirely from an on-disk
-	// journal after a restart (POST submissions so served are
-	// reclassified from SweepMisses to SweepHits); DiskResumes counts
-	// incomplete journals resumed (checkpointed prefix replayed from
-	// disk, remaining cells executed). JobCacheDiskHits counts sweep
-	// and bisect cells served from the disk job tier (and promoted into
-	// memory). PersistErrors counts
-	// best-effort durability failures — the request is still served
-	// from memory, but its checkpoints stopped.
-	DiskSweepHits    uint64 `json:"disk_sweep_hits"`
-	DiskResumes      uint64 `json:"disk_resumes"`
-	JobCacheDiskHits uint64 `json:"job_cache_disk_hits"`
-	PersistErrors    uint64 `json:"persist_errors"`
-	// CacheEntries / CacheBytes are the sweep cache's current size.
-	CacheEntries int   `json:"cache_entries"`
-	CacheBytes   int64 `json:"cache_bytes"`
-	// DiskJournals / DiskBytes are the journal store's current size
-	// (zero when durability is off).
-	DiskJournals int   `json:"disk_journals"`
-	DiskBytes    int64 `json:"disk_bytes"`
-}
-
-// Stats snapshots the server's cache counters. The counters live on
-// the telemetry registry (GET /v1/metrics renders the same values);
-// this snapshot re-derives the stable JSON schema healthz serves.
-func (s *Server) Stats() Stats {
-	m := s.metrics
-	out := Stats{
-		SweepHits:         m.sweepHits.Value(),
-		SweepMisses:       m.sweepMisses.Value(),
-		SweepCoalesced:    m.sweepCoalesced.Value(),
-		SemanticAliasHits: m.aliasHits.Value(),
-		BisectJobHits:     m.bisectJobHits.Value(),
-		BisectJobMisses:   m.bisectJobMisses.Value(),
-		BisectCoalesced:   m.bisectCoalesced.Value(),
-		DiskSweepHits:     m.diskSweepHits.Value(),
-		DiskResumes:       m.diskResumes.Value(),
-		JobCacheDiskHits:  m.jobCacheDiskHits.Value(),
-		PersistErrors:     m.persistErrors.Value(),
-	}
-	s.mu.Lock()
-	out.CacheEntries = len(s.cache)
-	out.CacheBytes = s.cacheSize
-	s.mu.Unlock()
-	if s.store != nil {
-		out.DiskJournals, out.DiskBytes = s.store.Stats()
-	}
-	return out
 }
 
 // sweepEntry is one sweep's lifecycle: created on first submission,
@@ -316,7 +245,7 @@ func Open(opts Options) (*Server, error) {
 		opts.CacheEntries = 128
 	}
 	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 64 << 20
+		opts.MaxBodyBytes = wire.MaxBodyBytes
 	}
 	if opts.MaxJobs <= 0 {
 		opts.MaxJobs = 10000
@@ -550,12 +479,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "%v", err)
+		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	// Admission bounds: a well-formed document must not be able to buy
@@ -935,13 +859,11 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request, id stri
 	s.replay(w, e, format, "hit", cursor)
 }
 
+// handleHealthz answers liveness only: the server's counters are
+// exported once, on GET /v1/metrics.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Status  string                 `json:"status"`
-		Stats   Stats                  `json:"stats"`
-		Tenants map[string]TenantStats `json:"tenants,omitempty"`
-	}{Status: "ok", Stats: s.Stats(), Tenants: s.tenantStats()})
+	_, _ = io.WriteString(w, `{"status":"ok"}`+"\n")
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {

@@ -269,6 +269,25 @@ func TestOpsEndpoints(t *testing.T) {
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// healthz is liveness only. Its exact body — after traffic, and
+	// without a token on a server with tenants — carries no counter,
+	// tenant name or token: /v1/metrics is the counters' one export.
+	healthz := func(base string) {
+		t.Helper()
+		const want = `{"status":"ok"}` + "\n"
+		if resp, body := getRaw(t, base+"/v1/healthz"); resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Errorf("GET /v1/healthz: HTTP %d %q, want 200 %q", resp.StatusCode, body, want)
+		}
+	}
+	tenanted := simserver.New(simserver.Options{
+		Tenants: []simserver.TenantConfig{{Name: "acme", Token: "sekrit"}},
+	})
+	tenantHS, tenantClient, tenantDone := newHTTPService(t, tenanted)
+	defer tenantDone()
+	if _, err := tenantClient.WithToken("sekrit").GetSweep(ctx, "nope"); err == nil {
+		t.Fatal("expected a 404 for an unknown sweep")
+	}
+	healthz(tenantHS.URL)
 	v, err := c.Version(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +394,7 @@ func TestOpsEndpoints(t *testing.T) {
 	if status.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", status.Failed)
 	}
+	healthz(hs.URL)
 }
 
 // TestDrainReturnsAllWorkers is the pool-lifecycle regression test:

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,7 +141,8 @@ func (b *BisectInterval) UnmarshalJSON(data []byte) error {
 type BisectResponse struct {
 	// Version is the wire-format version tag (V1).
 	Version string `json:"version"`
-	// ID is the request's canonical hash (BisectHash).
+	// ID is the request's behavioral hash (SemanticBisectHash of the
+	// request as sent).
 	ID string `json:"id"`
 	// Cells are the evaluated γ points in ascending γ order.
 	Cells []BisectCell `json:"cells"`
@@ -158,21 +157,4 @@ type BisectResponse struct {
 	// segment hit the floating-point width floor) before every
 	// segment's band met the target.
 	Converged bool `json:"converged"`
-}
-
-// BisectHash digests a bisect request's canonical form: the template
-// job's canonical bytes plus the search parameters. The grid
-// coordinator keys backend affinity on it, so identical re-bisections
-// land on the backend whose job cache is already warm.
-func BisectHash(b BisectRequest) (string, error) {
-	b.Job.Trajectory = false // ignored by bisect; must not split the hash
-	jb, err := json.Marshal(canonicalJob(b.Job))
-	if err != nil {
-		return "", fmt.Errorf("wire: hash bisect request: %w", err)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "bisect/%s\n%g %g %g %d\n", orDefault(b.Version, V1),
-		b.GammaLo, b.GammaHi, b.TargetBand, b.MaxEvals)
-	h.Write(jb)
-	return hex.EncodeToString(h.Sum(nil)), nil
 }

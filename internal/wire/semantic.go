@@ -114,10 +114,10 @@ func semanticSweep(s Sweep, withKeys bool) (string, []string, error) {
 }
 
 // SemanticBisectHash digests a bisect request over the template job's
-// behavioral normal form plus the search parameters. The server's
-// in-flight bisect coalescing and the grid coordinator's backend
-// affinity key on it, so equivalent re-bisections land where the job
-// cache is already warm.
+// behavioral normal form plus the search parameters. It is the response
+// ID a backend and the grid coordinator stamp, and the key of the
+// server's in-flight bisect coalescing. The coordinator places a
+// search's cells per γ, by SemanticHash, not by this hash.
 func SemanticBisectHash(b BisectRequest) (string, error) {
 	b.Job.Trajectory = false // ignored by bisect; must not split the hash
 	jb, err := json.Marshal(semanticJob(b.Job, semCache{}))

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"reflect"
 
 	"taskalloc"
@@ -51,6 +52,22 @@ const V1 = "taskalloc/v1"
 // materialize (the snapshot costs O(horizon) pointers), so a hostile or
 // corrupt document cannot make the decoder allocate without bound.
 const MaxFrozenHorizon = 1 << 22
+
+// MaxBodyBytes is the default cap on a request document's size (the
+// decoders materialize the whole document), a backend's and the grid
+// coordinator's alike.
+const MaxBodyBytes = 64 << 20
+
+// DecodeStatus is the HTTP status a backend and the grid coordinator
+// both answer a request document that failed to decode with: 413 when
+// it ran past the body cap (http.MaxBytesReader), else 400.
+func DecodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // Sweep is the job-grid envelope: what POST /v1/sweeps accepts and
 // `sweep -dump-jobs` emits.
