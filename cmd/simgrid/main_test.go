@@ -184,8 +184,8 @@ func get(t *testing.T, url string) (int, string, []byte) {
 }
 
 // post POSTs the sweep to url's /v1/sweeps in format and returns the
-// Content-Type and body of a 200 response.
-func post(t *testing.T, url string, sweep wire.Sweep, format string) (string, []byte) {
+// headers and body of a 200 response.
+func post(t *testing.T, url string, sweep wire.Sweep, format string) (http.Header, []byte) {
 	t.Helper()
 	doc, err := wire.MarshalSweep(sweep)
 	if err != nil {
@@ -203,14 +203,14 @@ func post(t *testing.T, url string, sweep wire.Sweep, format string) (string, []
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST %s: %s: %s", url, resp.Status, body)
 	}
-	return resp.Header.Get("Content-Type"), body
+	return resp.Header, body
 }
 
 // TestE2EGridServe boots three real simserve backends, a single-host
 // reference and simgrid -serve, and holds the coordinator's HTTP
 // surface to the reference's: POST /v1/sweeps in NDJSON and CSV gives
-// the same body bytes and Content-Type, GET /v1/sweeps/{id} the same
-// status body, and an unknown id is a 404.
+// the same body bytes, Content-Type and X-Sweep-Id, GET /v1/sweeps/{id}
+// the same status body, and an unknown id is a 404.
 func TestE2EGridServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots service binaries")
@@ -228,10 +228,12 @@ func TestE2EGridServe(t *testing.T) {
 
 	sweep := e2eSweep(401)
 	for _, format := range []string{"ndjson", "csv"} {
-		wantType, want := post(t, reference, sweep, format)
-		gotType, got := post(t, grid, sweep, format)
-		if gotType != wantType {
-			t.Errorf("%s Content-Type %q, single host sends %q", format, gotType, wantType)
+		wantHdr, want := post(t, reference, sweep, format)
+		gotHdr, got := post(t, grid, sweep, format)
+		for _, h := range []string{"Content-Type", "X-Sweep-Id"} {
+			if wantHdr.Get(h) == "" || gotHdr.Get(h) != wantHdr.Get(h) {
+				t.Errorf("%s %s %q, single host sends %q", format, h, gotHdr.Get(h), wantHdr.Get(h))
+			}
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("simgrid -serve %s body differs from the single-host response (%d vs %d bytes)",

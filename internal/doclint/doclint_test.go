@@ -7,12 +7,14 @@ import (
 
 // TestExportedDocsComplete is the doc-completeness gate promised by the
 // serving-layer docs: every exported identifier of the wire format, the
-// service client, the grid coordinator, the scenario subsystem, and the
-// batch runner must carry a doc comment. Extend gated with any new
+// service and its client, the grid coordinator, the bisect search, the
+// scenario subsystem, the batch runner, the store and the metrics
+// package must carry a doc comment. Extend gated with any new
 // public-facing package.
 func TestExportedDocsComplete(t *testing.T) {
 	gated := []string{
 		"internal/wire",
+		"internal/simserver",
 		"internal/simserver/client",
 		"internal/gridcoord",
 		"internal/bisect",

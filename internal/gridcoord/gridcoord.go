@@ -128,11 +128,11 @@ type Options struct {
 	// for open backends.
 	Token string
 	// Registry, if non-nil, receives the coordinator's metric families
-	// (run counts, steals, backups, redispatches, per-backend delivery/
-	// stream-latency/throughput/assignment) for the caller to expose —
-	// cmd/simgrid serves it on -metrics-addr. Families register at New,
-	// so use one Registry per Coordinator. Nil records to a private,
-	// unexposed registry.
+	// (run counts, steals, backups, redispatches, lost backends, and
+	// per-backend delivered jobs and stream latency) for the caller to
+	// expose — cmd/simgrid serves it on -metrics-addr. Families register
+	// at New, so use one Registry per Coordinator. Nil records to a
+	// private, unexposed registry.
 	Registry *obs.Registry
 }
 
@@ -334,6 +334,13 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	if err != nil {
 		return Stats{}, err
 	}
+	return c.run(ctx, sweep, id, format, w)
+}
+
+// run is Run for a sweep whose semantic sweep hash id the caller has
+// already computed — the HTTP handler sends it as X-Sweep-Id before the
+// body.
+func (c *Coordinator) run(ctx context.Context, sweep wire.Sweep, id string, format Format, w io.Writer) (Stats, error) {
 	assign, err := Partition(sweep.Jobs, len(c.clients))
 	if err != nil {
 		return Stats{}, err
@@ -402,30 +409,55 @@ func chunked(assign [][]int, size int) [][]chunk {
 }
 
 // runState is one dispatch's shared scheduling state: the
-// trace-stamped clients (one per backend), the jobs, and where their
-// results go.
+// trace-stamped clients (one per backend), the jobs, where their
+// results go, and the coordinator's metrics the run's events count in.
 type runState struct {
 	clients []*client.Client
 	jobs    []wire.Job
 	deliver func(i int, res wire.Result, cached bool)
+	metrics *gridMetrics
 
-	mu        sync.Mutex
-	cond      *sync.Cond // claimable-work / flight-changed signal
-	queues    [][]chunk  // pending chunks per backend, in range order
-	flights   []*flight  // chunks being streamed right now
-	alive     []bool
-	attempts  []int
-	merged    []bool // per job: a copy's result went to deliver
-	delivered []int  // per-backend merged-result counts
-	assigned  []int  // per-backend current assignment (steals move it)
-	steals    int
-	backups   int
-	retried   int
-	lost      int
-	stealOK   bool
-	backupOK  bool
-	fatal     error
-	cancel    context.CancelFunc // aborts in-flight streams on fatal
+	mu       sync.Mutex
+	cond     *sync.Cond // claimable-work / flight-changed signal
+	queues   [][]chunk  // pending chunks per backend, in range order
+	flights  []*flight  // chunks being streamed right now
+	alive    []bool
+	attempts []int
+	merged   []bool // per job: a copy's result went to deliver
+	stats    Stats  // the run's counters, changed only by tally
+	stealOK  bool
+	backupOK bool
+	fatal    error
+	cancel   context.CancelFunc // aborts in-flight streams on fatal
+}
+
+// tally counts one event in the run's Stats and in the coordinator's
+// registry — the one place a scheduling event is counted — and returns
+// the event for the caller to pass to Observe once it has released
+// st.mu. Caller holds st.mu.
+func tally(st *runState, ev Event) Event {
+	m := st.metrics
+	switch ev.Kind {
+	case EventResult:
+		st.stats.Delivered[ev.Backend]++
+		m.delivered[ev.Backend].Inc()
+	case EventBackendLost:
+		st.stats.BackendsLost++
+		m.lost.Inc()
+	case EventRedispatch:
+		st.stats.Retried += ev.Jobs
+		m.redispatches.Inc()
+		m.retried.Add(uint64(ev.Jobs))
+	case EventBackendDone:
+		m.streamSecs[ev.Backend].Observe(ev.Elapsed.Seconds())
+	case EventSteal:
+		st.stats.Steals++
+		m.steals.Inc()
+	case EventBackup:
+		st.stats.Backups++
+		m.backups.Inc()
+	}
+	return ev
 }
 
 // flight is one chunk being streamed: by the primary copy that claimed
@@ -457,7 +489,8 @@ type copyStream struct {
 // is still computing. deliver receives each job's first delivery only,
 // with the cache provenance of its chunk's primary stream. dispatch
 // returns the run's counters (Delivered, Steals, Backups, Retried,
-// BackendsLost), and the error that left a job undelivered, if any.
+// BackendsLost), tallied from its events, and the error that left a
+// job undelivered, if any.
 func (c *Coordinator) dispatch(ctx context.Context, clients []*client.Client, jobs []wire.Job,
 	queues [][]chunk, steal bool, deliver func(i int, res wire.Result, cached bool)) (Stats, error) {
 	// A fatal error (rejection, exhausted budget, no backends left)
@@ -467,26 +500,22 @@ func (c *Coordinator) dispatch(ctx context.Context, clients []*client.Client, jo
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	st := &runState{
-		clients:   clients,
-		jobs:      jobs,
-		deliver:   deliver,
-		queues:    queues,
-		alive:     make([]bool, len(clients)),
-		attempts:  make([]int, len(jobs)),
-		merged:    make([]bool, len(jobs)),
-		delivered: make([]int, len(clients)),
-		assigned:  make([]int, len(clients)),
-		stealOK:   steal,
-		backupOK:  c.opts.StealChunk >= 0,
-		cancel:    cancel,
+		clients:  clients,
+		jobs:     jobs,
+		deliver:  deliver,
+		metrics:  c.metrics,
+		queues:   queues,
+		alive:    make([]bool, len(clients)),
+		attempts: make([]int, len(jobs)),
+		merged:   make([]bool, len(jobs)),
+		stats:    Stats{Delivered: make([]int, len(clients))},
+		stealOK:  steal,
+		backupOK: c.opts.StealChunk >= 0,
+		cancel:   cancel,
 	}
 	st.cond = sync.NewCond(&st.mu)
 	for b := range clients {
 		st.alive[b] = true
-		for _, ch := range queues[b] {
-			st.assigned[b] += len(ch.idxs)
-		}
-		c.metrics.assigned[b].Set(float64(st.assigned[b]))
 	}
 
 	var wg sync.WaitGroup
@@ -501,24 +530,17 @@ func (c *Coordinator) dispatch(ctx context.Context, clients []*client.Client, jo
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	stats := Stats{
-		Delivered:    st.delivered,
-		Steals:       st.steals,
-		Backups:      st.backups,
-		Retried:      st.retried,
-		BackendsLost: st.lost,
-	}
 	if st.fatal != nil {
-		return stats, st.fatal
+		return st.stats, st.fatal
 	}
 	for i, ok := range st.merged {
 		if !ok {
 			// Every failure path re-queues or fails the run, so this is a
 			// scheduler bug — never report a truncated merge as success.
-			return stats, fmt.Errorf("gridcoord: job %d was never delivered", i)
+			return st.stats, fmt.Errorf("gridcoord: job %d was never delivered", i)
 		}
 	}
-	return stats, nil
+	return st.stats, nil
 }
 
 // fail records the run's fatal error (first one wins), cancels the
@@ -636,20 +658,12 @@ func (c *Coordinator) worker(ctx context.Context, st *runState, b int) {
 				f = &flight{ch: ch}
 				st.flights = append(st.flights, f)
 				if from != b {
-					st.steals++
-					st.assigned[from] -= len(ch.idxs)
-					st.assigned[b] += len(ch.idxs)
-					c.metrics.steals.Inc()
-					c.metrics.assigned[from].Set(float64(st.assigned[from]))
-					c.metrics.assigned[b].Set(float64(st.assigned[b]))
-					ev = append(ev, Event{Kind: EventSteal, Backend: b, From: from, Jobs: len(ch.idxs)})
+					ev = append(ev, tally(st, Event{Kind: EventSteal, Backend: b, From: from, Jobs: len(ch.idxs)}))
 				}
 			} else if f = st.backupLocked(); f != nil {
 				backup = true
 				f.backedUp = true
-				st.backups++
-				c.metrics.backups.Inc()
-				ev = append(ev, Event{Kind: EventBackup, Backend: b, From: f.live[0].b, Jobs: len(f.ch.idxs)})
+				ev = append(ev, tally(st, Event{Kind: EventBackup, Backend: b, From: f.live[0].b, Jobs: len(f.ch.idxs)}))
 			} else if st.drainedLocked() {
 				// Wake the other idle workers so they see it too.
 				st.cond.Broadcast()
@@ -689,16 +703,17 @@ func (st *runState) started(f *flight, sub *client.Submission) {
 	}
 }
 
-// first claims job i's merge slot for a result from backend b: true,
-// with the chunk's provenance, when no copy delivered job i before.
-func (st *runState) first(f *flight, b, i int) (cached, ok bool) {
+// first claims the merge slot of ev's job (an EventResult) and tallies
+// ev: true, with the chunk's provenance, when no copy delivered the job
+// before.
+func (st *runState) first(f *flight, ev Event) (cached, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.merged[i] {
+	if st.merged[ev.Index] {
 		return false, false
 	}
-	st.merged[i] = true
-	st.delivered[b]++
+	st.merged[ev.Index] = true
+	tally(st, ev)
 	return f.cached, true
 }
 
@@ -759,9 +774,10 @@ func (c *Coordinator) stream(ctx context.Context, st *runState, cp *copyStream) 
 		}
 		global := f.ch.idxs[res.Index]
 		read++
-		if cached, ok := st.first(f, b, global); ok {
+		ev := Event{Kind: EventResult, Backend: b, Index: global}
+		if cached, ok := st.first(f, ev); ok {
 			merged++
-			c.observe(Event{Kind: EventResult, Backend: b, Index: global})
+			c.observe(ev)
 			st.deliver(global, res, cached)
 		}
 	})
@@ -779,9 +795,7 @@ func (c *Coordinator) stream(ctx context.Context, st *runState, cp *copyStream) 
 		err = fmt.Errorf("gridcoord: backend %d stalled: no result in %v: %w",
 			b, c.opts.StallTimeout, err)
 	}
-	elapsed := time.Since(start)
-	c.metrics.streamDone(b, merged, elapsed)
-	c.end(st, cp, merged, elapsed, err)
+	c.end(st, cp, merged, time.Since(start), err)
 }
 
 // end settles one copy's outcome and reports it. The first copy of a
@@ -805,7 +819,7 @@ func (c *Coordinator) end(st *runState, cp *copyStream, merged int, elapsed time
 	// The terminal stream event fires on every path — a backend that
 	// dies before its first delivered job still reports, with the
 	// failure attached.
-	ev := []Event{{Kind: EventBackendDone, Backend: b, Jobs: merged, Elapsed: elapsed, Err: err}}
+	ev := []Event{tally(st, Event{Kind: EventBackendDone, Backend: b, Jobs: merged, Elapsed: elapsed, Err: err})}
 	if err != nil && !cp.superseded {
 		var unmerged []int
 		for _, i := range f.ch.idxs {
@@ -813,12 +827,10 @@ func (c *Coordinator) end(st *runState, cp *copyStream, merged int, elapsed time
 				unmerged = append(unmerged, i)
 			}
 		}
-		ev = append(ev, Event{Kind: EventBackendLost, Backend: b, Jobs: len(unmerged), Err: err})
-		if st.alive[b] {
-			st.alive[b] = false
-			st.lost++
-			c.metrics.lost.Inc()
-		}
+		// b's worker streams one copy at a time and exits once b is dead,
+		// so this is b's only loss in the run.
+		st.alive[b] = false
+		ev = append(ev, tally(st, Event{Kind: EventBackendLost, Backend: b, Jobs: len(unmerged), Err: err}))
 		if len(f.live) == 0 {
 			ev = c.requeueLocked(st, b, unmerged, err, ev)
 		}
@@ -870,15 +882,8 @@ func (c *Coordinator) requeueLocked(st *runState, b int, remaining []int, cause 
 			len(remaining), cause))
 		return ev
 	}
-	st.retried += len(remaining)
-	c.metrics.redispatches.Inc()
-	c.metrics.retried.Add(uint64(len(remaining)))
-	st.assigned[b] -= len(remaining)
-	st.assigned[next] += len(remaining)
-	c.metrics.assigned[b].Set(float64(st.assigned[b]))
-	c.metrics.assigned[next].Set(float64(st.assigned[next]))
 	st.queues[next] = append([]chunk{{idxs: remaining}}, st.queues[next]...)
-	return append(ev, Event{Kind: EventRedispatch, Backend: next, Jobs: len(remaining)})
+	return append(ev, tally(st, Event{Kind: EventRedispatch, Backend: next, Jobs: len(remaining)}))
 }
 
 // --- merge: ordered collection + single-host-identical rendering ---

@@ -2,19 +2,20 @@ package gridcoord
 
 import (
 	"strconv"
-	"time"
 
 	"taskalloc/internal/obs"
 )
 
-// gridMetrics is the coordinator's own telemetry: run counts, steals,
-// backups, failure handling, and per-backend delivery/stream-latency/
-// throughput series (backend label = index into Options.Backends, the
-// same index every Event carries). Families register on
-// Options.Registry when the caller provides one — cmd/simgrid serves it
-// on its own /v1/metrics — and on a private throwaway registry
-// otherwise, so the recording path is unconditional. Metric names
-// register once: give each Coordinator its own Registry.
+// gridMetrics is the coordinator's own telemetry: run counts and,
+// counted by tally from the runs' events, steals, backups, failure
+// handling, and per-backend delivered jobs and stream latency (backend
+// label = index into Options.Backends, the same index every Event
+// carries). A backend's delivery rate is the ratio of the increases of
+// its jobs_delivered_total and backend_stream_seconds_sum series.
+// Families register on Options.Registry when the caller provides one —
+// cmd/simgrid serves it on its own /v1/metrics — and on a private
+// throwaway registry otherwise, so the recording path is unconditional.
+// Metric names register once: give each Coordinator its own Registry.
 type gridMetrics struct {
 	sweeps       *obs.Counter
 	bisects      *obs.Counter
@@ -27,8 +28,6 @@ type gridMetrics struct {
 	// Per-backend children, indexed like Options.Backends.
 	delivered  []*obs.Counter
 	streamSecs []*obs.Histogram
-	throughput []*obs.Gauge
-	assigned   []*obs.Gauge
 }
 
 func newGridMetrics(r *obs.Registry, backends int) *gridMetrics {
@@ -55,29 +54,10 @@ func newGridMetrics(r *obs.Registry, backends int) *gridMetrics {
 		"Job results merged (each job's first delivered copy, sweep jobs and bisect cells alike), by backend index.", "backend")
 	streamVec := r.HistogramVec("taskalloc_grid_backend_stream_seconds",
 		"Wall-clock duration of one backend sub-sweep stream.", nil, "backend")
-	thrVec := r.GaugeVec("taskalloc_grid_backend_throughput_jobs_per_second",
-		"Observed delivery rate of the backend's most recent stream.", "backend")
-	assignedVec := r.GaugeVec("taskalloc_grid_backend_assigned_jobs",
-		"Jobs currently assigned to the backend (initial range minus stolen away plus stolen in), for the most recent sweep or bisect round.", "backend")
 	for b := 0; b < backends; b++ {
 		lbl := strconv.Itoa(b)
 		m.delivered = append(m.delivered, deliveredVec.With(lbl))
 		m.streamSecs = append(m.streamSecs, streamVec.With(lbl))
-		m.throughput = append(m.throughput, thrVec.With(lbl))
-		m.assigned = append(m.assigned, assignedVec.With(lbl))
 	}
 	return m
-}
-
-// streamDone records one finished backend stream: jobs delivered, the
-// stream's wall-clock duration, and the observed throughput (jobs per
-// second over the stream, 0 for an instant or empty stream).
-func (m *gridMetrics) streamDone(b, delivered int, elapsed time.Duration) {
-	m.delivered[b].Add(uint64(delivered))
-	m.streamSecs[b].Observe(elapsed.Seconds())
-	if secs := elapsed.Seconds(); secs > 0 && delivered > 0 {
-		m.throughput[b].Set(float64(delivered) / secs)
-	} else {
-		m.throughput[b].Set(0)
-	}
 }

@@ -36,7 +36,8 @@ func (l *logBuffer) String() string {
 // TestTraceRoundTripAndGridMetrics: one Run mints a trace ID, every
 // backend sees it (it lands in their access logs), EventBackendDone
 // fires once per backend stream, and the coordinator's registry serves
-// a lint-clean exposition whose delivery counters sum to the sweep.
+// a lint-clean exposition whose delivery counters sum to the sweep,
+// with no per-backend gauge.
 func TestTraceRoundTripAndGridMetrics(t *testing.T) {
 	sweep := testSweep(t)
 	const n = 2
@@ -130,6 +131,16 @@ func TestTraceRoundTripAndGridMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(exp.String(), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// No per-backend gauge: one shared by concurrent runs reads a state
+	// none of them was in.
+	for _, gone := range []string{
+		"taskalloc_grid_backend_assigned_jobs",
+		"taskalloc_grid_backend_throughput_jobs_per_second",
+	} {
+		if strings.Contains(exp.String(), gone) {
+			t.Errorf("exposition still has %s", gone)
 		}
 	}
 }

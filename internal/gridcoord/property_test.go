@@ -169,11 +169,14 @@ func expectedCSV(t *testing.T, sweep wire.Sweep) []byte {
 }
 
 // TestRandomizedStealSchedules is the scheduler's property suite: 1000
-// randomized (chunk size, per-backend speed, mid-stream abort) schedules against fake backends whose results are pure functions of
+// randomized (chunk size, per-backend speed, mid-stream abort)
+// schedules against fake backends whose results are pure functions of
 // the job. Every schedule must (a) merge byte-identically to the
 // single-host rendering, (b) deliver each job exactly once, and (c)
-// keep Stats consistent with the observed event stream — steals and
-// backups counted one-to-one, delivered counts summing to the grid.
+// keep Stats, the observed event stream and the coordinator's registry
+// counters in agreement: Steals, Backups and BackendsLost count their
+// events, Retried sums the redispatched jobs, and Delivered[b] counts
+// the EventResults on b, which the EventBackendDone jobs on b sum to.
 func TestRandomizedStealSchedules(t *testing.T) {
 	const n = 3
 	fakes := make([]*fakeBackend, n)
@@ -190,6 +193,7 @@ func TestRandomizedStealSchedules(t *testing.T) {
 		iters = 100
 	}
 	rng := rand.New(rand.NewSource(443))
+	lossy := 0 // schedules that lost a backend
 	for it := 0; it < iters; it++ {
 		sweep := wire.Sweep{Version: wire.V1}
 		jobs := 5 + rng.Intn(20)
@@ -211,11 +215,13 @@ func TestRandomizedStealSchedules(t *testing.T) {
 		}
 
 		var (
-			evMu       sync.Mutex
-			perJob     = make([]int, jobs)
-			stealSeen  int
-			stealsMove int
-			backupSeen int
+			evMu        sync.Mutex
+			perJob      = make([]int, jobs)
+			stealsMove  int
+			seen        = Stats{Delivered: make([]int, n)} // tallied from events
+			redispatchN int
+			doneJobs    = make([]int, n)
+			doneN       = make([]uint64, n)
 		)
 		coord, err := New(Options{
 			Backends:   urls,
@@ -227,11 +233,20 @@ func TestRandomizedStealSchedules(t *testing.T) {
 				switch ev.Kind {
 				case EventResult:
 					perJob[ev.Index]++
+					seen.Delivered[ev.Backend]++
 				case EventSteal:
-					stealSeen++
+					seen.Steals++
 					stealsMove += ev.Jobs
 				case EventBackup:
-					backupSeen++
+					seen.Backups++
+				case EventBackendLost:
+					seen.BackendsLost++
+				case EventRedispatch:
+					redispatchN++
+					seen.Retried += ev.Jobs
+				case EventBackendDone:
+					doneN[ev.Backend]++
+					doneJobs[ev.Backend] += ev.Jobs
 				}
 			},
 		})
@@ -258,14 +273,40 @@ func TestRandomizedStealSchedules(t *testing.T) {
 				t.Fatalf("iter %d: job %d delivered %d times, want exactly once", it, i, c)
 			}
 		}
-		if stats.Steals != stealSeen {
-			t.Fatalf("iter %d: Stats.Steals = %d but %d EventSteal observed", it, stats.Steals, stealSeen)
+		seen.TraceID, seen.JobsPerBackend = stats.TraceID, stats.JobsPerBackend
+		if !reflect.DeepEqual(stats, seen) {
+			t.Fatalf("iter %d: Stats %+v, but the events tally %+v", it, stats, seen)
 		}
-		if stats.Backups != backupSeen {
-			t.Fatalf("iter %d: Stats.Backups = %d but %d EventBackup observed", it, stats.Backups, backupSeen)
+		if !reflect.DeepEqual(doneJobs, seen.Delivered) {
+			t.Fatalf("iter %d: EventBackendDone jobs %v, EventResults %v", it, doneJobs, seen.Delivered)
+		}
+		m := coord.metrics
+		reg := Stats{
+			TraceID:        stats.TraceID,
+			JobsPerBackend: stats.JobsPerBackend,
+			Delivered:      make([]int, n),
+			Steals:         int(m.steals.Value()),
+			Backups:        int(m.backups.Value()),
+			Retried:        int(m.retried.Value()),
+			BackendsLost:   int(m.lost.Value()),
+		}
+		for b := range reg.Delivered {
+			reg.Delivered[b] = int(m.delivered[b].Value())
+			if got := m.streamSecs[b].Count(); got != doneN[b] {
+				t.Fatalf("iter %d: backend %d stream_seconds count %d, %d EventBackendDone", it, b, got, doneN[b])
+			}
+		}
+		if !reflect.DeepEqual(reg, stats) {
+			t.Fatalf("iter %d: registry counters %+v, Stats %+v", it, reg, stats)
+		}
+		if got := int(m.redispatches.Value()); got != redispatchN {
+			t.Fatalf("iter %d: redispatches counter %d, %d EventRedispatch", it, got, redispatchN)
 		}
 		if stealsMove > jobs {
 			t.Fatalf("iter %d: steal events moved %d jobs, more than the %d-job grid", it, stealsMove, jobs)
+		}
+		if stats.BackendsLost > 0 {
+			lossy++
 		}
 		evMu.Unlock()
 		total := 0
@@ -276,6 +317,10 @@ func TestRandomizedStealSchedules(t *testing.T) {
 			t.Fatalf("iter %d: Delivered sums to %d for %d jobs", it, total, jobs)
 		}
 	}
+	if lossy == 0 {
+		t.Fatal("no schedule lost a backend: the failure accounting went unchecked")
+	}
+	t.Logf("%d of %d schedules lost a backend", lossy, iters)
 }
 
 // TestPartitionProperties: 1000 random grids over 1–5 backends — every

@@ -92,9 +92,6 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
-	if sweep.Version == "" {
-		sweep.Version = wire.V1
-	}
 	id, err := wire.SemanticSweepHash(sweep)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -106,9 +103,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// body — the status line is already on the wire. The client's
 	// stream decoder treats a short body as an error, so truncation is
 	// never silent.
-	if _, err := c.Run(r.Context(), sweep, format, w); err != nil {
-		return
-	}
+	_, _ = c.run(r.Context(), sweep, id, format, w)
 }
 
 func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {

@@ -1,11 +1,12 @@
-// Package obs is the repository's telemetry substrate: counters,
-// gauges, and fixed-bucket latency histograms with atomic hot paths,
-// collected in a Registry that renders the Prometheus text exposition
-// format (version 0.0.4). It is stdlib-only by design — the container
-// pins the toolchain — and allocation-free on the instrumentation hot
-// path: Counter.Add, Gauge.Set, and Histogram.Observe touch only
-// pre-allocated atomics, so per-job and per-cell instrumentation stays
-// within benchmark noise of uninstrumented code.
+// Package obs is the repository's telemetry substrate: counters and
+// fixed-bucket latency histograms with atomic hot paths, plus gauges
+// and counters read at collection time from the subsystem that owns
+// the value, collected in a Registry that renders the Prometheus text
+// exposition format (version 0.0.4). It is stdlib-only by design — the
+// container pins the toolchain — and allocation-free on the
+// instrumentation hot path: Counter.Add and Histogram.Observe touch
+// only pre-allocated atomics, so per-job and per-cell instrumentation
+// stays within benchmark noise of uninstrumented code.
 //
 // Naming conventions (DESIGN.md §14): every family is prefixed
 // `taskalloc_`, counters end in `_total`, histograms measuring time
@@ -17,9 +18,9 @@
 // Collection model: a Registry is per-component (one per simserver
 // Server, one per gridcoord Coordinator), not global, so tests and
 // multi-instance processes never share counters. Vec lookups
-// (With/WithLabels) allocate on first use of a label combination and
-// are intended for setup-time caching; the returned Counter/Gauge/
-// Histogram handles are the hot-path objects.
+// (With) allocate on first use of a label combination and are
+// intended for setup-time caching; the returned Counter and Histogram
+// handles are the hot-path objects.
 package obs
 
 import (
@@ -60,17 +61,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down, stored as float64 bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution: per-bucket atomic counts
 // plus an atomic sum. Buckets are cumulative only at render time, so
@@ -126,9 +116,8 @@ var DefBuckets = []float64{
 type series struct {
 	labelValues []string
 	c           *Counter
-	g           *Gauge
 	h           *Histogram
-	fn          func() float64 // funcCounter / funcGauge
+	fn          func() float64 // CounterFunc / GaugeFunc
 }
 
 // family is one exposition family: name, help, type, label schema, and
@@ -211,8 +200,6 @@ func (f *family) child(values []string) *series {
 	switch f.typ {
 	case typeCounter:
 		s.c = &Counter{}
-	case typeGauge:
-		s.g = &Gauge{}
 	case typeHistogram:
 		s.h = &Histogram{bounds: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
 	}
@@ -226,12 +213,6 @@ func (f *family) child(values []string) *series {
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.register(&family{name: name, help: help, typ: typeCounter})
 	return f.child(nil).c
-}
-
-// Gauge registers an unlabeled gauge family and returns its child.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, typ: typeGauge})
-	return f.child(nil).g
 }
 
 // GaugeFunc registers a gauge family whose single value is read from
@@ -251,15 +232,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f.child(nil).fn = fn
 }
 
-// Histogram registers an unlabeled fixed-bucket histogram family and
-// returns its child. buckets are ascending upper bounds (+Inf is
-// implicit); nil means DefBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(&family{name: name, help: help, typ: typeHistogram,
-		buckets: normalizeBuckets(name, buckets)})
-	return f.child(nil).h
-}
-
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }
 
@@ -275,27 +247,13 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // use. Intended for setup-time caching; the lookup takes a lock.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).c }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{
-		name: name, help: help, typ: typeGauge,
-		labelNames: append([]string(nil), labelNames...),
-	})}
-}
-
-// With returns the gauge for the label values, creating it on first
-// use.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).g }
-
 // HistogramVec is a labeled fixed-bucket histogram family. Every child
 // shares the family's bucket layout.
 type HistogramVec struct{ f *family }
 
-// HistogramVec registers a labeled histogram family; nil buckets means
-// DefBuckets.
+// HistogramVec registers a labeled histogram family. buckets are
+// ascending upper bounds (+Inf is implicit); nil means DefBuckets.
+// With no label names it has one child, With().
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
 	return &HistogramVec{r.register(&family{
 		name: name, help: help, typ: typeHistogram,
@@ -363,8 +321,6 @@ func (f *family) render(b *strings.Builder) {
 			sampleLine(b, f.name, f.labelNames, s.labelValues, "", "", s.fn())
 		case f.typ == typeCounter:
 			sampleLine(b, f.name, f.labelNames, s.labelValues, "", "", float64(s.c.Value()))
-		case f.typ == typeGauge:
-			sampleLine(b, f.name, f.labelNames, s.labelValues, "", "", s.g.Value())
 		case f.typ == typeHistogram:
 			h := s.h
 			var cum uint64

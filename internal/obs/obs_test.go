@@ -36,7 +36,7 @@ func TestCounterConcurrent(t *testing.T) {
 // only in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("taskalloc_lat_seconds", "boundary test", []float64{0.01, 0.1, 1})
+	h := r.HistogramVec("taskalloc_lat_seconds", "boundary test", []float64{0.01, 0.1, 1}).With()
 	h.Observe(0.01)  // == bound 0 → bucket le=0.01
 	h.Observe(0.011) // just above → bucket le=0.1
 	h.Observe(1)     // == last bound → bucket le=1
@@ -70,7 +70,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // contention (meaningful under -race and for the cumulative invariant).
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("taskalloc_conc_seconds", "concurrent observe", nil)
+	h := r.HistogramVec("taskalloc_conc_seconds", "concurrent observe", nil).With()
 	const goroutines, per = 8, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -122,12 +122,9 @@ func TestVecChildren(t *testing.T) {
 	}
 }
 
-// TestGaugeAndFuncs covers gauge set/overwrite and collect-time funcs.
+// TestGaugeAndFuncs covers the collect-time gauge and counter funcs.
 func TestGaugeAndFuncs(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("taskalloc_cache_bytes", "bytes held")
-	g.Set(10)
-	g.Set(3.5)
 	n := 7.0
 	r.GaugeFunc("taskalloc_entries", "live entries", func() float64 { return n })
 	r.CounterFunc("taskalloc_appends_total", "appends", func() float64 { return 42 })
@@ -137,7 +134,6 @@ func TestGaugeAndFuncs(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"taskalloc_cache_bytes 3.5",
 		"taskalloc_entries 7",
 		"taskalloc_appends_total 42",
 		"# TYPE taskalloc_appends_total counter",
@@ -153,8 +149,8 @@ func TestGaugeAndFuncs(t *testing.T) {
 func TestRegistryLintClean(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("taskalloc_a_total", "a").Inc()
-	r.Gauge("taskalloc_b_bytes", "b").Set(1)
-	r.Histogram("taskalloc_c_seconds", "c", nil).Observe(0.2)
+	r.GaugeFunc("taskalloc_b_bytes", "b", func() float64 { return 1 })
+	r.HistogramVec("taskalloc_c_seconds", "c", nil).With().Observe(0.2)
 	r.HistogramVec("taskalloc_d_seconds", "d", []float64{1, 2}, "stage").With("run").Observe(3)
 	r.CounterVec("taskalloc_e_total", "e", "route").With(`with"quote\and
 newline`).Inc()
@@ -204,7 +200,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 // bucket (it cannot be negative or wildly large for an immediate call).
 func TestObserveSince(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("taskalloc_t_seconds", "t", nil)
+	h := r.HistogramVec("taskalloc_t_seconds", "t", nil).With()
 	h.ObserveSince(time.Now())
 	if h.Count() != 1 || h.Sum() < 0 || h.Sum() > 60 {
 		t.Fatalf("ObserveSince recorded count=%d sum=%v", h.Count(), h.Sum())

@@ -175,7 +175,6 @@ func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Eva
 		g := grid{
 			jobs: make([]sweeprun.Job, n),
 			recs: make([]*wire.TrajectoryRecorder, n),
-			keys: make([]string, n),
 			decode: func(idx []int) ([]sweeprun.Job, error) {
 				sub := wire.Sweep{Jobs: make([]wire.Job, len(idx))}
 				for k, i := range idx {
@@ -202,15 +201,19 @@ func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Eva
 			if err != nil {
 				return nil, err
 			}
-			if g.keys[i], err = wire.SemanticHash(wj); err != nil {
-				return nil, err
-			}
 			wjobs[i] = wj
 			g.jobs[i] = sweeprun.Job{Meta: wj.Meta, Rounds: wj.Rounds}
 			cells[i] = wire.BisectCell{Gamma: gamma, JobHash: hash}
 		}
+		// One pass keys the round, so the template's schedule is
+		// normalized once, not once per γ; with Trajectory off, each key
+		// is the cell's SemanticHash.
+		var err error
+		if _, g.keys, err = wire.SemanticSweepKeys(wire.Sweep{Jobs: wjobs}); err != nil {
+			return nil, err
+		}
 		var fresh []cell
-		err := s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
+		err = s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
 			cells[i].Cached = known
 			if c.err != "" {
 				cells[i].Err = c.err

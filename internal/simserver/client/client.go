@@ -101,9 +101,10 @@ type Submission struct {
 	Cached bool
 	// Disposition is the server's X-Cache verdict: "miss" (this request
 	// ran the sweep), "hit" (replayed from the result cache — including
-	// via a behaviorally equivalent spelling of the sweep), or
-	// "coalesced" (joined an identical in-flight execution). Empty when
-	// the server predates the header.
+	// via a behaviorally equivalent spelling of the sweep), "coalesced"
+	// (joined an identical in-flight execution), or "resume" (adopted an
+	// incomplete journal and runs the rest of the sweep; Cached is
+	// true). Empty when the server predates the header.
 	Disposition string
 	// Results are the per-cell outcomes in job order.
 	Results []wire.Result

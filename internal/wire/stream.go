@@ -14,7 +14,8 @@ import (
 // GET /v1/sweeps/{id} even if the stream is interrupted.
 type StreamHeader struct {
 	Version string `json:"version"`
-	// ID is the sweep's canonical hash (SweepHash).
+	// ID is the sweep's semantic hash (SemanticSweepHash), the public
+	// sweep ID.
 	ID string `json:"id"`
 	// Jobs is the grid size; the stream carries exactly this many
 	// Result lines after the header, in job order.
