@@ -381,7 +381,11 @@ func TestE2EKillBackendMidSweep(t *testing.T) {
 	sweep := e2eSweep(101)
 	want := rawPost(t, reference.addr, sweep, "ndjson")
 
-	assign, err := gridcoord.Partition(sweep.Jobs, 3)
+	_, keys, err := wire.SemanticSweepKeys(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := gridcoord.Partition(keys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

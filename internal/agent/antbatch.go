@@ -14,8 +14,11 @@ import (
 // equivalence tests hold the two paths bit-identical); the two constant
 // Bernoulli coins are precompiled to integer cutoffs, and every draw —
 // including the reservoir's bounded Intn — is written out inline against
-// a copy of the RNG state, so the xoshiro words never leave registers
-// for the whole range.
+// a local copy of the RNG state, stored back once per range. The copy
+// is not register-resident: the pointer-receiver rng.Uint64 takes its
+// address, so the four xoshiro words sit in StepRange's stack frame and
+// each draw loads and stores them there (go build -gcflags=-S shows
+// st at fixed SP offsets).
 type antBatch struct {
 	k      int
 	pause  coin // cs·γ temporary drop-out
@@ -47,7 +50,7 @@ func newAntBatch(n, k int, p Params) *antBatch {
 func (b *antBatch) StepRange(t uint64, lo, hi int, fb []BatchTaskFeedback, r *rng.Rng, counts []int) uint64 {
 	k := b.k
 	assign, curArr, s1 := b.assign, b.cur, b.s1
-	st := *r // xoshiro state lives in registers for the whole range
+	st := *r // a stack copy of the xoshiro state, stored back at the end
 	var switches uint64
 
 	if t%2 == 1 {
@@ -124,8 +127,7 @@ func (b *antBatch) StepRange(t uint64, lo, hi int, fb []BatchTaskFeedback, r *rn
 				}
 				count++
 				// Inline Lemire bounded draw (same draw sequence as
-				// rng.Intn, which bits.Mul64 keeps call-free so the RNG
-				// state is never forced out of registers).
+				// rng.Intn, kept call-free by bits.Mul64).
 				x := st.Uint64()
 				idx, frac := bits.Mul64(x, count)
 				if frac < count {

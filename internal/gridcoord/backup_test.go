@@ -240,10 +240,7 @@ func checkLedger(t *testing.T, sweep wire.Sweep, run backupRun, want []byte) {
 	if run.stats.Backups != len(run.backups) {
 		t.Errorf("Stats.Backups = %d but %d EventBackup observed", run.stats.Backups, len(run.backups))
 	}
-	assign, err := Partition(sweep.Jobs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assign := partitionJobs(t, sweep.Jobs, 3)
 	launched := len(run.backups) + len(run.redisp)
 	for _, q := range chunked(assign, 3) {
 		launched += len(q)

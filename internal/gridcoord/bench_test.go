@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"taskalloc/internal/scenario"
 	"taskalloc/internal/simserver"
 	"taskalloc/internal/wire"
 )
@@ -151,4 +152,51 @@ func BenchmarkBisect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPlacementFrozenGrid measures what the coordinator computes
+// before its first backend call: the sweep ID (X-Sweep-Id and the
+// stream header) and the placement over 3 backends. The grid is the
+// cmd/sweep pattern: 24 cells, differing only in seed, share one frozen
+// snapshot over 2^16 rounds of a step schedule that changes once. The
+// snapshot is a few bytes on the wire, but normalizing it decodes and
+// re-freezes every one of its rounds, which one wire.SemanticSweepKeys
+// pass does once for the whole grid.
+func BenchmarkPlacementFrozenGrid(b *testing.B) {
+	const horizon = 1 << 16
+	step := &wire.Schedule{
+		Kind: "step", Base: []int{400, 600},
+		When: []uint64{horizon / 2}, Vectors: [][]int{{600, 400}},
+	}
+	sched, err := step.ToSchedule()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fz, err := scenario.Freeze(sched, horizon)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := wire.FromSchedule(fz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep := wire.Sweep{Version: wire.V1}
+	for i := 0; i < 24; i++ {
+		sweep.Jobs = append(sweep.Jobs, wire.Job{
+			Meta:   []string{"frozen", fmt.Sprint(i)},
+			Rounds: horizon,
+			Config: wire.Config{Ants: 1000, Gamma: 1.0 / 32, Seed: uint64(i), Shards: 1, Schedule: &enc},
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, keys, err := wire.SemanticSweepKeys(sweep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Partition(keys, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

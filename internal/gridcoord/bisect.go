@@ -13,14 +13,16 @@ import (
 // search itself (internal/bisect — the same loop the backends run for
 // POST /v1/bisect) and evaluates each round's γ batch through the same
 // dispatcher as a sweep, as a static plan: every cell goes to the
-// equal-range owner of its behavioral job hash — the same arithmetic
-// as Partition, and never stolen — one sub-sweep per owner. A repeat
-// (or behaviorally equivalent) request therefore sends every backend
-// the exact sub-sweeps it has already cached: the whole search replays
-// as sweep-cache hits, round by round, while a cold search gets every
-// round's midpoints evaluated grid-wide instead of bottlenecked on one
-// host. An idle backend backs up an owner that is still computing, so
-// a slow owner does not hold the round.
+// equal-range owner of its result key — keyed and placed as a sweep's
+// jobs are, by Partition, and never stolen — one sub-sweep per owner.
+// Bisect cells never stream trajectories, so a cell's result key is
+// its SemanticHash. A repeat (or behaviorally equivalent) request
+// therefore sends every backend the exact sub-sweeps it has already
+// cached: the whole search replays as sweep-cache hits, round by
+// round, while a cold search gets every round's midpoints evaluated
+// grid-wide instead of bottlenecked on one host. An idle backend backs
+// up an owner that is still computing, so a slow owner does not hold
+// the round.
 
 // Bisect runs a γ-bisection request across the backend set, sharding
 // each refinement round's midpoint batch over all backends by per-γ
@@ -80,7 +82,13 @@ func (c *Coordinator) evalRound(ctx context.Context, clients []*client.Client, t
 		cells[k] = wire.BisectCell{Gamma: g, JobHash: hash}
 		jobs[k] = wj
 	}
-	owners, err := Partition(jobs, len(clients))
+	// One keying pass over the round, as for a sweep: the template's
+	// schedule, which every cell shares, is normalized once, not per γ.
+	_, keys, err := wire.SemanticSweepKeys(wire.Sweep{Version: wire.V1, Jobs: jobs})
+	if err != nil {
+		return nil, err
+	}
+	owners, err := Partition(keys, len(clients))
 	if err != nil {
 		return nil, err
 	}

@@ -33,10 +33,7 @@ func fastSweep(seedBase uint64, jobs int) wire.Sweep {
 // victimWithJobs picks the backend owning the largest equal-range slice.
 func victimWithJobs(t *testing.T, sweep wire.Sweep, n int) (int, [][]int) {
 	t.Helper()
-	assign, err := Partition(sweep.Jobs, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assign := partitionJobs(t, sweep.Jobs, n)
 	victim := 0
 	for b, idxs := range assign {
 		if len(idxs) > len(assign[victim]) {

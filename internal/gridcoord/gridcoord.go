@@ -8,16 +8,20 @@
 //
 // Placement: the initial partition assigns job i to the backend whose
 // equal slice of the 64-bit hash space contains the leading bits of
-// wire.SemanticHash(job) — the behavioral hash, under which equivalent
-// spellings of one job (a frozen snapshot and its generative schedule,
-// say) collapse to the same key. The assignment is a pure function of
-// (job behavior, backend count), so a Coordinator carries no placement
-// state from one run to the next and a re-submitted grid reaches the
-// backends whose caches hold it. Each backend's range is split into
-// chunks that its worker streams in range order; a worker that drains
-// its own queue steals pending chunks from the most-loaded peer's
-// tail, which is how a slow backend sheds load. Stealing moves only
-// jobs that have not started streaming.
+// the job's result key — the trajectory-cleared wire.SemanticHash that
+// wire.SemanticSweepKeys returns with the sweep ID, in the one pass
+// that also names the stream header. Under that behavioral hash,
+// equivalent spellings of one job (a frozen snapshot and its
+// generative schedule, say) collapse to the same key, and so do a job
+// and its trajectory-streaming twin, which produce the same Report.
+// The assignment is a pure function of (job behavior, backend count),
+// so a Coordinator carries no placement state from one run to the next
+// and a re-submitted grid reaches the backends whose caches hold it.
+// Each backend's range is split into chunks that its worker streams in
+// range order; a worker that drains its own queue steals pending
+// chunks from the most-loaded peer's tail, which is how a slow backend
+// sheds load. Stealing moves only jobs that have not started
+// streaming.
 //
 // Backups: a worker with nothing left to claim re-runs ("backs up") a
 // chunk that another backend is still computing — MapReduce's backup
@@ -47,9 +51,16 @@
 // (internal/bisect) on the coordinator and dispatches each round's γ
 // cells through the same scheduler as a static plan: one chunk per
 // owning backend, the owner being the same equal-range owner of each
-// cell's SemanticHash, never stolen — the search path is deterministic,
+// cell's result key, never stolen — the search path is deterministic,
 // so a repeat request replays every sub-sweep from the backends' sweep
 // caches.
+//
+// Streaming: the merged body goes out as it forms. The stream header
+// (or CSV header row) is written before any backend is called, and
+// each result once every result before it has been delivered. When
+// Run's writer is an http.Flusher (Handler passes its
+// http.ResponseWriter), each of those writes is flushed to the client
+// at once instead of waiting in net/http's response buffers.
 //
 // Status: Run records the status of each run it completes from its own
 // merge — the merged results with trajectories dropped, summarized by
@@ -254,26 +265,24 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Partition assigns each job to one of n backends by behavioral
-// job-hash range: the 64-bit prefix of wire.SemanticHash(job) falls
-// into one of n equal slices of the hash space. The assignment is a
-// pure function of (job's behavior, n) — re-submitting the same grid,
-// or any behaviorally equivalent spelling of it, to the same backend
+// Partition assigns each job to one of n backends by result-key range:
+// keys[i] is job i's result key, as wire.SemanticSweepKeys returns it
+// (the SemanticHash of the job with Trajectory cleared), and its 64-bit
+// prefix falls into one of n equal slices of the hash space. The
+// assignment is a pure function of (job's behavior, n) — re-submitting
+// the same grid, any behaviorally equivalent spelling of it, or the
+// same jobs with trajectories switched on or off, to the same backend
 // count reproduces it exactly, so equivalent jobs land on the backend
 // that already holds the result.
-func Partition(jobs []wire.Job, n int) ([][]int, error) {
+func Partition(keys []string, n int) ([][]int, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gridcoord: partition needs n >= 1, got %d", n)
 	}
 	out := make([][]int, n)
-	for i, j := range jobs {
-		h, err := wire.SemanticHash(j)
+	for i, key := range keys {
+		b, err := rangeIndex(key, n)
 		if err != nil {
-			return nil, fmt.Errorf("gridcoord: jobs[%d]: %w", i, err)
-		}
-		b, err := rangeIndex(h, n)
-		if err != nil {
-			return nil, fmt.Errorf("gridcoord: jobs[%d]: %w", i, err)
+			return nil, fmt.Errorf("gridcoord: keys[%d]: %w", i, err)
 		}
 		out[b] = append(out[b], i)
 	}
@@ -285,6 +294,9 @@ func Partition(jobs []wire.Job, n int) ([][]int, error) {
 func rangeIndex(hash string, n int) (int, error) {
 	if n <= 1 {
 		return 0, nil
+	}
+	if len(hash) < 16 {
+		return 0, fmt.Errorf("hash %q is shorter than 16 hex digits", hash)
 	}
 	v, err := strconv.ParseUint(hash[:16], 16, 64)
 	if err != nil {
@@ -321,8 +333,11 @@ func (c *Coordinator) chunkSizeFor(jobs int) int {
 // coordinator recomputes the semantic sweep hash (the service's public
 // sweep ID) for the stream header, re-indexes each backend's local
 // results to their global positions, and emits in strict job order —
-// whatever steal, backup or failover path the run takes. A completed
-// run's status is then served by SweepStatus.
+// whatever steal, backup or failover path the run takes. The header
+// is written before any backend is called and each result as soon as
+// its prefix is complete, each write flushed when w is an
+// http.Flusher. A completed run's status is then served by
+// SweepStatus.
 func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, w io.Writer) (Stats, error) {
 	if format != FormatNDJSON && format != FormatCSV {
 		return Stats{}, fmt.Errorf("gridcoord: unknown format %q", format)
@@ -330,18 +345,19 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	if sweep.Version == "" {
 		sweep.Version = wire.V1
 	}
-	id, err := wire.SemanticSweepHash(sweep)
+	id, keys, err := wire.SemanticSweepKeys(sweep)
 	if err != nil {
 		return Stats{}, err
 	}
-	return c.run(ctx, sweep, id, format, w)
+	return c.run(ctx, sweep, id, keys, format, w)
 }
 
-// run is Run for a sweep whose semantic sweep hash id the caller has
-// already computed — the HTTP handler sends it as X-Sweep-Id before the
-// body.
-func (c *Coordinator) run(ctx context.Context, sweep wire.Sweep, id string, format Format, w io.Writer) (Stats, error) {
-	assign, err := Partition(sweep.Jobs, len(c.clients))
+// run is Run for a sweep the caller has already keyed with
+// wire.SemanticSweepKeys: id is its semantic sweep hash (the HTTP
+// handler sends it as X-Sweep-Id before the body) and keys its result
+// keys, which place the jobs.
+func (c *Coordinator) run(ctx context.Context, sweep wire.Sweep, id string, keys []string, format Format, w io.Writer) (Stats, error) {
+	assign, err := Partition(keys, len(c.clients))
 	if err != nil {
 		return Stats{}, err
 	}
@@ -904,29 +920,40 @@ type merger struct {
 	pending []*wire.Result // delivered, not yet emitted
 	emitted []wire.Result  // in job order, trajectories dropped
 	body    *wire.BodyWriter
-	err     error
+	// flush is the writer's http.Flusher, so a client reads each cell
+	// as it is emitted; nil for a plain io.Writer.
+	flush func()
+	err   error
 }
 
+// newMerger writes the stream header (or CSV header row) to w, and
+// flushes it when w is an http.Flusher.
 func newMerger(w io.Writer, format Format, id string, jobs []wire.Job) *merger {
-	return &merger{
+	m := &merger{
 		jobs:    jobs,
 		pending: make([]*wire.Result, len(jobs)),
 		emitted: make([]wire.Result, 0, len(jobs)),
 		body: wire.NewBodyWriter(w, string(format),
 			wire.StreamHeader{Version: wire.V1, ID: id, Jobs: len(jobs)}, 0),
 	}
+	if f, ok := w.(http.Flusher); ok {
+		m.flush = f.Flush
+		m.flush()
+	}
+	return m
 }
 
 // deliver records global job index i's result and emits the newly
-// completed prefix, re-indexed to global positions. Each index is
-// delivered once: the dispatcher keeps a job's first copy and drops a
-// backup's duplicate before it gets here.
+// completed prefix, re-indexed to global positions, flushing it when
+// the writer can. Each index is delivered once: the dispatcher keeps a
+// job's first copy and drops a backup's duplicate before it gets here.
 func (m *merger) deliver(i int, res wire.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	res.Index = i
 	m.pending[i] = &res
-	for n := len(m.emitted); n < len(m.pending) && m.pending[n] != nil; n++ {
+	from := len(m.emitted)
+	for n := from; n < len(m.pending) && m.pending[n] != nil; n++ {
 		out := *m.pending[n]
 		m.pending[n] = nil
 		if m.err == nil {
@@ -934,6 +961,9 @@ func (m *merger) deliver(i int, res wire.Result) {
 		}
 		out.Trajectory = ""
 		m.emitted = append(m.emitted, out)
+	}
+	if m.flush != nil && len(m.emitted) > from {
+		m.flush()
 	}
 }
 

@@ -88,6 +88,21 @@ func singleHost(t *testing.T, url string, sweep wire.Sweep, format string) []byt
 	return out
 }
 
+// partitionJobs places jobs over n backends the way Run does: one
+// wire.SemanticSweepKeys pass, then Partition over the result keys.
+func partitionJobs(t testing.TB, jobs []wire.Job, n int) [][]int {
+	t.Helper()
+	_, keys, err := wire.SemanticSweepKeys(wire.Sweep{Version: wire.V1, Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := Partition(keys, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return assign
+}
+
 // TestMergedStreamMatchesSingleHost is the core tentpole contract: the
 // coordinator's merged NDJSON and CSV are byte-identical to the same
 // sweep served whole by one backend, at 1 and 3 backends.
@@ -104,10 +119,7 @@ func TestMergedStreamMatchesSingleHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assign, err := Partition(sweep.Jobs, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		assign := partitionJobs(t, sweep.Jobs, n)
 		if n == 3 {
 			for b, idxs := range assign {
 				if len(idxs) == 0 {
@@ -213,10 +225,7 @@ func TestBackendFailureMidSweep(t *testing.T) {
 	// The victim must own >= 2 jobs so the abort strands some. Backends
 	// use workers=1 via the coordinator? No: the abort is line-counted,
 	// not timing-based, so any worker count works.
-	assign, err := Partition(sweep.Jobs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assign := partitionJobs(t, sweep.Jobs, 3)
 	victim := 0
 	for b, idxs := range assign {
 		if len(idxs) > len(assign[victim]) {
@@ -485,10 +494,7 @@ func TestResubmittedGridHitsBackendCaches(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		sweep.Jobs = append(sweep.Jobs, propJob(uint64(7000+i)))
 	}
-	assign, err := Partition(sweep.Jobs, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assign := partitionJobs(t, sweep.Jobs, n)
 	for b, idxs := range assign {
 		if len(idxs) == 0 {
 			t.Fatalf("degenerate partition: backend %d got no jobs (%v)", b, assign)

@@ -151,10 +151,7 @@ func TestTraceRoundTripAndGridMetrics(t *testing.T) {
 // attached.
 func TestBackendDoneOnImmediateFailure(t *testing.T) {
 	sweep := testSweep(t)
-	assign, err := Partition(sweep.Jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assign := partitionJobs(t, sweep.Jobs, 2)
 	victim := 0
 	if len(assign[0]) == 0 {
 		victim = 1

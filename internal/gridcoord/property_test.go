@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -323,29 +324,35 @@ func TestRandomizedStealSchedules(t *testing.T) {
 	t.Logf("%d of %d schedules lost a backend", lossy, iters)
 }
 
-// TestPartitionProperties: 1000 random grids over 1–5 backends — every
-// assignment must cover each job exactly once, keep each backend's
-// indices ascending (the range order the chunker relies on), and be a
-// pure function of its inputs: the same grid partitions identically
-// twice, and a job's owner does not depend on which other jobs share
-// its grid (the owner of job i in the full grid owns it in any subgrid).
+// TestPartitionProperties: 1000 random key sets over 1–5 backends —
+// every assignment must cover each key exactly once, keep each
+// backend's indices ascending (the range order the chunker relies on),
+// and be a pure function of its inputs: the same keys partition
+// identically twice, and a key's owner does not depend on which other
+// keys share its grid (the owner of key i in the full set owns it in
+// any subset). Keys are drawn as the 64-hex-digit digests
+// wire.SemanticSweepKeys returns. Each iteration also keys a random job
+// and its trajectory-streaming twin, which produce one Report: they
+// must share an owner.
 func TestPartitionProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 1000; it++ {
 		n := 1 + rng.Intn(5)
-		jobs := make([]wire.Job, 1+rng.Intn(40))
-		for i := range jobs {
-			jobs[i] = propJob(rng.Uint64() % 1_000_000)
+		keys := make([]string, 1+rng.Intn(40))
+		for i := range keys {
+			var digest [32]byte
+			rng.Read(digest[:])
+			keys[i] = hex.EncodeToString(digest[:])
 		}
-		assign, err := Partition(jobs, n)
+		assign, err := Partition(keys, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(assign) != n {
 			t.Fatalf("iter %d: %d ranges for %d backends", it, len(assign), n)
 		}
-		owner := make([]int, len(jobs))
-		seen := make([]int, len(jobs))
+		owner := make([]int, len(keys))
+		seen := make([]int, len(keys))
 		for b, idxs := range assign {
 			for k, i := range idxs {
 				seen[i]++
@@ -357,21 +364,21 @@ func TestPartitionProperties(t *testing.T) {
 		}
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("iter %d: job %d assigned %d times", it, i, c)
+				t.Fatalf("iter %d: key %d assigned %d times", it, i, c)
 			}
 		}
-		again, err := Partition(jobs, n)
+		again, err := Partition(keys, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(assign, again) {
 			t.Fatalf("iter %d: assignment not deterministic:\n%v\n%v", it, assign, again)
 		}
-		// Every other job, in reverse order: each keeps its owner.
-		var sub []wire.Job
+		// Every other key, in reverse order: each keeps its owner.
+		var sub []string
 		var orig []int
-		for i := len(jobs) - 1; i >= 0; i -= 2 {
-			sub = append(sub, jobs[i])
+		for i := len(keys) - 1; i >= 0; i -= 2 {
+			sub = append(sub, keys[i])
 			orig = append(orig, i)
 		}
 		subAssign, err := Partition(sub, n)
@@ -381,10 +388,23 @@ func TestPartitionProperties(t *testing.T) {
 		for b, idxs := range subAssign {
 			for _, k := range idxs {
 				if owner[orig[k]] != b {
-					t.Fatalf("iter %d: job %d owned by backend %d in its grid but %d in a subgrid",
+					t.Fatalf("iter %d: key %d owned by backend %d in its grid but %d in a subgrid",
 						it, orig[k], owner[orig[k]], b)
 				}
 			}
 		}
+
+		job := propJob(rng.Uint64() % 1_000_000)
+		twin := job
+		twin.Trajectory = true
+		for b, idxs := range partitionJobs(t, []wire.Job{job, twin}, n) {
+			if len(idxs) == 1 {
+				t.Fatalf("iter %d: job %d and its trajectory twin have different owners (%d of %d backends)",
+					it, job.Config.Seed, b, n)
+			}
+		}
+	}
+	if _, err := Partition([]string{"0123abcd"}, 2); err == nil {
+		t.Error("Partition accepted a key shorter than 16 hex digits")
 	}
 }

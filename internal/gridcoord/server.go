@@ -11,9 +11,9 @@ import (
 )
 
 // The coordinator's own HTTP surface: POST /v1/sweeps streams the
-// merged grid run, POST /v1/bisect runs the sharded refinement search,
-// and GET /v1/sweeps/{id} serves a completed run's status from the
-// registry Run records it in.
+// merged grid run as it forms, POST /v1/bisect runs the sharded
+// refinement search, and GET /v1/sweeps/{id} serves a completed run's
+// status from the registry Run records it in.
 
 // ErrUnknownSweep is returned by SweepStatus (and mapped to 404 by
 // Handler) for a sweep ID no completed run in the registry matches.
@@ -92,18 +92,21 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
-	id, err := wire.SemanticSweepHash(sweep)
+	// One keying pass names the sweep (X-Sweep-Id and the stream
+	// header) and places its jobs.
+	id, keys, err := wire.SemanticSweepKeys(sweep)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType(string(format)))
 	w.Header().Set("X-Sweep-Id", id)
-	// From the first merged byte on, a failure can only truncate the
-	// body — the status line is already on the wire. The client's
+	// The merger flushes the headers and the stream header before any
+	// backend is called, so from here on a failure can only truncate
+	// the body — the status line is already on the wire. The client's
 	// stream decoder treats a short body as an error, so truncation is
 	// never silent.
-	_, _ = c.run(r.Context(), sweep, id, format, w)
+	_, _ = c.run(r.Context(), sweep, id, keys, format, w)
 }
 
 func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {

@@ -1,13 +1,21 @@
 package gridcoord
 
 import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"taskalloc/internal/simserver"
+	"taskalloc/internal/simserver/client"
 	"taskalloc/internal/wire"
 )
 
@@ -73,4 +81,202 @@ func TestBodyCapMatchesBackend(t *testing.T) {
 				p.path, p.size, gotCode, gotMsg, code, msg)
 		}
 	}
+}
+
+// heldBackend is a fake backend whose sub-sweeps stall after their
+// first result: it answers X-Cache: miss, sends the stream header and
+// result 0, flushes, and sends the rest only once release is called
+// (or the request is cancelled).
+func heldBackend(t *testing.T) (url string, release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sub, err := wire.DecodeSweep(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		id, err := wire.SemanticSweepHash(sub)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentType("ndjson"))
+		w.Header().Set("X-Cache", "miss")
+		enc := json.NewEncoder(w)
+		_ = enc.Encode(wire.StreamHeader{Version: wire.V1, ID: id, Jobs: len(sub.Jobs)})
+		_ = enc.Encode(fakeCell(0, sub.Jobs[0]))
+		w.(http.Flusher).Flush()
+		select {
+		case <-hold:
+		case <-r.Context().Done():
+			return
+		}
+		for k := 1; k < len(sub.Jobs); k++ {
+			_ = enc.Encode(fakeCell(k, sub.Jobs[k]))
+		}
+	}))
+	t.Cleanup(backend.Close)
+	return backend.URL, release
+}
+
+// headerTap is an http.RoundTripper that records the last response's
+// headers before the caller reads its body.
+type headerTap struct{ got *http.Header }
+
+func (tap headerTap) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		*tap.got = resp.Header
+	}
+	return resp, err
+}
+
+// await receives what's next on ch, or fails the test after 10 s
+// rather than hang: a coordinator that holds its body back sends
+// nothing until the backend is released.
+func await[T any](t *testing.T, ch <-chan T, what string) (T, bool) {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v, true
+	case <-time.After(10 * time.Second):
+		t.Errorf("%s did not arrive within 10 s while the backend held the sweep", what)
+		var zero T
+		return zero, false
+	}
+}
+
+// TestSweepStreamsAsItMerges: the coordinator's POST /v1/sweeps sends
+// its headers and stream header at admission and each result once its
+// prefix is merged, not when the response buffer fills or the run
+// ends. Its one backend (heldBackend) stalls every sub-sweep after
+// result 0, so X-Sweep-Id, the stream header (or CSV header row) and
+// result 0 must reach the client while the rest of the grid is held —
+// through client.SubmitSweep and its OnStart hook for NDJSON, and over
+// plain HTTP for CSV. Once released, the whole body must equal the
+// single-host rendering.
+func TestSweepStreamsAsItMerges(t *testing.T) {
+	sweep := fastSweep(9300, 4)
+	id, err := wire.SemanticSweepHash(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordinator := func(t *testing.T) (string, func()) {
+		backend, release := heldBackend(t)
+		coord, err := New(Options{Backends: []string{backend}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := httptest.NewServer(coord.Handler())
+		t.Cleanup(cs.Close)
+		// Registered last, so it runs first: Close waits for every
+		// request, and a held run ends only once its backend lets go.
+		t.Cleanup(release)
+		return cs.URL, release
+	}
+
+	t.Run("ndjson", func(t *testing.T) {
+		url, release := coordinator(t)
+		want := strings.SplitAfter(string(expectedNDJSON(t, sweep)), "\n")
+		var header http.Header
+		c := client.New(url, &http.Client{Transport: headerTap{&header}})
+		started := make(chan string, 1)
+		first := make(chan string, 1)
+		done := make(chan error, 1)
+		var got bytes.Buffer // the result lines, re-encoded
+		go func() {
+			sub, err := c.SubmitSweep(context.Background(), sweep, client.SubmitOptions{
+				OnStart: func(*client.Submission) { started <- header.Get("X-Sweep-Id") },
+			}, func(res wire.Result) {
+				line, _ := json.Marshal(res)
+				got.Write(append(line, '\n'))
+				if res.Index == 0 {
+					first <- string(line) + "\n"
+				}
+			})
+			if err == nil && sub.Header.ID != id {
+				err = fmt.Errorf("stream header names sweep %s, want %s", sub.Header.ID, id)
+			}
+			done <- err
+		}()
+		if v, ok := await(t, started, "OnStart (X-Sweep-Id)"); ok {
+			if v != id {
+				t.Errorf("X-Sweep-Id = %q, want %s", v, id)
+			}
+			if v, ok := await(t, first, "result 0"); ok && v != want[1] {
+				t.Errorf("result 0 = %q, want %q", v, want[1])
+			}
+		}
+		release()
+		if err, ok := await(t, done, "the end of the stream"); !ok || err != nil {
+			t.Fatal(err)
+		}
+		if body := strings.Join(want[1:], ""); got.String() != body {
+			t.Errorf("result lines differ from the single-host rendering:\n%s\nwant\n%s", got.String(), body)
+		}
+	})
+
+	t.Run("csv", func(t *testing.T) {
+		url, release := coordinator(t)
+		want := strings.SplitAfter(string(expectedCSV(t, sweep)), "\n")
+		body, err := wire.MarshalSweep(sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := make(chan string, 1)
+		lines := make(chan string, len(want)) // a slot per line, so the reader never blocks
+		done := make(chan error, 1)
+		go func() {
+			resp, err := http.Post(url+"/v1/sweeps?format=csv", "application/json", bytes.NewReader(body))
+			if err != nil {
+				done <- err
+				return
+			}
+			defer resp.Body.Close()
+			started <- resp.Header.Get("X-Sweep-Id")
+			r := bufio.NewReader(resp.Body)
+			for {
+				line, err := r.ReadString('\n')
+				if line != "" {
+					lines <- line
+				}
+				if err != nil {
+					if err == io.EOF {
+						err = nil
+					}
+					done <- err
+					return
+				}
+			}
+		}()
+		v, ok := await(t, started, "X-Sweep-Id")
+		if ok && v != id {
+			t.Errorf("X-Sweep-Id = %q, want %s", v, id)
+		}
+		var got []string
+		for k, what := range []string{"the CSV header row", "result 0's row"} {
+			if !ok {
+				break
+			}
+			if v, ok = await(t, lines, what); ok {
+				if v != want[k] {
+					t.Errorf("CSV line %d = %q, want %q", k, v, want[k])
+				}
+				got = append(got, v)
+			}
+		}
+		release()
+		if err, ok := await(t, done, "the end of the body"); !ok || err != nil {
+			t.Fatal(err)
+		}
+		for len(lines) > 0 {
+			got = append(got, <-lines)
+		}
+		if g, w := strings.Join(got, ""), strings.Join(want, ""); g != w {
+			t.Errorf("CSV body differs from the single-host rendering:\n%s\nwant\n%s", g, w)
+		}
+	})
 }

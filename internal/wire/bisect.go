@@ -81,8 +81,10 @@ func DecodeBisectRequest(r io.Reader) (BisectRequest, error) {
 type BisectCell struct {
 	// Gamma is the evaluated learning rate.
 	Gamma float64 `json:"gamma"`
-	// JobHash is the cell's canonical job hash (JobHash of the template
-	// with Gamma overridden) — the key the server's job cache uses.
+	// JobHash is the γ cell's syntactic hash (JobHash of the template
+	// with Gamma overridden), reported for provenance. No cache keys on
+	// it: the job tier keys a cell by its trajectory-cleared
+	// SemanticHash.
 	JobHash string `json:"job_hash"`
 	// Cached is true when the cell was served from the job cache.
 	Cached bool `json:"cached"`
