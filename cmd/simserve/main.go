@@ -11,11 +11,12 @@
 // interrupted ones, and lets clients reconnect to a half-streamed
 // response via GET /v1/sweeps/{id}?cursor=N. Sweeps and bisects reuse
 // each other's cells through the job tier (-job-cache-entries in
-// memory); bisect cells also spill to DATA_DIR/jobcache (or -cache-dir),
-// which stays warm across restarts, and a sweep replayed from its
-// journal re-warms the memory tier. -tenants FILE enables bearer-token
-// auth with per-tenant quotas and rate limits (a JSON array of tenant
-// objects; see API.md).
+// memory); each bisect search journals its fresh cells too, and every
+// journal record carries its cell's key, so after a restart the
+// journals' key index serves any cell a committed journal holds. One
+// -data-bytes budget covers all journals. -tenants FILE enables
+// bearer-token auth with per-tenant quotas and rate limits (a JSON
+// array of tenant objects; see API.md).
 //
 // Observability: GET /v1/metrics serves Prometheus text exposition of
 // every counter the service keeps (GET /v1/healthz is liveness only),
@@ -64,10 +65,8 @@ func main() {
 		jobCache = flag.Int("job-cache-entries", 4096, "job results (sweep and bisect cells, reports only) kept in memory for reuse by later sweeps and bisects")
 		drainFor = flag.Duration("drain-timeout", time.Minute,
 			"grace for in-flight HTTP handlers on shutdown (sweeps still drain fully after it; a second signal force-kills)")
-		dataDir  = flag.String("data-dir", "", "enable durability: journal sweeps under this directory (empty = memory-only)")
-		dataB    = flag.Int64("data-bytes", 4<<30, "disk budget for sweep journals (oldest complete journals evicted past it)")
-		cacheDir = flag.String("cache-dir", "", "disk job-result cache directory: bisect cells are written here, sweeps and bisects read it (empty = DATA_DIR/jobcache when -data-dir is set)")
-		cacheDB  = flag.Int64("cache-disk-bytes", 1<<30, "disk budget for the job-result cache")
+		dataDir  = flag.String("data-dir", "", "enable durability: journal sweeps and bisect cells under this directory (empty = memory-only)")
+		dataB    = flag.Int64("data-bytes", 4<<30, "disk budget for all journals (oldest complete journals evicted past it)")
 		syncWr   = flag.Bool("sync", false, "fsync every journal append (survives machine crash, not just process kill; slow)")
 		tenants  = flag.String("tenants", "", "JSON file of tenant configs enabling bearer-token auth (empty = open server)")
 		logReqs  = flag.Bool("access-log", false, "emit one JSON line per request (method, route, status, request/trace IDs) to stderr")
@@ -99,8 +98,6 @@ func main() {
 		JobCacheEntries: *jobCache,
 		DataDir:         *dataDir,
 		DataBytes:       *dataB,
-		CacheDir:        *cacheDir,
-		CacheDiskBytes:  *cacheDB,
 		SyncWrites:      *syncWr,
 		Tenants:         tenantCfgs,
 		JobDelay:        *jobDelay,

@@ -268,18 +268,11 @@ func buildJobs(values []string, p jobParams) ([]sweeprun.Job, error) {
 			} else {
 				cfg.Demands = p.demands
 			}
-			switch p.algorithm {
-			case "ant":
-				cfg.Algorithm = taskalloc.Ant
-			case "precise-sigmoid":
-				cfg.Algorithm = taskalloc.PreciseSigmoid
-			case "precise-adversarial":
-				cfg.Algorithm = taskalloc.PreciseAdversarial
-			case "trivial":
-				cfg.Algorithm = taskalloc.Trivial
-			default:
-				return nil, fmt.Errorf("unknown algorithm %q", p.algorithm)
+			alg, err := taskalloc.ParseAlgorithm(p.algorithm)
+			if err != nil {
+				return nil, err
 			}
+			cfg.Algorithm = alg
 
 			switch p.param {
 			case "gamma":

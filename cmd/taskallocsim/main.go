@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		fatal("bad -demands: %v", err)
 	}
-	alg, err := parseAlgorithm(*algorithm)
+	alg, err := taskalloc.ParseAlgorithm(*algorithm)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -144,21 +144,6 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parseAlgorithm(s string) (taskalloc.Algorithm, error) {
-	switch s {
-	case "ant":
-		return taskalloc.Ant, nil
-	case "precise-sigmoid":
-		return taskalloc.PreciseSigmoid, nil
-	case "precise-adversarial":
-		return taskalloc.PreciseAdversarial, nil
-	case "trivial":
-		return taskalloc.Trivial, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
-	}
 }
 
 func parseInit(s string) (taskalloc.InitKind, error) {

@@ -26,7 +26,9 @@ import (
 // bytes are unchanged by the cache's keying. Midpoints of all over-target
 // segments are evaluated as one grid per refinement round, through the
 // runner sweeps use (runCells): the same tier lookup, shared pool,
-// admission gate, and JobDelay hook.
+// admission gate, and JobDelay hook. A search's fresh cells are
+// journaled in one journal per search (searchJournal), which the
+// store's key index serves after a restart.
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	if !s.begin() {
@@ -145,7 +147,9 @@ func (s *Server) runBisectCoalesced(r *http.Request, id string, req wire.BisectR
 	s.bisectFlights[id] = f
 	s.mu.Unlock()
 
-	f.resp, f.err = bisect.Run(req, s.bisectEvaluator(req, workers))
+	sj := &searchJournal{s: s, id: id}
+	f.resp, f.err = bisect.Run(req, s.bisectEvaluator(req, workers, sj))
+	sj.commit()
 	f.resp.Version = wire.V1
 	f.resp.ID = id
 	s.mu.Lock()
@@ -164,11 +168,11 @@ func (s *Server) runBisectCoalesced(r *http.Request, id string, req wire.BisectR
 // hash, so equivalent template spellings share entries — produced by
 // the sweeps' runner (runCells): repeats come from the job tier, the
 // rest are decoded and run as one batch, and are written through to
-// memory and disk. The rendered cell carries the syntactic JobHash
-// unchanged. The shared refinement loop (internal/bisect) walks the
-// same γ sequence every run, so a repeat request hits the cache on
-// every cell and decodes nothing.
-func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Evaluator {
+// memory and to the search's journal sj. The rendered cell carries the
+// syntactic JobHash unchanged. The shared refinement loop
+// (internal/bisect) walks the same γ sequence every run, so a repeat
+// request hits the cache on every cell and decodes nothing.
+func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int, sj *searchJournal) bisect.Evaluator {
 	return func(gammas []float64) ([]wire.BisectCell, error) {
 		n := len(gammas)
 		wjobs := make([]wire.Job, n)
@@ -233,11 +237,7 @@ func (s *Server) bisectEvaluator(req wire.BisectRequest, workers int) bisect.Eva
 			s.storeJobLocked(c.key, jobResult{report: c.report, err: c.err})
 		}
 		s.mu.Unlock()
-		// Spill fresh results to the disk cache outside the lock (Put
-		// does file IO); idempotent, so concurrent writers are safe.
-		for _, c := range fresh {
-			s.jobBlobPut(c.key, jobResult{report: c.report, err: c.err})
-		}
+		sj.append(fresh)
 		return cells, nil
 	}
 }

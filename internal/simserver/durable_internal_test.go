@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -87,7 +88,7 @@ func TestRateLimitTokenBucket(t *testing.T) {
 }
 
 // smallBisectRequest is a cheap deterministic bisect request for the
-// disk-cache tests.
+// disk-tier tests.
 func smallBisectRequest() wire.BisectRequest {
 	return wire.BisectRequest{
 		Version: wire.V1,
@@ -101,10 +102,11 @@ func smallBisectRequest() wire.BisectRequest {
 	}
 }
 
-// TestBisectDiskCacheWarmAcrossRestart: bisect cell results spilled to
-// the disk job cache serve a repeat bisection on a FRESH process — every
-// cell cached, promoted through JobCacheDiskHits, response X-Cache hit,
-// reports identical to the first run's.
+// TestBisectDiskCacheWarmAcrossRestart: bisect cell results journaled
+// by the search serve a repeat bisection on a FRESH process through the
+// store's key index — every cell cached, promoted through
+// JobCacheDiskHits, response X-Cache hit, reports identical to the
+// first run's.
 func TestBisectDiskCacheWarmAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	srvA, err := Open(Options{Workers: 2, DataDir: dir})
@@ -145,7 +147,7 @@ func TestBisectDiskCacheWarmAcrossRestart(t *testing.T) {
 			t.Fatalf("cell %d identity diverged across restart", i)
 		}
 		if !again.Cells[i].Cached {
-			t.Fatalf("cell %d (γ=%g) missed the warm disk cache", i, again.Cells[i].Gamma)
+			t.Fatalf("cell %d (γ=%g) missed the warm disk tier", i, again.Cells[i].Gamma)
 		}
 		if !reflect.DeepEqual(again.Cells[i].Report, first.Cells[i].Report) {
 			t.Fatalf("cell %d report diverged across restart", i)
@@ -194,8 +196,8 @@ func TestDurableResumeTimesRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range rec.Records[:2] {
-		if err := j.Append(raw); err != nil {
+	for i, raw := range rec.Records[:2] {
+		if err := j.Append(rec.Keys[i], raw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,4 +249,253 @@ func TestDurableResumeTimesRender(t *testing.T) {
 	if got := render.Count() - before; got != 0 {
 		t.Fatalf("replay of a completed sweep observed %d render timings, want 0", got)
 	}
+}
+
+// onlyJournalFiles fails unless every file under a durable data
+// directory is a journal log or a commit marker.
+func onlyJournalFiles(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if ext := filepath.Ext(path); ext != ".wal" && ext != ".ok" {
+			t.Errorf("data directory holds %s; want only .wal and .ok files", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalIndexWarmAcrossRestart: after a restart, the journals' key
+// index serves the cells a committed sweep journal holds to a new grid
+// that shares them, without that sweep being replayed first. A durable
+// server journals G (5 cells) and restarts; G′ (3 of G's cells plus 1
+// new one) then takes 3 job-tier hits, all from disk, misses 1, runs 1
+// simulation, and renders the body a fresh server renders. The same
+// holds when G's journal was interrupted, then resumed and committed:
+// the recovered prefix is indexed with the cells run after it.
+func TestJournalIndexWarmAcrossRestart(t *testing.T) {
+	g := wire.Sweep{Version: wire.V1}
+	for _, gamma := range []float64{0.01, 0.02, 0.03, 0.04, 0.05} {
+		g.Jobs = append(g.Jobs, reuseJob(gamma, 4))
+	}
+	g2 := wire.Sweep{Version: wire.V1, Jobs: []wire.Job{g.Jobs[0], reuseJob(0.06, 4), g.Jobs[1], g.Jobs[3]}}
+	ref := New(Options{Workers: 2})
+	rts := httptest.NewServer(ref)
+	_, want := postSweep(t, rts.URL, g2, "")
+	rts.Close()
+	ref.Close()
+
+	// serveG2 opens a server on dir, as a restart does, and posts G′.
+	serveG2 := func(t *testing.T, dir string) {
+		t.Helper()
+		srv, err := Open(Options{Workers: 2, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		resp, got := postSweep(t, ts.URL, g2, "")
+		if d := resp.Header.Get("X-Cache"); d != "miss" {
+			t.Fatalf("X-Cache = %q, want miss (G′ itself is new)", d)
+		}
+		hits, misses := srv.metrics.sweepJobHits.Value(), srv.metrics.sweepJobMisses.Value()
+		disk, runs := srv.metrics.jobCacheDiskHits.Value(), srv.metrics.stageEngineRun.Count()
+		if hits != 3 || disk != 3 || misses != 1 || runs != 1 {
+			t.Fatalf("job tier hits %d (disk %d), misses %d, simulations %d; want 3 (3), 1, 1",
+				hits, disk, misses, runs)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("G′ after restart differs from a fresh server's body:\n--- restart\n%s--- fresh\n%s", got, want)
+		}
+		if errs := srv.metrics.persistErrors.Value(); errs != 0 {
+			t.Fatalf("persist errors = %d, want 0", errs)
+		}
+		onlyJournalFiles(t, dir)
+	}
+	// journalG runs G to a committed journal under dir.
+	journalG := func(t *testing.T, dir string) string {
+		t.Helper()
+		srv, err := Open(Options{Workers: 2, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		resp, _ := postSweep(t, ts.URL, g, "")
+		return resp.Header.Get("X-Sweep-Id")
+	}
+
+	t.Run("committed", func(t *testing.T) {
+		dir := t.TempDir()
+		journalG(t, dir)
+		serveG2(t, dir)
+	})
+
+	t.Run("resumed", func(t *testing.T) {
+		goldDir := t.TempDir()
+		id := journalG(t, goldDir)
+		gold, err := store.Open(filepath.Join(goldDir, "sweeps"), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := gold.Load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A 2-cell prefix holding G′'s first two shared cells, as a crash
+		// after two cells leaves it.
+		dir := t.TempDir()
+		st, err := store.Open(filepath.Join(dir, "sweeps"), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := st.Create(id, rec.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, raw := range rec.Records[:2] {
+			if err := j.Append(rec.Keys[i], raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		srv, err := Open(Options{Workers: 2, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "?cursor=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		srv.Close()
+		if d := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || d != "resume" {
+			t.Fatalf("resume: HTTP %d, X-Cache %q; want 200 resume", resp.StatusCode, d)
+		}
+		serveG2(t, dir)
+	})
+}
+
+// TestSearchJournalIsNotASweep: a bisect search's journal shares the
+// store with sweep journals, but no sweep route reads or removes it —
+// GET /v1/sweeps/{id} naming it answers 404, streamed or not, before
+// and after a restart, and the journal still serves every cell after
+// that restart. A search that died before its journal committed left it
+// incomplete: the next run of the search continues that journal and
+// commits it with no persist error, and the run after a further restart
+// takes every cell from disk.
+func TestSearchJournalIsNotASweep(t *testing.T) {
+	req := smallBisectRequest()
+	bisectOn := func(t *testing.T, dir string, check func(srv *Server, ts *httptest.Server, resp *wire.BisectResponse)) {
+		t.Helper()
+		srv, err := Open(Options{Workers: 2, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		resp, code, msg := postBisect(t, ts, req)
+		if resp == nil {
+			t.Fatalf("bisect: HTTP %d: %s", code, msg)
+		}
+		if errs := srv.metrics.persistErrors.Value(); errs != 0 {
+			t.Fatalf("persist errors = %d, want 0", errs)
+		}
+		check(srv, ts, resp)
+	}
+	notASweep := func(t *testing.T, ts *httptest.Server, jid string) {
+		t.Helper()
+		for _, path := range []string{"/v1/sweeps/" + jid, "/v1/sweeps/" + jid + "?cursor=0"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
+			}
+		}
+	}
+	fromDisk := func(t *testing.T, srv *Server, resp *wire.BisectResponse, evals int) {
+		t.Helper()
+		if resp.Evals != evals || resp.CacheHits != evals || srv.metrics.jobCacheDiskHits.Value() != uint64(evals) {
+			t.Fatalf("evals %d, cache hits %d, disk hits %d; want all %d from disk",
+				resp.Evals, resp.CacheHits, srv.metrics.jobCacheDiskHits.Value(), evals)
+		}
+	}
+
+	dir := t.TempDir()
+	var first *wire.BisectResponse
+	var jid string
+	bisectOn(t, dir, func(srv *Server, ts *httptest.Server, resp *wire.BisectResponse) {
+		first, jid = resp, resp.ID+searchJournalSuffix
+		if exists, complete := srv.store.Lookup(jid); !exists || !complete {
+			t.Fatalf("search journal: exists %v, complete %v; want a committed journal", exists, complete)
+		}
+		notASweep(t, ts, jid)
+	})
+	if first.Evals == 0 || first.CacheHits != 0 {
+		t.Fatalf("first bisect evals=%d hits=%d, want fresh evaluations", first.Evals, first.CacheHits)
+	}
+	bisectOn(t, dir, func(srv *Server, ts *httptest.Server, resp *wire.BisectResponse) {
+		fromDisk(t, srv, resp, first.Evals)
+		notASweep(t, ts, jid)
+	})
+	// Neither restart's GETs touched the journal.
+	bisectOn(t, dir, func(srv *Server, _ *httptest.Server, resp *wire.BisectResponse) {
+		fromDisk(t, srv, resp, first.Evals)
+	})
+	onlyJournalFiles(t, dir)
+
+	// The search died after journaling two cells: no commit.
+	gold, err := store.Open(filepath.Join(dir, "sweeps"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := gold.Load(jid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := t.TempDir()
+	st, err := store.Open(filepath.Join(dead, "sweeps"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := st.Create(jid, rec.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, raw := range rec.Records[:2] {
+		if err := j.Append(rec.Keys[i], raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bisectOn(t, dead, func(srv *Server, _ *httptest.Server, resp *wire.BisectResponse) {
+		if resp.Evals != first.Evals || resp.CacheHits != 0 {
+			t.Fatalf("rerun after a dead search: evals %d, hits %d; want %d fresh", resp.Evals, resp.CacheHits, first.Evals)
+		}
+		if exists, complete := srv.store.Lookup(jid); !exists || !complete {
+			t.Fatalf("rerun left the search journal exists %v, complete %v; want committed", exists, complete)
+		}
+	})
+	bisectOn(t, dead, func(srv *Server, _ *httptest.Server, resp *wire.BisectResponse) {
+		fromDisk(t, srv, resp, first.Evals)
+	})
+	onlyJournalFiles(t, dead)
 }

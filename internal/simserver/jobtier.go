@@ -11,16 +11,17 @@ import (
 
 // The job tier: job-level results keyed by the behavioral job hash
 // (wire.SemanticHash with Trajectory cleared — for sweep cells,
-// wire.SemanticSweepKeys). It is a memory FIFO in front of the
-// optional disk blob cache, and sweeps and bisects produce their cells
-// through the one runner below (runCells): a cell some earlier sweep or
-// bisect computed is never simulated again while the tier holds it.
-// Reports only — a few hundred bytes each — so a job that asks for a
-// trajectory always runs. Bisect cells are written through to disk one
-// blob per cell; sweep cells are not (their journal already holds
-// them, keyed), and enter the memory tier when their sweep is
-// published — fresh, resumed, or replayed from a journal after a
-// restart.
+// wire.SemanticSweepKeys). It is a memory FIFO in front of the journal
+// store's key index (durable mode only), and sweeps and bisects produce
+// their cells through the one runner below (runCells): a cell some
+// earlier sweep or bisect computed is never simulated again while the
+// tier holds it. Reports only — a few hundred bytes each — so a job
+// that asks for a trajectory always runs. Every journaled cell, a
+// sweep's or a bisect search's, is appended with its key, so the disk
+// level needs no writes of its own; cells enter the memory tier when
+// their sweep is published (fresh, resumed, or replayed from a
+// journal), when a bisect computes them, and when the index serves
+// them.
 
 // runCells produces every cell of g and hands it to emit in strict
 // index order, known reporting whether the cell was served rather than
@@ -120,16 +121,11 @@ type jobResult struct {
 	err    string
 }
 
-// persistedJob is the blob-cache encoding of one job-level result.
-type persistedJob struct {
-	Report *taskalloc.Report `json:"report,omitempty"`
-	Err    string            `json:"err,omitempty"`
-}
-
 // lookupJob consults the job tier for one key: memory first, then the
-// disk blob cache (a previous process lifetime, or another backend
-// sharing the mount), whose hits are promoted into memory and counted
-// as job_cache_disk_hits. Callers count the hit or miss themselves.
+// journal store's key index (a committed journal of this or a previous
+// process lifetime), whose hits are promoted into memory and counted as
+// job_cache_disk_hits. The store serves a record only if it was
+// appended with key. Callers count the hit or miss themselves.
 func (s *Server) lookupJob(key string) (jobResult, bool) {
 	s.mu.Lock()
 	jr, ok := s.jobCache[key]
@@ -137,8 +133,20 @@ func (s *Server) lookupJob(key string) (jobResult, bool) {
 	if ok {
 		return jr, true
 	}
-	if jr, ok = s.jobBlobGet(key); !ok {
+	if s.store == nil {
 		return jobResult{}, false
+	}
+	raw, ok := s.store.Get(key)
+	if !ok {
+		return jobResult{}, false
+	}
+	var rec cellRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return jobResult{}, false
+	}
+	jr = jobResult{err: rec.Err}
+	if rec.Report != nil {
+		jr.report = *rec.Report
 	}
 	s.mu.Lock()
 	s.storeJobLocked(key, jr)
@@ -158,45 +166,5 @@ func (s *Server) storeJobLocked(key string, jr jobResult) {
 	for len(s.jobOrder) > s.opts.JobCacheEntries {
 		delete(s.jobCache, s.jobOrder[0])
 		s.jobOrder = s.jobOrder[1:]
-	}
-}
-
-// jobBlobGet consults the disk job cache; ok only for a decodable
-// entry.
-func (s *Server) jobBlobGet(key string) (jobResult, bool) {
-	if s.blob == nil {
-		return jobResult{}, false
-	}
-	raw, ok := s.blob.Get(key)
-	if !ok {
-		return jobResult{}, false
-	}
-	var pj persistedJob
-	if err := json.Unmarshal(raw, &pj); err != nil {
-		return jobResult{}, false
-	}
-	jr := jobResult{err: pj.Err}
-	if pj.Report != nil {
-		jr.report = *pj.Report
-	}
-	return jr, true
-}
-
-// jobBlobPut writes one job result to the disk cache (best-effort).
-func (s *Server) jobBlobPut(key string, jr jobResult) {
-	if s.blob == nil {
-		return
-	}
-	pj := persistedJob{Err: jr.err}
-	if jr.err == "" {
-		rep := jr.report
-		pj.Report = &rep
-	}
-	raw, err := json.Marshal(pj)
-	if err == nil {
-		err = s.blob.Put(key, raw)
-	}
-	if err != nil {
-		s.persistError()
 	}
 }

@@ -191,7 +191,8 @@ func TestConcurrentOverlappingSweeps(t *testing.T) {
 // TestKnownCellsMerge is the randomized check of the cell runner
 // (runCells, driven through executeOwned's journaling and publish):
 // over random splits of a grid into a recovered journal prefix,
-// memory-tier cells, disk-tier cells, and cells to simulate, at 1–4
+// memory-tier cells, disk-tier cells (committed to another journal, so
+// the store's key index serves them), and cells to simulate, at 1–4
 // workers, every index is emitted once and in order, the journal holds
 // one keyed record per cell in index order, only the unknown cells
 // run, and the rendered bytes equal an all-fresh run.
@@ -250,22 +251,25 @@ func TestKnownCellsMerge(t *testing.T) {
 			t.Fatalf("trial %d: recovered %d of %d prefix cells: %v", trial, len(rec.cells), prefix, err)
 		}
 		var memory, disk int
+		var diskCells []cell
 		for i := prefix; i < n; i++ {
 			if sweep.Jobs[i].Trajectory {
 				continue
 			}
-			jr := jobResult{report: ref[i].report, err: ref[i].err}
 			switch rng.Intn(3) {
 			case 0:
 				s.mu.Lock()
-				s.storeJobLocked(keys[i], jr)
+				s.storeJobLocked(keys[i], jobResult{report: ref[i].report, err: ref[i].err})
 				s.mu.Unlock()
 				memory++
 			case 1:
-				s.jobBlobPut(keys[i], jr)
+				diskCells = append(diskCells, ref[i])
 				disk++
 			}
 		}
+		sj := &searchJournal{s: s, id: fmt.Sprintf("%064x", trial+1)}
+		sj.append(diskCells)
+		sj.commit()
 
 		order, body, _ := run(s, rec.cells, rec.journal, workers)
 		where := fmt.Sprintf("trial %d (workers %d, prefix %d, memory %d, disk %d)", trial, workers, prefix, memory, disk)
@@ -291,8 +295,8 @@ func TestKnownCellsMerge(t *testing.T) {
 		}
 		for i, raw := range jr.Records {
 			var cr cellRecord
-			if err := json.Unmarshal(raw, &cr); err != nil || cr.Index != i || cr.Key != keys[i] {
-				t.Fatalf("%s: journal record %d: index %d key %.8s (err %v)", where, i, cr.Index, cr.Key, err)
+			if err := json.Unmarshal(raw, &cr); err != nil || cr.Index != i || jr.Keys[i] != keys[i] {
+				t.Fatalf("%s: journal record %d: index %d key %.8s (err %v)", where, i, cr.Index, jr.Keys[i], err)
 			}
 		}
 		s.mu.Lock()
@@ -395,7 +399,7 @@ func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 // TestJournalReplayWarmsBisect: a sweep over a bisect's first-round γ
 // points, replayed from its journal after a restart, warms the memory
 // tier from the journal's keys, so the bisect that follows serves those
-// cells from memory (sweep cells are never written to the disk tier).
+// cells from memory, without asking the store's key index.
 func TestJournalReplayWarmsBisect(t *testing.T) {
 	req := smallBisectRequest()
 	sweep := wire.Sweep{Version: wire.V1}
@@ -508,22 +512,13 @@ func TestKeylessJournalReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, raw := range keyed.Records[:tc.records] {
-				var cr cellRecord
-				if err := json.Unmarshal(raw, &cr); err != nil {
-					t.Fatal(err)
-				}
-				if cr.Key == "" {
+				if keyed.Keys[i] == "" {
 					t.Fatalf("record %d carries no key; the test would be vacuous", i)
 				}
-				cr.Key = ""
-				payload, err := json.Marshal(cr)
-				if err != nil {
-					t.Fatal(err)
+				if bytes.Contains(raw, []byte(`"key"`)) {
+					t.Fatalf("keyless record still names a key: %s", raw)
 				}
-				if bytes.Contains(payload, []byte(`"key"`)) {
-					t.Fatalf("keyless record still names a key: %s", payload)
-				}
-				if err := j.Append(payload); err != nil {
+				if err := j.Append("", raw); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -58,8 +58,8 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers the server's families. Gauges over live
-// sizes (cache entries/bytes, store and blob sizes) read the owning
-// subsystem at collection time rather than shadowing it.
+// sizes (cache entries/bytes, store sizes) read the owning subsystem at
+// collection time rather than shadowing it.
 func newServerMetrics(s *Server) *serverMetrics {
 	r := obs.NewRegistry()
 	m := &serverMetrics{reg: r}
@@ -106,7 +106,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.diskResumes = r.Counter("taskalloc_disk_resumes_total",
 		"Incomplete journals resumed (prefix replayed, remainder executed).")
 	m.jobCacheDiskHits = r.Counter("taskalloc_job_cache_disk_hits_total",
-		"Sweep and bisect cells served from the disk job tier (promoted into memory).")
+		"Sweep and bisect cells served from the journal store's key index (promoted into memory).")
 	m.persistErrors = r.Counter("taskalloc_persist_errors_total",
 		"Best-effort durability failures (request served from memory).")
 
@@ -123,7 +123,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(s.cacheSize)
 		})
 	r.GaugeFunc("taskalloc_store_journals",
-		"Sweep journals in the durability store (0 when durability is off).", func() float64 {
+		"Journals, of sweeps and bisect searches, in the durability store (0 when durability is off).", func() float64 {
 			if s.store == nil {
 				return 0
 			}
@@ -152,38 +152,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 				return 0
 			}
 			_, e := s.store.Counters()
-			return float64(e)
-		})
-	r.GaugeFunc("taskalloc_blob_entries",
-		"Disk job-cache entries (0 when the disk cache is off).", func() float64 {
-			if s.blob == nil {
-				return 0
-			}
-			n, _ := s.blob.Stats()
-			return float64(n)
-		})
-	r.GaugeFunc("taskalloc_blob_bytes",
-		"Bytes held by the disk job cache.", func() float64 {
-			if s.blob == nil {
-				return 0
-			}
-			_, b := s.blob.Stats()
-			return float64(b)
-		})
-	r.CounterFunc("taskalloc_blob_puts_total",
-		"Disk job-cache entries written.", func() float64 {
-			if s.blob == nil {
-				return 0
-			}
-			p, _ := s.blob.Counters()
-			return float64(p)
-		})
-	r.CounterFunc("taskalloc_blob_evictions_total",
-		"Disk job-cache entries evicted past the byte budget.", func() float64 {
-			if s.blob == nil {
-				return 0
-			}
-			_, e := s.blob.Counters()
 			return float64(e)
 		})
 

@@ -14,8 +14,9 @@ import (
 	"taskalloc/internal/wire"
 )
 
-// Durability glue: how sweeps checkpoint to the journal store and come
-// back. One journal per sweep, keyed by the semantic sweep hash:
+// Durability glue: how sweeps and bisect searches checkpoint to the
+// journal store and come back. One journal per sweep, keyed by the
+// semantic sweep hash:
 //
 //	header  = journalHeader (the canonical document + identity)
 //	records = one cellRecord per completed cell, in index order
@@ -27,8 +28,13 @@ import (
 // means cells [0,k) are replayable byte-identically and execution
 // resumes at cell k — from the STORED document, so an alias spelling
 // that resumes someone else's sweep still renders the creator's exact
-// bytes. Each record carries its cell's job-tier key, so a sweep
-// replayed from its journal warms the tier without re-hashing.
+// bytes. Each record is appended with its cell's job-tier key, so a
+// sweep replayed from its journal warms the tier without re-hashing,
+// and once the journal commits the store's key index serves the cell
+// to any sweep or bisect (lookupJob) — after a restart too.
+//
+// A bisect search journals its fresh cells the same way, in one journal
+// per search (searchJournal); only the key index reads it.
 
 // journalHeader is a sweep journal's header payload.
 type journalHeader struct {
@@ -44,10 +50,11 @@ type journalHeader struct {
 	Doc json.RawMessage `json:"doc"`
 }
 
-// cellRecord is one checkpointed cell. Report round-trips through JSON
-// byte-stably (shortest-float encoding is its own fixed point, and
-// Report's NaN↔null mapping is symmetric), so a replayed cell renders
-// the same bytes the original stream sent.
+// cellRecord is one checkpointed cell; its job-tier key is the store
+// record's key. Report round-trips through JSON byte-stably
+// (shortest-float encoding is its own fixed point, and Report's
+// NaN↔null mapping is symmetric), so a replayed cell renders the same
+// bytes the original stream sent.
 type cellRecord struct {
 	Index  int               `json:"index"`
 	Meta   []string          `json:"meta,omitempty"`
@@ -55,9 +62,6 @@ type cellRecord struct {
 	Report *taskalloc.Report `json:"report,omitempty"`
 	Err    string            `json:"err,omitempty"`
 	Traj   []byte            `json:"traj,omitempty"`
-	// Key is the cell's job-tier key; journals written before records
-	// carried it decode with "" and replay unchanged.
-	Key string `json:"key,omitempty"`
 }
 
 // commitRecord is the terminal journal payload.
@@ -68,7 +72,7 @@ type commitRecord struct {
 
 // cellToRecord converts a completed cell to its journal payload.
 func cellToRecord(i int, c cell) cellRecord {
-	rec := cellRecord{Index: i, Meta: c.meta, Rounds: c.rounds, Err: c.err, Traj: c.traj, Key: c.key}
+	rec := cellRecord{Index: i, Meta: c.meta, Rounds: c.rounds, Err: c.err, Traj: c.traj}
 	if c.err == "" {
 		rep := c.report
 		rec.Report = &rep
@@ -76,9 +80,10 @@ func cellToRecord(i int, c cell) cellRecord {
 	return rec
 }
 
-// recordToCell converts a recovered journal payload back to a cell.
-func recordToCell(rec cellRecord) cell {
-	c := cell{meta: rec.Meta, rounds: rec.Rounds, err: rec.Err, traj: rec.Traj, key: rec.Key}
+// recordToCell converts a recovered journal payload and its key ("" for
+// a record appended without one) back to a cell.
+func recordToCell(rec cellRecord, key string) cell {
+	c := cell{meta: rec.Meta, rounds: rec.Rounds, err: rec.Err, traj: rec.Traj, key: key}
 	if rec.Report != nil {
 		c.report = *rec.Report
 	}
@@ -116,11 +121,18 @@ func (s *Server) createJournal(id, synID string, sweep wire.Sweep) *store.Journa
 	return j
 }
 
-// hasJournal reports whether id has an on-disk journal and whether it
-// is committed. The store's index is the only record of on-disk
-// sweeps, so a journal the store evicted reads as absent.
+// sweepIDLen is the length of every sweep ID, a hex SHA-256
+// (wire.SemanticSweepKeys). A search journal's id is longer
+// (searchJournalSuffix), so no sweep route can name one.
+const sweepIDLen = 64
+
+// hasJournal reports whether id has an on-disk sweep journal and
+// whether it is committed. The store's index is the only record of
+// on-disk sweeps, so a journal the store evicted reads as absent, and
+// a bisect search's journal is never a sweep's: the sweep routes
+// neither read nor remove it.
 func (s *Server) hasJournal(id string) (exists, complete bool) {
-	if s.store == nil {
+	if s.store == nil || len(id) != sweepIDLen {
 		return false, false
 	}
 	return s.store.Lookup(id)
@@ -176,7 +188,7 @@ func (s *Server) loadJournal(id string, wantAppend bool) (*recovered, error) {
 			s.discardRecovered(id, j)
 			return nil, fmt.Errorf("journal %s: bad record %d", id, i)
 		}
-		out.cells = append(out.cells, recordToCell(cr))
+		out.cells = append(out.cells, recordToCell(cr, rec.Keys[i]))
 	}
 	if rec.Complete {
 		var com commitRecord
@@ -239,10 +251,10 @@ func (s *Server) executeOwned(entry *sweepEntry, g grid, prefix []cell, j *store
 	s.publish(entry, cells, sum)
 }
 
-// checkpoint appends cell i to the journal and returns the handle to
-// keep appending through: nil when durability is off, or once an append
-// failed (the sweep degrades to memory-only; the journal keeps its
-// valid prefix for a later resume).
+// checkpoint appends cell i to the journal under the cell's key and
+// returns the handle to keep appending through: nil when durability is
+// off, or once an append failed (the sweep degrades to memory-only; the
+// journal keeps its valid prefix for a later resume).
 func (s *Server) checkpoint(j *store.Journal, i int, c cell) *store.Journal {
 	if j == nil {
 		return nil
@@ -250,7 +262,7 @@ func (s *Server) checkpoint(j *store.Journal, i int, c cell) *store.Journal {
 	start := time.Now()
 	payload, err := json.Marshal(cellToRecord(i, c))
 	if err == nil {
-		err = j.Append(payload)
+		err = j.Append(c.key, payload)
 	}
 	s.metrics.stageJournalAppend.ObserveSince(start)
 	if err != nil {
@@ -332,4 +344,63 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, entry *sweepEntry, synID, 
 	s.metrics.diskResumes.Inc()
 	s.streamOwned(w, entry, g, rec.cells, rec.journal, format, "resume", cursor, workers)
 	return true
+}
+
+// searchJournalSuffix turns a bisect search's semantic ID into its
+// journal's id, one hex digit longer than any sweep ID.
+const searchJournalSuffix = "b"
+
+// searchJournal records one bisect search's fresh cells, keyed, so the
+// store's key index serves them after a restart. The journal is opened
+// at the search's first fresh cell and committed when the search ends.
+type searchJournal struct {
+	s      *Server
+	id     string // the search's semantic ID
+	j      *store.Journal
+	n      int // records the journal holds
+	opened bool
+}
+
+// append journals fresh cells. The first call opens the journal: a new
+// one, or the one an earlier run of the search left uncommitted when it
+// died, continued after its valid prefix. A journal an earlier run
+// committed is left alone — its cells are indexed already, so the rare
+// fresh cell of a repeat run stays in memory — and a store error is
+// counted; either way the search journals nothing.
+func (sj *searchJournal) append(fresh []cell) {
+	s := sj.s
+	if s.store == nil || len(fresh) == 0 {
+		return
+	}
+	if !sj.opened {
+		sj.opened = true
+		id := sj.id + searchJournalSuffix
+		j, err := s.store.Create(id, []byte(`{"bisect":"`+sj.id+`"}`))
+		if errors.Is(err, store.ErrExists) {
+			var rec *store.Recovered
+			if j, rec, err = s.store.OpenAppend(id); err == nil {
+				sj.n = len(rec.Records)
+			}
+		}
+		if err != nil && !errors.Is(err, store.ErrExists) {
+			s.persistError()
+		}
+		sj.j = j
+	}
+	for _, c := range fresh {
+		sj.j = s.checkpoint(sj.j, sj.n, c)
+		sj.n++
+	}
+}
+
+// commit ends the search's journal; a failure is counted and leaves the
+// journal incomplete, for the next run of the search to continue.
+func (sj *searchJournal) commit() {
+	if sj.j == nil {
+		return
+	}
+	if err := sj.j.Commit(nil); err != nil {
+		_ = sj.j.Close()
+		sj.s.persistError()
+	}
 }

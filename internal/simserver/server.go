@@ -99,21 +99,17 @@ type Options struct {
 	JobCacheEntries int
 	// DataDir enables durability: sweep journals are checkpointed under
 	// DataDir/sweeps so a restart can replay completed sweeps and
-	// resume interrupted ones (GET /v1/sweeps/{id}?cursor=N). Empty
-	// keeps the service memory-only (the default — no existing behavior
-	// changes).
+	// resume interrupted ones (GET /v1/sweeps/{id}?cursor=N), and each
+	// bisect search journals its fresh cells there too. Every journal
+	// record carries its cell's job-tier key, and the store's key index
+	// over committed journals is the job tier's disk level: sweeps and
+	// bisects reuse each other's cells across restarts. Empty keeps the
+	// service memory-only (the default — no existing behavior changes).
 	DataDir string
-	// DataBytes caps the journals' disk usage (least-recently-committed
-	// complete journals are evicted past it); <= 0 means 4 GiB.
+	// DataBytes caps the disk usage of all journals, sweeps' and bisect
+	// searches' alike (least-recently-committed complete journals are
+	// evicted past it, their keys with them); <= 0 means 4 GiB.
 	DataBytes int64
-	// CacheDir enables the disk job tier behind the memory one, keyed by
-	// wire.SemanticHash and shared across restarts — and across
-	// processes: several backends may mount one directory. Bisect cells
-	// are written to it; sweeps and bisects both read it. Empty defaults
-	// to DataDir/jobcache when DataDir is set, else disabled.
-	CacheDir string
-	// CacheDiskBytes caps the disk job cache; <= 0 means 1 GiB.
-	CacheDiskBytes int64
 	// SyncWrites fsyncs every journal append. Off (the default),
 	// checkpoints survive a process kill but not a machine crash; on,
 	// both, at a large append cost.
@@ -165,11 +161,10 @@ type Server struct {
 	jobOrder      []string // insertion order, for FIFO eviction
 	bisectFlights map[string]*bisectFlight
 
-	// Durability layer (nil when Options.DataDir / CacheDir are empty):
-	// the journal store — whose index is the one record of on-disk
-	// sweeps — and the disk job cache.
+	// store is the durability layer, nil when Options.DataDir is empty:
+	// the journal store, whose index is the one record of on-disk sweeps
+	// and whose key index is the job tier's disk level.
 	store *store.Store
-	blob  *store.BlobCache
 
 	// auth is the tenant layer, nil when Options.Tenants is empty.
 	auth *authState
@@ -230,10 +225,10 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Open builds a Server, setting up the durability layer (journal
-// store + disk job cache) and the tenant registry when their options
-// are set. With a zero Options it is equivalent to New: memory-only,
-// open to all callers.
+// Open builds a Server, setting up the durability layer (the journal
+// store) and the tenant registry when their options are set. With a
+// zero Options it is equivalent to New: memory-only, open to all
+// callers.
 func Open(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -284,21 +279,7 @@ func Open(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.store = st
-		if opts.CacheDir == "" {
-			opts.CacheDir = filepath.Join(opts.DataDir, "jobcache")
-		}
 		s.opts = opts
-	}
-	if opts.CacheDir != "" {
-		if opts.CacheDiskBytes <= 0 {
-			opts.CacheDiskBytes = 1 << 30
-		}
-		bc, err := store.OpenBlobCache(opts.CacheDir, opts.CacheDiskBytes)
-		if err != nil {
-			s.pool.Close()
-			return nil, err
-		}
-		s.blob = bc
 	}
 	s.metrics = newServerMetrics(s)
 	if opts.AccessLog != nil {

@@ -1,34 +1,34 @@
 // Package store is the durability layer of the simulation service: a
-// crash-safe, append-only journal store for sweep checkpoints and a
-// disk-backed content-addressed blob cache for job results. Everything
-// the service keeps in memory dies with the process; this package is
-// what lets a sweep survive a restart (internal/simserver re-runs only
-// the jobs past the last checkpoint and replays the rest from disk,
-// byte-identical to an uninterrupted run) and lets result caches stay
-// warm across process lifetimes and be shared by several grid backends
-// mounting one directory.
+// crash-safe, append-only journal store. Everything the service keeps
+// in memory dies with the process; this package is what lets a sweep
+// survive a restart (internal/simserver re-runs only the jobs past the
+// last checkpoint and replays the rest from disk, byte-identical to an
+// uninterrupted run) and lets the job tier stay warm across process
+// lifetimes: every record is appended with its job key, and a key
+// index over committed journals answers Get(key) from one record.
 //
 // Durability model:
 //
-//   - A Journal is one sweep's write-ahead log: a header record (the
-//     submitted document), one checkpoint record per completed cell in
-//     index order, and a terminal commit record. Records are
-//     length-prefixed and CRC-framed; recovery reads the longest valid
-//     prefix and truncates the torn tail, so a crash mid-append loses
-//     at most the record being written — never an earlier checkpoint.
+//   - A Journal is one write-ahead log: a header record (for a sweep,
+//     the submitted document), one record per completed cell in append
+//     order, and a terminal commit record. Records are length-prefixed
+//     and CRC-framed; recovery reads the longest valid prefix and
+//     truncates the torn tail, so a crash mid-append loses at most the
+//     record being written — never an earlier checkpoint.
 //   - Journal creation stages the header in a temp file and renames it
 //     into place, so a journal either exists with a complete header or
 //     not at all. Completion is marked by a sidecar ".ok" file written
-//     the same way (content: the committed byte size), so "complete"
-//     is itself an atomic, crash-safe property.
-//   - The BlobCache stores each entry as its own CRC-framed file under
-//     a two-hex-digit fanout directory, written via temp file + atomic
-//     rename. Entries are idempotent (content-addressed by a canonical
-//     hash of a deterministic computation), so concurrent writers —
-//     several backends sharing one mount — cannot corrupt each other.
+//     the same way, so "complete" is itself an atomic, crash-safe
+//     property. The marker holds the committed byte size, then the key
+//     and frame offset of every keyed record: Open rebuilds the key
+//     index from the markers alone, without reading journal bodies, and
+//     Get checks the frame's CRC and key before serving it.
+//   - Removal deletes the marker before the log, and Open drops a
+//     marker whose log is gone, so a stale marker can never vouch for a
+//     later journal of the same id or publish its keys.
 //
-// Both stores enforce byte budgets by evicting least-recently-used
-// complete entries; in-flight journals are never evicted.
+// The store enforces one byte budget by evicting least-recently-
+// committed complete journals; in-flight journals are never evicted.
 package store
 
 import (
@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"os"
 	"path/filepath"
@@ -47,11 +48,15 @@ import (
 	"time"
 )
 
-// Record kinds, the first byte of every frame.
+// Record kinds, the first byte of every frame. Append writes kindKeyed,
+// whose payload is the key's length (one byte), the key, then the
+// record; kindRecord, a record without a key, is what journals held
+// before records were keyed, and still loads.
 const (
 	kindHeader byte = 0
 	kindRecord byte = 1
 	kindCommit byte = 2
+	kindKeyed  byte = 3
 )
 
 // journalMagic leads every journal file; a file without it is not a
@@ -98,7 +103,7 @@ type Options struct {
 	Sync bool
 }
 
-// Store manages the sweep journals under one directory. It is safe for
+// Store manages the journals under one directory. It is safe for
 // concurrent use within a process; the directory must not be shared by
 // several Store instances writing the same ids.
 type Store struct {
@@ -108,6 +113,13 @@ type Store struct {
 	mu       sync.Mutex
 	journals map[string]*journalInfo
 	bytes    int64
+	// keys maps a record key, by its hash under seed, to the record
+	// that holds it, over committed journals only. When several
+	// journals hold one key, the latest commit wins. Get checks the
+	// record's own key, so two keys sharing a hash cost a miss, never a
+	// wrong record, and the index holds no key strings.
+	keys map[uint64]recordLoc
+	seed maphash.Seed
 
 	// Monotone activity counters, exported for the telemetry layer.
 	appends   atomic.Uint64
@@ -119,16 +131,35 @@ type journalInfo struct {
 	size     int64 // wal + ok marker bytes
 	mtime    time.Time
 	complete bool
-	open     bool // an un-Closed Journal handle exists
+	open     bool     // an un-Closed Journal handle exists
+	keys     []uint64 // the key hashes its marker lists, to unindex it
+}
+
+// recordLoc locates one keyed record: its journal and the offset of its
+// frame in the log.
+type recordLoc struct {
+	id  string
+	off int64
+}
+
+// keyedRecord is one line of a commit marker's key list.
+type keyedRecord struct {
+	key string
+	off int64
 }
 
 // Open opens (creating if needed) the journal store rooted at dir and
-// rebuilds its index by scanning the fanout directories.
+// rebuilds its index by scanning the fanout directories: every journal,
+// and the keys the commit markers list. A marker whose journal is gone
+// is deleted.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, journals: make(map[string]*journalInfo)}
+	s := &Store{
+		dir: dir, opts: opts, journals: make(map[string]*journalInfo),
+		keys: make(map[uint64]recordLoc), seed: maphash.MakeSeed(),
+	}
 	shards, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -140,6 +171,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		files, err := os.ReadDir(filepath.Join(dir, sh.Name()))
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
+		}
+		markers := map[string]bool{}
+		for _, f := range files {
+			if id, ok := strings.CutSuffix(f.Name(), okSuffix); ok {
+				markers[id] = true
+			}
 		}
 		for _, f := range files {
 			name := f.Name()
@@ -157,14 +194,28 @@ func Open(dir string, opts Options) (*Store, error) {
 			if err != nil {
 				continue
 			}
+			// A committed log's last write is its commit frame, just
+			// before the marker, so its mtime is the commit time.
 			ji := &journalInfo{size: info.Size(), mtime: info.ModTime()}
-			if ok, err := os.Stat(s.okPath(id)); err == nil {
+			if markers[id] {
+				delete(markers, id)
 				ji.complete = true
-				ji.size += ok.Size()
-				ji.mtime = ok.ModTime()
+				raw, _ := os.ReadFile(s.okPath(id))
+				ji.size += int64(len(raw))
+				// An unreadable marker indexes nothing; Load reports the
+				// journal corrupt.
+				if _, keyed, err := parseMarker(raw); err == nil {
+					s.indexLocked(id, ji, keyed)
+				}
 			}
 			s.journals[id] = ji
 			s.bytes += ji.size
+		}
+		// The markers left are orphans, from a removal that stopped
+		// between marker and log: drop them before a later journal of
+		// that id could read as committed.
+		for id := range markers {
+			_ = os.Remove(filepath.Join(dir, sh.Name(), id+okSuffix))
 		}
 	}
 	s.mu.Lock()
@@ -173,9 +224,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// ValidID reports whether id is usable as a journal or blob key: at
-// least 8 lowercase hex digits (the canonical hashes are 64), so ids
-// can never traverse paths.
+// ValidID reports whether id is usable as a journal id or a record
+// key: at least 8 and at most 128 lowercase hex digits (the canonical
+// hashes are 64), so ids can never traverse paths and keys fit a
+// commit marker's lines.
 func ValidID(id string) bool {
 	if len(id) < 8 || len(id) > 128 {
 		return false
@@ -205,6 +257,60 @@ func (s *Store) Lookup(id string) (exists, complete bool) {
 	defer s.mu.Unlock()
 	ji, ok := s.journals[id]
 	return ok, ok && ji.complete
+}
+
+// Get returns the record a committed journal holds for key, reading one
+// frame through the key index. A key the index lacks is a miss, and so
+// is a frame that fails its CRC or carries another key: Get serves a
+// record only if it was appended with key.
+func (s *Store) Get(key string) ([]byte, bool) {
+	s.mu.Lock()
+	loc, ok := s.keys[maphash.String(s.seed, key)]
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	f, err := os.Open(s.walPath(loc.id))
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	r := &reader{r: io.NewSectionReader(f, loc.off, maxFrameBytes+frameHeaderSize)}
+	kind, payload, ok := r.next()
+	if !ok || kind != kindKeyed {
+		return nil, false
+	}
+	got, rec, ok := splitKeyed(payload)
+	if !ok || got != key {
+		return nil, false
+	}
+	return rec, true
+}
+
+// indexLocked publishes a committed journal's keys. Caller holds s.mu
+// (or owns the store, as Open does).
+func (s *Store) indexLocked(id string, ji *journalInfo, keyed []keyedRecord) {
+	ji.keys = make([]uint64, len(keyed))
+	for i, k := range keyed {
+		ji.keys[i] = maphash.String(s.seed, k.key)
+		s.keys[ji.keys[i]] = recordLoc{id: id, off: k.off}
+	}
+}
+
+// forgetLocked drops a journal from the index, with every key entry
+// that points into it. Caller holds s.mu.
+func (s *Store) forgetLocked(id string) {
+	ji, ok := s.journals[id]
+	if !ok {
+		return
+	}
+	for _, k := range ji.keys {
+		if s.keys[k].id == id {
+			delete(s.keys, k)
+		}
+	}
+	s.bytes -= ji.size
+	delete(s.journals, id)
 }
 
 // Stats reports the index's journal count and total bytes.
@@ -329,26 +435,37 @@ func (s *Store) OpenAppend(id string) (*Journal, *Recovered, error) {
 	ji.size = validBytes
 	ji.open = true
 	s.mu.Unlock()
-	return &Journal{s: s, id: id, f: f, size: validBytes}, rec, nil
+	j := &Journal{s: s, id: id, f: f, size: validBytes}
+	for i, key := range rec.Keys {
+		if key != "" {
+			j.keyed = append(j.keyed, keyedRecord{key: key, off: rec.offs[i]})
+		}
+	}
+	return j, rec, nil
 }
 
-// Remove deletes a journal and its commit marker.
+// Remove deletes a journal: its commit marker first, so a removal that
+// stops half way leaves an incomplete journal, never a marker without
+// its log. A marker that cannot be deleted keeps the journal whole.
 func (s *Store) Remove(id string) error {
 	if !ValidID(id) {
 		return fmt.Errorf("store: invalid journal id %q", id)
 	}
-	err1 := os.Remove(s.walPath(id))
-	err2 := os.Remove(s.okPath(id))
+	if err := removeIfExists(s.okPath(id)); err != nil {
+		return err
+	}
+	err := removeIfExists(s.walPath(id))
 	s.mu.Lock()
-	if ji, ok := s.journals[id]; ok {
-		s.bytes -= ji.size
-		delete(s.journals, id)
-	}
+	s.forgetLocked(id)
 	s.mu.Unlock()
-	if err1 != nil && !errors.Is(err1, os.ErrNotExist) {
-		return fmt.Errorf("store: %w", err1)
+	return err
+}
+
+// removeIfExists deletes a file; one already gone is no error.
+func removeIfExists(path string) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("store: %w", err)
 	}
-	_ = err2
 	return nil
 }
 
@@ -356,7 +473,7 @@ func (s *Store) Remove(id string) error {
 // over the byte budget. keep (the id being written, if any) and open
 // or incomplete journals are never evicted. Caller holds s.mu.
 func (s *Store) evictLocked(keep string) {
-	if s.opts.MaxBytes <= 0 {
+	if s.opts.MaxBytes <= 0 || s.bytes <= s.opts.MaxBytes {
 		return
 	}
 	type cand struct {
@@ -379,11 +496,11 @@ func (s *Store) evictLocked(keep string) {
 		if s.bytes <= s.opts.MaxBytes {
 			return
 		}
-		ji := s.journals[c.id]
-		_ = os.Remove(s.walPath(c.id))
-		_ = os.Remove(s.okPath(c.id))
-		s.bytes -= ji.size
-		delete(s.journals, c.id)
+		if removeIfExists(s.okPath(c.id)) != nil {
+			continue // kept whole, as Remove keeps it
+		}
+		_ = removeIfExists(s.walPath(c.id))
+		s.forgetLocked(c.id)
 		s.evictions.Add(1)
 	}
 }
@@ -397,6 +514,9 @@ type Recovered struct {
 	// Records are the checkpoint payloads after the header, in append
 	// order — for a sweep journal, cell 0..len(Records)-1.
 	Records [][]byte
+	// Keys are the records' keys, parallel to Records: "" for a record
+	// appended without one.
+	Keys []string
 	// Complete reports a terminal commit record (and its sidecar
 	// marker); Final is its payload.
 	Complete bool
@@ -405,6 +525,8 @@ type Recovered struct {
 	// Truncated reports that a torn tail (a partially written record)
 	// was found past the valid prefix.
 	Truncated bool
+
+	offs []int64 // each record's frame offset, parallel to Records
 }
 
 // recover reads the journal's longest valid prefix. validBytes is the
@@ -424,7 +546,7 @@ func (s *Store) recover(id string) (*Recovered, int64, error) {
 
 	var committedSize int64 = -1
 	if ok, err := os.ReadFile(s.okPath(id)); err == nil {
-		n, perr := strconv.ParseInt(strings.TrimSpace(string(ok)), 10, 64)
+		n, _, perr := parseMarker(ok)
 		if perr != nil {
 			return nil, 0, fmt.Errorf("%w: unreadable commit marker", ErrCorrupt)
 		}
@@ -441,23 +563,33 @@ func (s *Store) recover(id string) (*Recovered, int64, error) {
 	rec := &Recovered{ID: id}
 	valid := r.off
 	for {
+		start := r.off
 		kind, payload, ok := r.next()
 		if !ok {
 			rec.Truncated = r.sawTail
 			break
+		}
+		key := ""
+		if kind == kindKeyed {
+			if key, payload, ok = splitKeyed(payload); ok {
+				kind = kindRecord
+			}
 		}
 		switch {
 		case kind == kindHeader && rec.Header == nil && len(rec.Records) == 0 && !rec.Complete:
 			rec.Header = payload
 		case kind == kindRecord && rec.Header != nil && !rec.Complete:
 			rec.Records = append(rec.Records, payload)
+			rec.Keys = append(rec.Keys, key)
+			rec.offs = append(rec.offs, start)
 		case kind == kindCommit && rec.Header != nil && !rec.Complete:
 			rec.Complete = true
 			rec.Final = payload
 		default:
 			// Frame kinds out of protocol order (a second header, a
-			// record after commit): treat like a torn tail — keep the
-			// valid prefix, drop the rest.
+			// record after commit, a keyed frame whose key does not
+			// parse): treat like a torn tail — keep the valid prefix,
+			// drop the rest.
 			rec.Truncated = true
 			kind = 0xff
 		}
@@ -510,7 +642,7 @@ func (r *reader) next() (kind byte, payload []byte, ok bool) {
 	kind = hdr[0]
 	length := binary.LittleEndian.Uint32(hdr[1:5])
 	crc := binary.LittleEndian.Uint32(hdr[5:9])
-	if kind > kindCommit || length > maxFrameBytes {
+	if kind > kindKeyed || length > maxFrameBytes {
 		r.sawTail = true
 		return 0, nil, false
 	}
@@ -528,6 +660,47 @@ func (r *reader) next() (kind byte, payload []byte, ok bool) {
 	}
 	r.off += int64(frameHeaderSize) + int64(length)
 	return kind, payload, true
+}
+
+// splitKeyed splits a kindKeyed payload into its key and record.
+func splitKeyed(payload []byte) (key string, rec []byte, ok bool) {
+	if len(payload) == 0 || len(payload) < 1+int(payload[0]) {
+		return "", nil, false
+	}
+	n := 1 + int(payload[0])
+	return string(payload[1:n]), payload[n:], true
+}
+
+// formatMarker renders a commit marker: the committed log size on the
+// first line, then one "<key> <frame offset>" line per keyed record.
+func formatMarker(size int64, keyed []keyedRecord) []byte {
+	b := strconv.AppendInt(nil, size, 10)
+	b = append(b, '\n')
+	for _, k := range keyed {
+		b = append(b, k.key...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, k.off, 10)
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// parseMarker reads a commit marker back. A marker written before
+// records were keyed holds the size alone, and lists no keys.
+func parseMarker(raw []byte) (size int64, keyed []keyedRecord, err error) {
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if size, err = strconv.ParseInt(strings.TrimSpace(lines[0]), 10, 64); err != nil {
+		return 0, nil, err
+	}
+	for _, line := range lines[1:] {
+		key, off, _ := strings.Cut(line, " ")
+		n, err := strconv.ParseInt(off, 10, 64)
+		if err != nil || n < 0 || !ValidID(key) {
+			return 0, nil, fmt.Errorf("store: bad marker line %q", line)
+		}
+		keyed = append(keyed, keyedRecord{key: key, off: n})
+	}
+	return size, keyed, nil
 }
 
 // frameCRC covers the kind byte and the payload.
@@ -551,28 +724,35 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return nil
 }
 
-// Journal is one sweep's open write-ahead log. Append and Commit are
-// not safe for concurrent use (the service serializes checkpoints in
-// cell order by construction).
+// Journal is one open write-ahead log. Append and Commit are not safe
+// for concurrent use (the service serializes checkpoints in cell order
+// by construction).
 type Journal struct {
 	s      *Store
 	id     string
 	f      *os.File
 	size   int64
 	closed bool
+	keyed  []keyedRecord // every keyed record, for the commit marker
 }
 
 // ID returns the journal's identity.
 func (j *Journal) ID() string { return j.id }
 
-// Append writes one checkpoint record and flushes it to the OS (so the
-// record survives a process kill; Options.Sync extends that to a
-// machine crash).
-func (j *Journal) Append(payload []byte) error {
+// Append writes one checkpoint record with its key and flushes it to
+// the OS (so the record survives a process kill; Options.Sync extends
+// that to a machine crash). Once the journal commits, Get serves the
+// record under key; an empty key leaves it out of the index.
+func (j *Journal) Append(key string, payload []byte) error {
 	if j.closed {
 		return errors.New("store: append to closed journal")
 	}
-	if err := writeFrame(j.f, kindRecord, payload); err != nil {
+	if key != "" && !ValidID(key) {
+		return fmt.Errorf("store: invalid record key %q", key)
+	}
+	frame := make([]byte, 0, 1+len(key)+len(payload))
+	frame = append(append(append(frame, byte(len(key))), key...), payload...)
+	if err := writeFrame(j.f, kindKeyed, frame); err != nil {
 		return err
 	}
 	if j.s.opts.Sync {
@@ -581,7 +761,10 @@ func (j *Journal) Append(payload []byte) error {
 		}
 	}
 	j.s.appends.Add(1)
-	grow := int64(frameHeaderSize + len(payload))
+	if key != "" {
+		j.keyed = append(j.keyed, keyedRecord{key: key, off: j.size})
+	}
+	grow := int64(frameHeaderSize + len(frame))
 	j.size += grow
 	j.s.mu.Lock()
 	if ji, ok := j.s.journals[j.id]; ok {
@@ -613,12 +796,13 @@ func (j *Journal) Commit(payload []byte) error {
 		}
 	}
 	committed := j.size + int64(frameHeaderSize+len(payload))
+	marker := formatMarker(committed, j.keyed)
 	shard := filepath.Join(j.s.dir, j.id[:2])
 	tmp, err := os.CreateTemp(shard, "tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, werr := fmt.Fprintf(tmp, "%d\n", committed)
+	_, werr := tmp.Write(marker)
 	if werr == nil && j.s.opts.Sync {
 		werr = tmp.Sync()
 	}
@@ -633,8 +817,7 @@ func (j *Journal) Commit(payload []byte) error {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	markerSize := int64(len(strconv.FormatInt(committed, 10)) + 1)
-	grow := committed - j.size + markerSize
+	grow := committed - j.size + int64(len(marker))
 	j.size = committed
 	j.s.mu.Lock()
 	if ji, ok := j.s.journals[j.id]; ok {
@@ -643,6 +826,7 @@ func (j *Journal) Commit(payload []byte) error {
 		ji.open = false
 		ji.mtime = time.Now()
 		j.s.bytes += grow
+		j.s.indexLocked(j.id, ji, j.keyed)
 		j.s.evictLocked(j.id)
 	}
 	j.s.mu.Unlock()

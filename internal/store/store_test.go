@@ -20,6 +20,9 @@ func payloads(n int) [][]byte {
 	return out
 }
 
+// keyOf is record i's key in the test journals.
+func keyOf(i int) string { return fmt.Sprintf("%064x", 0x100+i) }
+
 // forEachSync runs a round-trip or crash test once with Options.Sync
 // off and once on: fsyncing must change nothing recovery sees.
 func forEachSync(t *testing.T, fn func(t *testing.T, opts Options)) {
@@ -40,8 +43,8 @@ func writeJournal(t *testing.T, dir string, opts Options, n int, commit bool) *S
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range payloads(n) {
-		if err := j.Append(p); err != nil {
+	for i, p := range payloads(n) {
+		if err := j.Append(keyOf(i), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +156,7 @@ func testTornTailEveryTruncation(t *testing.T, opts Options) {
 				cut, len(rec2.Records), len(rec.Records))
 		}
 		for i := len(rec2.Records); i < 4; i++ {
-			if err := j.Append(want[i]); err != nil {
+			if err := j.Append(keyOf(i), want[i]); err != nil {
 				t.Fatalf("cut=%d: append: %v", cut, err)
 			}
 		}
@@ -168,8 +171,13 @@ func testTornTailEveryTruncation(t *testing.T, opts Options) {
 			t.Fatalf("cut=%d: after repair: complete=%v records=%d", cut, final.Complete, len(final.Records))
 		}
 		for i := range want {
-			if !bytes.Equal(final.Records[i], want[i]) {
+			if !bytes.Equal(final.Records[i], want[i]) || final.Keys[i] != keyOf(i) {
 				t.Fatalf("cut=%d: repaired record %d diverges from never-crashed", cut, i)
+			}
+			// The marker indexes the recovered prefix with the records
+			// appended after it.
+			if got, ok := s.Get(keyOf(i)); !ok || !bytes.Equal(got, want[i]) {
+				t.Fatalf("cut=%d: Get(key %d) = %q, %v after repair", cut, i, got, ok)
 			}
 		}
 	}
@@ -321,7 +329,7 @@ func TestCommitSyncFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(payloads(1)[0]); err != nil {
+		if err := j.Append(keyOf(0), payloads(1)[0]); err != nil {
 			t.Fatal(err)
 		}
 		pr, pw, err := os.Pipe()
@@ -394,7 +402,7 @@ func testStoreEviction(t *testing.T, opts Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(bytes.Repeat([]byte("x"), 120)); err != nil {
+		if err := j.Append(fmt.Sprintf("%064x", 0xf0+i), bytes.Repeat([]byte("x"), 120)); err != nil {
 			t.Fatal(err)
 		}
 		if commit {
@@ -445,79 +453,223 @@ func testStoreEviction(t *testing.T, opts Options) {
 	if exists, done := s.Lookup(incomplete); !exists || done {
 		t.Fatalf("Lookup(incomplete) = %v, %v; want an incomplete journal", exists, done)
 	}
-}
-
-func TestBlobCacheRoundTripAndCorruption(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenBlobCache(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	// An evicted journal's keys leave the index with it; the newest
+	// journal's key still serves.
+	if _, ok := s.Get(fmt.Sprintf("%064x", 0xf0+1)); ok {
+		t.Fatal("Get serves a key of the evicted journal")
 	}
-	key := fmt.Sprintf("%064x", 42)
-	val := []byte(`{"report":{"avg_regret":0.25}}`)
-	if err := c.Put(key, val); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get(key)
-	if !ok || !bytes.Equal(got, val) {
-		t.Fatalf("get: %q ok=%v", got, ok)
-	}
-
-	// Corrupt the payload on disk: Get must miss and remove the file.
-	path := filepath.Join(dir, key[:2], key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(key); ok {
-		t.Fatal("corrupt entry served as a hit")
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("corrupt entry not removed")
+	if _, ok := s.Get(fmt.Sprintf("%064x", 0xf0+5)); !ok {
+		t.Fatal("Get misses a key of the newest journal")
 	}
 }
 
-func TestBlobCacheIndexRebuildAndEviction(t *testing.T) {
+// TestKeyIndex: a committed journal's records are served by key, from
+// the commit marker, in this process and after a reopen; an uncommitted
+// journal's keys are not, and a removed journal's keys go with it.
+func TestKeyIndex(t *testing.T) { forEachSync(t, testKeyIndex) }
+
+func testKeyIndex(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	c, err := OpenBlobCache(dir, 1<<20)
+	s := writeJournal(t, dir, opts, 3, true)
+	want := payloads(3)
+	check := func(s *Store, when string) {
+		t.Helper()
+		for i := range want {
+			if got, ok := s.Get(keyOf(i)); !ok || !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s: Get(key %d) = %q, %v; want record %d", when, i, got, ok, i)
+			}
+		}
+	}
+	check(s, "after commit")
+
+	open := fmt.Sprintf("%064x", 0xcafe)
+	j, err := s.Create(open, []byte(`{"header":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
-	for i := 0; i < 6; i++ {
-		key := fmt.Sprintf("%064x", 0xa0+i)
-		keys = append(keys, key)
-		if err := c.Put(key, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+	if err := j.Append(keyOf(9), []byte(`{"uncommitted":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s2, "after reopen")
+	if _, ok := s2.Get(keyOf(9)); ok {
+		t.Fatal("Get serves a record of an uncommitted journal")
+	}
+	if err := s2.Remove(testID); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if _, ok := s2.Get(keyOf(i)); ok {
+			t.Fatalf("Get(key %d) still serves after Remove", i)
+		}
+	}
+}
+
+// TestKeyIndexChecksRecordKey: an index entry is served only when the
+// record it points at carries the requested key and passes its CRC. A
+// marker whose entries point at each other's records makes both keys
+// misses, while the journal itself still loads; a flipped byte in a
+// record makes its key a miss.
+func TestKeyIndexChecksRecordKey(t *testing.T) { forEachSync(t, testKeyIndexChecksRecordKey) }
+
+func testKeyIndexChecksRecordKey(t *testing.T, opts Options) {
+	dir := t.TempDir()
+	writeJournal(t, dir, opts, 3, true)
+	okf := filepath.Join(dir, testID[:2], testID+okSuffix)
+	raw, err := os.ReadFile(okf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, keyed, err := parseMarker(raw)
+	if err != nil || len(keyed) != 3 {
+		t.Fatalf("marker lists %d keys (%v), want 3", len(keyed), err)
+	}
+	keyed[0].off, keyed[1].off = keyed[1].off, keyed[0].off
+	if err := os.WriteFile(okf, formatMarker(size, keyed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, ok := s.Get(keyOf(i)); ok {
+			t.Fatalf("Get(key %d) served another key's record %q", i, got)
+		}
+	}
+	if got, ok := s.Get(keyOf(2)); !ok || !bytes.Equal(got, payloads(3)[2]) {
+		t.Fatalf("Get(key 2) = %q, %v; want its record", got, ok)
+	}
+	if rec, err := s.Load(testID); err != nil || !rec.Complete || len(rec.Records) != 3 {
+		t.Fatalf("journal with a mis-pointing marker does not load: %v", err)
+	}
+
+	wal := filepath.Join(dir, testID[:2], testID+walSuffix)
+	log, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log[keyed[2].off+frameHeaderSize+1+int64(len(keyOf(2)))] ^= 0xff
+	if err := os.WriteFile(wal, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(keyOf(2)); ok {
+		t.Fatalf("Get(key 2) served a record that fails its CRC: %q", got)
+	}
+}
+
+// TestOldMarkerStillLoads: a journal from before records were keyed —
+// plain record frames and a marker holding only the committed size —
+// loads complete with keyless records, indexes nothing, and refuses
+// appends like any committed journal.
+func TestOldMarkerStillLoads(t *testing.T) { forEachSync(t, testOldMarkerStillLoads) }
+
+func testOldMarkerStillLoads(t *testing.T, opts Options) {
+	dir := t.TempDir()
+	var log bytes.Buffer
+	log.WriteString(journalMagic)
+	if err := writeFrame(&log, kindHeader, []byte(`{"header":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	want := payloads(3)
+	for _, p := range want {
+		if err := writeFrame(&log, kindRecord, p); err != nil {
 			t.Fatal(err)
 		}
-		// Distinct mtimes so the rebuilt LRU order is deterministic.
-		mt := time.Now().Add(time.Duration(i-10) * time.Hour)
-		_ = os.Chtimes(filepath.Join(dir, key[:2], key), mt, mt)
+	}
+	if err := writeFrame(&log, kindCommit, []byte(`{"done":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, testID[:2])
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, testID+walSuffix), log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, testID+okSuffix), []byte(fmt.Sprintf("%d\n", log.Len())), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// Reopen with a budget that holds ~3 entries: the 3 oldest by
-	// mtime must be evicted at open, the 3 newest kept.
-	c2, err := OpenBlobCache(dir, 340)
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, bytesNow := c2.Stats()
-	if entries != 3 || bytesNow > 340 {
-		t.Fatalf("after reopen: %d entries, %d bytes (budget 340)", entries, bytesNow)
+	rec, err := s.Load(testID)
+	if err != nil {
+		t.Fatalf("old-format journal: %v", err)
 	}
-	for _, key := range keys[:3] {
-		if _, ok := c2.Get(key); ok {
-			t.Fatalf("old entry %s survived eviction", key[:8])
+	if !rec.Complete || len(rec.Records) != len(want) || string(rec.Final) != `{"done":true}` {
+		t.Fatalf("complete=%v records=%d final=%q", rec.Complete, len(rec.Records), rec.Final)
+	}
+	for i := range want {
+		if !bytes.Equal(rec.Records[i], want[i]) || rec.Keys[i] != "" {
+			t.Fatalf("record %d: %q key %q", i, rec.Records[i], rec.Keys[i])
 		}
 	}
-	for _, key := range keys[3:] {
-		if _, ok := c2.Get(key); !ok {
-			t.Fatalf("new entry %s evicted", key[:8])
+	if _, _, err := s.OpenAppend(testID); !errors.Is(err, ErrExists) {
+		t.Fatalf("OpenAppend on a committed old-format journal: %v, want ErrExists", err)
+	}
+	s.mu.Lock()
+	indexed := len(s.keys)
+	s.mu.Unlock()
+	if indexed != 0 {
+		t.Fatalf("old-format marker indexed %d keys", indexed)
+	}
+}
+
+// TestStaleMarkerDropped: a marker left without its log (a removal cut
+// short between the two files) is dropped at Open, so a later journal
+// of the same id that stops before committing recovers as incomplete —
+// not as a committed journal whose marker disagrees with its log.
+func TestStaleMarkerDropped(t *testing.T) { forEachSync(t, testStaleMarkerDropped) }
+
+func testStaleMarkerDropped(t *testing.T, opts Options) {
+	dir := t.TempDir()
+	writeJournal(t, dir, opts, 3, true)
+	if err := os.Remove(filepath.Join(dir, testID[:2], testID+walSuffix)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(keyOf(0)); ok {
+		t.Fatal("a marker without its log published its keys")
+	}
+	j, err := s.Create(testID, []byte(`{"header":"again"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range payloads(2) {
+		if err := j.Append(keyOf(i), p); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s2.Load(testID)
+	if err != nil {
+		t.Fatalf("later journal of a stale marker's id: %v", err)
+	}
+	if rec.Complete || len(rec.Records) != 2 || string(rec.Header) != `{"header":"again"}` {
+		t.Fatalf("complete=%v records=%d header=%q; want the incomplete 2-record journal",
+			rec.Complete, len(rec.Records), rec.Header)
+	}
+	if exists, complete := s2.Lookup(testID); !exists || complete {
+		t.Fatalf("Lookup = %v, %v; want an incomplete journal", exists, complete)
 	}
 }
 

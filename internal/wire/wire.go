@@ -229,13 +229,6 @@ func DecodeSweep(r io.Reader) (Sweep, error) {
 
 // --- Config <-> taskalloc.Config ---
 
-var algorithmNames = map[taskalloc.Algorithm]string{
-	taskalloc.Ant:                "ant",
-	taskalloc.PreciseSigmoid:     "precise-sigmoid",
-	taskalloc.PreciseAdversarial: "precise-adversarial",
-	taskalloc.Trivial:            "trivial",
-}
-
 var initNames = map[taskalloc.InitKind]string{
 	taskalloc.InitIdle:    "idle",
 	taskalloc.InitUniform: "uniform",
@@ -258,16 +251,15 @@ func invert[K comparable, V comparable](m map[K]V) map[V]K {
 }
 
 var (
-	algorithmKinds = invert(algorithmNames)
-	initKinds      = invert(initNames)
-	noiseKinds     = invert(noiseKindNames)
+	initKinds  = invert(initNames)
+	noiseKinds = invert(noiseKindNames)
 )
 
 // FromConfig encodes a taskalloc.Config. Config.Pool (runtime-only) is
 // dropped; every other field round-trips.
 func FromConfig(cfg taskalloc.Config) (Config, error) {
-	alg, ok := algorithmNames[cfg.Algorithm]
-	if !ok {
+	alg := cfg.Algorithm.String()
+	if _, err := taskalloc.ParseAlgorithm(alg); err != nil {
 		return Config{}, fmt.Errorf("wire: unknown algorithm %d", int(cfg.Algorithm))
 	}
 	ini, ok := initNames[cfg.Init]
@@ -338,9 +330,9 @@ func (c Config) ToConfig() (taskalloc.Config, error) {
 		BurnIn:           c.BurnIn,
 		CheckAssumptions: c.CheckAssumptions,
 	}
-	alg, ok := algorithmKinds[orDefault(c.Algorithm, "ant")]
-	if !ok {
-		return taskalloc.Config{}, fmt.Errorf("wire: unknown algorithm %q", c.Algorithm)
+	alg, err := taskalloc.ParseAlgorithm(orDefault(c.Algorithm, "ant"))
+	if err != nil {
+		return taskalloc.Config{}, fmt.Errorf("wire: %w", err)
 	}
 	out.Algorithm = alg
 	ini, ok := initKinds[orDefault(c.Init, "idle")]

@@ -202,6 +202,34 @@ func TestConfigRoundTripTimeline(t *testing.T) {
 	}
 }
 
+// TestConfigAlgorithmNames: every algorithm crosses the codec under its
+// taskalloc name (Ant, the default, under none), and an out-of-range
+// Algorithm is rejected on encode as an unknown name is on decode.
+func TestConfigAlgorithmNames(t *testing.T) {
+	for _, a := range []taskalloc.Algorithm{taskalloc.Ant, taskalloc.PreciseSigmoid, taskalloc.PreciseAdversarial, taskalloc.Trivial} {
+		want := a.String()
+		if a == taskalloc.Ant {
+			want = ""
+		}
+		enc, err := wire.FromConfig(taskalloc.Config{Algorithm: a})
+		if err != nil || enc.Algorithm != want {
+			t.Fatalf("FromConfig(%v) = %q, %v", a, enc.Algorithm, err)
+		}
+		dec, err := enc.ToConfig()
+		if err != nil || dec.Algorithm != a {
+			t.Fatalf("ToConfig(%q) = %v, %v; want %v", enc.Algorithm, dec.Algorithm, err, a)
+		}
+	}
+	for _, a := range []taskalloc.Algorithm{-1, 9} {
+		if _, err := wire.FromConfig(taskalloc.Config{Algorithm: a}); err == nil {
+			t.Fatalf("FromConfig accepted algorithm %d", int(a))
+		}
+	}
+	if _, err := (wire.Config{Algorithm: "x"}).ToConfig(); err == nil || err.Error() != `wire: unknown algorithm "x"` {
+		t.Fatalf("ToConfig(\"x\") error = %v", err)
+	}
+}
+
 // TestGoldenCorpusRoundTrip proves the wire format round-trips the
 // whole existing scenario corpus: every golden case's config crosses
 // the codec and still replays byte-identical to goldencases.CSV.

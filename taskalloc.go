@@ -69,20 +69,32 @@ const (
 	Trivial
 )
 
+// algorithmNames is the one table of algorithm names, indexed by
+// Algorithm: String and ParseAlgorithm both read it.
+var algorithmNames = [...]string{
+	Ant:                "ant",
+	PreciseSigmoid:     "precise-sigmoid",
+	PreciseAdversarial: "precise-adversarial",
+	Trivial:            "trivial",
+}
+
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
-	switch a {
-	case Ant:
-		return "ant"
-	case PreciseSigmoid:
-		return "precise-sigmoid"
-	case PreciseAdversarial:
-		return "precise-adversarial"
-	case Trivial:
-		return "trivial"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+	if a >= 0 && int(a) < len(algorithmNames) {
+		return algorithmNames[a]
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// ParseAlgorithm is the inverse of String: it returns the algorithm
+// whose name is s, and an error naming s for any other string.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	for a, name := range algorithmNames {
+		if name == s {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 // NoiseKind selects the feedback model family.

@@ -1,6 +1,7 @@
 package taskalloc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -47,6 +48,23 @@ func TestAlgorithmAndNoiseStrings(t *testing.T) {
 			t.Fatalf("bad algorithm string %q", s)
 		}
 		names[s] = true
+	}
+}
+
+// TestParseAlgorithmRoundTrip: ParseAlgorithm inverts String on every
+// algorithm and rejects any other name, out-of-range renderings
+// included, with an error naming it.
+func TestParseAlgorithmRoundTrip(t *testing.T) {
+	for _, a := range []Algorithm{Ant, PreciseSigmoid, PreciseAdversarial, Trivial} {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for _, s := range []string{"", "x", "Ant", Algorithm(9).String(), Algorithm(-1).String()} {
+		_, err := ParseAlgorithm(s)
+		if want := fmt.Sprintf("unknown algorithm %q", s); err == nil || err.Error() != want {
+			t.Fatalf("ParseAlgorithm(%q) error = %v, want %s", s, err, want)
+		}
 	}
 }
 
