@@ -8,6 +8,9 @@
 // cell or how long it took, so every executor walks the identical γ
 // sequence — which is what lets a repeat request replay entirely from
 // caches, wherever those caches live.
+//
+// Everything else a search means is written here once too (Search and
+// Disposition), so an executor only evaluates each round's keyed cells.
 package bisect
 
 import (
@@ -50,7 +53,7 @@ type segment struct {
 //
 // The response carries Cells (sorted ascending by γ), Intervals (the
 // final segmentation in γ order), Evals, CacheHits, and Converged;
-// Version and ID are the caller's to stamp.
+// Version and ID are the caller's to stamp (Search.Run stamps them).
 func Run(req wire.BisectRequest, eval Evaluator) (wire.BisectResponse, error) {
 	var (
 		resp  wire.BisectResponse
@@ -159,4 +162,69 @@ func Run(req wire.BisectRequest, eval Evaluator) (wire.BisectResponse, error) {
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Gamma < cells[j].Gamma })
 	resp.Cells = cells
 	return resp, nil
+}
+
+// A Search is one bisect request made ready to run. Its ID and the
+// result key of every γ cell of every round share one schedule
+// normalization (wire.SemanticBisectKeys), so the template's schedule,
+// which every cell shares, is normalized once per search.
+type Search struct {
+	// ID is the response ID: wire.SemanticBisectHash of the request as
+	// sent, so a backend and a coordinator agree whatever their defaults.
+	ID  string
+	req wire.BisectRequest
+	key func(wire.Job) (string, error)
+}
+
+// New prepares req for a search: after hashing its ID, a MaxEvals of 0
+// becomes defaultMaxEvals, and Trajectory is cleared (bisect cells
+// never stream trajectories).
+func New(req wire.BisectRequest, defaultMaxEvals int) (*Search, error) {
+	id, key, err := wire.SemanticBisectKeys(req)
+	if err != nil {
+		return nil, err
+	}
+	if req.MaxEvals == 0 {
+		req.MaxEvals = defaultMaxEvals
+	}
+	req.Job.Trajectory = false
+	return &Search{ID: id, req: req, key: key}, nil
+}
+
+// Run runs the search (Run) and stamps the response's Version and ID.
+// Each round, eval gets the γ cells: jobs[i], the template with
+// Config.Gamma overridden; keys[i], its result key (the
+// trajectory-cleared SemanticHash); and cells[i], its response cell
+// with Gamma and JobHash set, which eval completes in place (Cached,
+// and Report or Err). An error aborts the search.
+func (s *Search) Run(eval func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error) (wire.BisectResponse, error) {
+	resp, err := Run(s.req, func(gammas []float64) ([]wire.BisectCell, error) {
+		jobs := make([]wire.Job, len(gammas))
+		keys := make([]string, len(gammas))
+		cells := make([]wire.BisectCell, len(gammas))
+		for i, g := range gammas {
+			jobs[i] = s.req.Job
+			jobs[i].Config.Gamma = g
+			hash, err := wire.JobHash(jobs[i])
+			if err != nil {
+				return nil, err
+			}
+			if keys[i], err = s.key(jobs[i]); err != nil {
+				return nil, err
+			}
+			cells[i] = wire.BisectCell{Gamma: g, JobHash: hash}
+		}
+		return cells, eval(jobs, keys, cells)
+	})
+	resp.Version, resp.ID = wire.V1, s.ID
+	return resp, err
+}
+
+// Disposition is a completed search's X-Cache verdict: "hit" when every
+// evaluated cell came from a cache (cache_hits == evals), else "miss".
+func Disposition(resp wire.BisectResponse) string {
+	if resp.Evals > 0 && resp.CacheHits == resp.Evals {
+		return "hit"
+	}
+	return "miss"
 }

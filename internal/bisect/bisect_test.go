@@ -191,3 +191,63 @@ func TestRunProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchDerivesCells: a Search hashes its ID over the request as
+// sent, applies the budget default, clears Trajectory, and hands its
+// evaluator every cell as the template at γ with that job's syntactic
+// JobHash and its trajectory-cleared SemanticHash as key; the response
+// carries Version and ID, and Disposition is "hit" only when every
+// evaluated cell was cached.
+func TestSearchDerivesCells(t *testing.T) {
+	req := wire.BisectRequest{
+		Version: wire.V1,
+		Job: wire.Job{Rounds: 40, Trajectory: true,
+			Config: wire.Config{Ants: 50, Demands: []int{10, 15}, Seed: 3}},
+		GammaLo: 0.01, GammaHi: 0.05, TargetBand: 1e-9,
+	}
+	wantID, err := wire.SemanticBisectHash(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(req, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ID != wantID {
+		t.Fatalf("ID %s, want SemanticBisectHash of the request as sent, %s", s.ID, wantID)
+	}
+	for _, cached := range []bool{true, false} {
+		resp, err := s.Run(func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
+			for i, j := range jobs {
+				want := req.Job
+				want.Trajectory = false
+				want.Config.Gamma = cells[i].Gamma
+				hash, err := wire.JobHash(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key, err := wire.SemanticHash(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(j, want) || cells[i].JobHash != hash || keys[i] != key {
+					t.Errorf("γ=%v: job %+v, hash %s, key %s; want %+v, %s, %s",
+						cells[i].Gamma, j, cells[i].JobHash, keys[i], want, hash, key)
+				}
+				cells[i].Cached = cached || i > 0
+				cells[i].Report = &taskalloc.Report{AvgRegret: cells[i].Gamma * 1000}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Version != wire.V1 || resp.ID != wantID || resp.Evals != 5 {
+			t.Errorf("response version %q, id %s, %d evals; want %q, %s, the default budget of 5",
+				resp.Version, resp.ID, resp.Evals, wire.V1, wantID)
+		}
+		if want := map[bool]string{true: "hit", false: "miss"}[cached]; Disposition(resp) != want {
+			t.Errorf("%d of %d cells cached: disposition %q, want %q", resp.CacheHits, resp.Evals, Disposition(resp), want)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"taskalloc/internal/scenario"
 	"taskalloc/internal/simserver"
+	"taskalloc/internal/simserver/client"
 	"taskalloc/internal/wire"
 )
 
@@ -154,16 +155,11 @@ func BenchmarkBisect(b *testing.B) {
 	})
 }
 
-// BenchmarkPlacementFrozenGrid measures what the coordinator computes
-// before its first backend call: the sweep ID (X-Sweep-Id and the
-// stream header) and the placement over 3 backends. The grid is the
-// cmd/sweep pattern: 24 cells, differing only in seed, share one frozen
-// snapshot over 2^16 rounds of a step schedule that changes once. The
-// snapshot is a few bytes on the wire, but normalizing it decodes and
-// re-freezes every one of its rounds, which one wire.SemanticSweepKeys
-// pass does once for the whole grid.
-func BenchmarkPlacementFrozenGrid(b *testing.B) {
-	const horizon = 1 << 16
+// frozenStep encodes a frozen snapshot, over horizon rounds, of a step
+// schedule that changes once: a few bytes on the wire, but normalizing
+// it decodes and re-freezes every one of its rounds.
+func frozenStep(b *testing.B, horizon uint64) *wire.Schedule {
+	b.Helper()
 	step := &wire.Schedule{
 		Kind: "step", Base: []int{400, 600},
 		When: []uint64{horizon / 2}, Vectors: [][]int{{600, 400}},
@@ -180,12 +176,71 @@ func BenchmarkPlacementFrozenGrid(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return &enc
+}
+
+// BenchmarkBisectFrozenTemplate measures a warm 8-eval search (4
+// rounds, every cell cached) whose template is a frozen snapshot over
+// 2^20 rounds, with -benchmem the point: on a server the search
+// normalizes its template once, and through the coordinator the
+// coordinator does once and its in-process backend once per round's
+// sub-sweep.
+func BenchmarkBisectFrozenTemplate(b *testing.B) {
+	req := wire.BisectRequest{
+		Version: wire.V1,
+		Job: wire.Job{Rounds: 600, Config: wire.Config{
+			Ants: 1000, Seed: 7, Shards: 1, Schedule: frozenStep(b, 1<<20)}},
+		GammaLo:    0.004,
+		GammaHi:    1.0 / 16,
+		TargetBand: 1e-9,
+		MaxEvals:   8,
+	}
+	for _, side := range []string{"server", "coordinator"} {
+		b.Run(side, func(b *testing.B) {
+			url := benchBackends(b, 1)[0]
+			search := client.New(url, nil).Bisect
+			if side == "coordinator" {
+				coord, err := New(Options{Backends: []string{url}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				search = coord.Bisect
+			}
+			if _, err := search(context.Background(), req); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := search(context.Background(), req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.Evals != 8 || resp.CacheHits != resp.Evals {
+					b.Fatalf("warm search: %d of %d evals cached, want 8 of 8", resp.CacheHits, resp.Evals)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlacementFrozenGrid measures what the coordinator computes
+// before its first backend call: the sweep ID (X-Sweep-Id and the
+// stream header) and the placement over 3 backends. The grid is the
+// cmd/sweep pattern: 24 cells, differing only in seed, share one frozen
+// snapshot over 2^16 rounds of a step schedule that changes once. The
+// snapshot is a few bytes on the wire, but normalizing it decodes and
+// re-freezes every one of its rounds, which one wire.SemanticSweepKeys
+// pass does once for the whole grid.
+func BenchmarkPlacementFrozenGrid(b *testing.B) {
+	const horizon = 1 << 16
+	enc := frozenStep(b, horizon)
 	sweep := wire.Sweep{Version: wire.V1}
 	for i := 0; i < 24; i++ {
 		sweep.Jobs = append(sweep.Jobs, wire.Job{
 			Meta:   []string{"frozen", fmt.Sprint(i)},
 			Rounds: horizon,
-			Config: wire.Config{Ants: 1000, Gamma: 1.0 / 32, Seed: uint64(i), Shards: 1, Schedule: &enc},
+			Config: wire.Config{Ants: 1000, Gamma: 1.0 / 32, Seed: uint64(i), Shards: 1, Schedule: enc},
 		})
 	}
 	b.ReportAllocs()

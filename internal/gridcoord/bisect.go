@@ -2,6 +2,7 @@ package gridcoord
 
 import (
 	"context"
+	"encoding/json"
 
 	"taskalloc/internal/bisect"
 	"taskalloc/internal/obs"
@@ -9,90 +10,54 @@ import (
 	"taskalloc/internal/wire"
 )
 
-// Sharded bisect: the coordinator runs the deterministic refinement
-// search itself (internal/bisect — the same loop the backends run for
-// POST /v1/bisect) and evaluates each round's γ batch through the same
-// dispatcher as a sweep, as a static plan: every cell goes to the
-// equal-range owner of its result key — keyed and placed as a sweep's
-// jobs are, by Partition, and never stolen — one sub-sweep per owner.
-// Bisect cells never stream trajectories, so a cell's result key is
-// its SemanticHash. A repeat (or behaviorally equivalent) request
-// therefore sends every backend the exact sub-sweeps it has already
-// cached: the whole search replays as sweep-cache hits, round by
-// round, while a cold search gets every round's midpoints evaluated
-// grid-wide instead of bottlenecked on one host. An idle backend backs
-// up an owner that is still computing, so a slow owner does not hold
-// the round.
-
-// Bisect runs a γ-bisection request across the backend set, sharding
-// each refinement round's midpoint batch over all backends by per-γ
-// hash affinity, with backups and failover from the shared dispatcher.
+// Bisect runs a γ-bisection request across the backend set (evalRound).
 // The response is identical to the same request POSTed to one
 // backend's /v1/bisect — same search path, same cells, same ID — and a
-// repeat request is served entirely from the backends' caches.
+// repeat request is served entirely from the backends' caches. A
+// template past the frozen-horizon budget is rejected before anything
+// is keyed, with an error wrapping wire.ErrFrozenBudget.
 func (c *Coordinator) Bisect(ctx context.Context, req wire.BisectRequest) (*wire.BisectResponse, error) {
-	if req.Version == "" {
-		req.Version = wire.V1
-	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	// Hash the request AS SENT — before the MaxEvals default — matching
-	// the backends' response-ID convention, so coordinator and backend
-	// agree on the public ID of one search.
-	id, err := wire.SemanticBisectHash(req)
+	if err := wire.CheckFrozenHorizons([]wire.Job{req.Job}); err != nil {
+		return nil, err
+	}
+	search, err := bisect.New(req, bisect.DefaultMaxEvals)
 	if err != nil {
 		return nil, err
 	}
-	if req.MaxEvals == 0 {
-		req.MaxEvals = bisect.DefaultMaxEvals
-	}
-	req.Job.Trajectory = false // bisect cells never stream trajectories
 	c.metrics.bisects.Inc()
 	clients := c.traced(obs.NewID())
-	resp, err := bisect.Run(req, func(gammas []float64) ([]wire.BisectCell, error) {
-		return c.evalRound(ctx, clients, req.Job, gammas)
+	resp, err := search.Run(func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
+		return c.evalRound(ctx, clients, wire.MaxBodyBytes, jobs, keys, cells)
 	})
 	if err != nil {
 		return nil, err
 	}
-	resp.Version = wire.V1
-	resp.ID = id
 	return &resp, nil
 }
 
-// evalRound evaluates one refinement round's γ batch: tmpl at each γ,
-// dispatched one chunk per owning backend. A cell is Cached when its
-// owner replayed the sub-sweep from cache (X-Sweep-Cache) — the signal
-// bisect.Run's CacheHits accounting builds on. Provenance is the
-// owner's even when a backup delivers the cell: only a computing (miss)
-// owner is backed up, so a backup never changes a cell's Cached.
-func (c *Coordinator) evalRound(ctx context.Context, clients []*client.Client, tmpl wire.Job, gammas []float64) ([]wire.BisectCell, error) {
-	cells := make([]wire.BisectCell, len(gammas))
-	jobs := make([]wire.Job, len(gammas))
-	for k, g := range gammas {
-		wj := tmpl
-		cfg := wj.Config // value copy; Gamma override stays local
-		cfg.Gamma = g
-		wj.Config = cfg
-		hash, err := wire.JobHash(wj)
-		if err != nil {
-			return nil, err
-		}
-		cells[k] = wire.BisectCell{Gamma: g, JobHash: hash}
-		jobs[k] = wj
-	}
-	// One keying pass over the round, as for a sweep: the template's
-	// schedule, which every cell shares, is normalized once, not per γ.
-	_, keys, err := wire.SemanticSweepKeys(wire.Sweep{Version: wire.V1, Jobs: jobs})
-	if err != nil {
-		return nil, err
-	}
+// evalRound evaluates one round (bisect.Search.Run) as a static plan:
+// each cell goes to the equal-range owner of its key (Partition), never
+// stolen, in as few sub-sweeps of at most limit bytes per owner as
+// their encoded size allows (splitBySize), so a repeat search sends
+// every backend the sub-sweeps it has cached. A cell is Cached when its sub-sweep's primary stream
+// replayed it (X-Sweep-Cache); only a computing (miss) primary is
+// backed up, so a backup never changes a cell's Cached.
+func (c *Coordinator) evalRound(ctx context.Context, clients []*client.Client, limit int,
+	jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
 	owners, err := Partition(keys, len(clients))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	_, err = c.dispatch(ctx, clients, jobs, chunked(owners, 0), false,
+	queues := make([][]chunk, len(owners))
+	for b, idxs := range owners {
+		if queues[b], err = splitBySize(idxs, jobs, limit); err != nil {
+			return err
+		}
+	}
+	_, err = c.dispatch(ctx, clients, jobs, queues, false,
 		func(k int, res wire.Result, cached bool) {
 			cells[k].Cached = cached
 			if res.Err != "" {
@@ -101,8 +66,27 @@ func (c *Coordinator) evalRound(ctx context.Context, clients []*client.Client, t
 				cells[k].Report = res.Report
 			}
 		})
-	if err != nil {
-		return nil, err
+	return err
+}
+
+// splitBySize cuts idxs, in order, into the fewest runs whose sub-sweep
+// body (wire.MarshalSweep, as the client sends it) is at most limit
+// bytes, so no POST is larger than a backend accepts unless it carries
+// one job. Sizes come from the jobs' own encodings.
+func splitBySize(idxs []int, jobs []wire.Job, limit int) ([]chunk, error) {
+	empty, _ := wire.MarshalSweep(wire.Sweep{Jobs: []wire.Job{}}) // no job, no error
+	var out []chunk
+	size := limit // the first job opens a run
+	for _, i := range idxs {
+		enc, err := json.Marshal(jobs[i])
+		if err != nil {
+			return nil, err
+		}
+		if size += 1 + len(enc); size > limit { // 1: the comma before it
+			out = append(out, chunk{})
+			size = len(empty) + len(enc)
+		}
+		out[len(out)-1].idxs = append(out[len(out)-1].idxs, i)
 	}
-	return cells, nil
+	return out, nil
 }

@@ -47,13 +47,12 @@
 // other than 429) are not retried: a backend that rejects a sub-sweep
 // would reject it identically everywhere.
 //
-// Adaptive grids: Bisect runs the shared refinement search
-// (internal/bisect) on the coordinator and dispatches each round's γ
-// cells through the same scheduler as a static plan: one chunk per
-// owning backend, the owner being the same equal-range owner of each
-// cell's result key, never stolen — the search path is deterministic,
-// so a repeat request replays every sub-sweep from the backends' sweep
-// caches.
+// Adaptive grids: Bisect runs the shared search (internal/bisect) on
+// the coordinator and dispatches each round's keyed γ cells through the
+// same scheduler as a static plan: each cell goes to the owner of its
+// result key, never stolen, split across POSTs only as their encoded
+// size requires — the search path is deterministic, so a repeat request
+// replays every sub-sweep from the backends' sweep caches.
 //
 // Streaming: the merged body goes out as it forms. The stream header
 // (or CSV header row) is written before any backend is called, and
@@ -337,13 +336,14 @@ func (c *Coordinator) chunkSizeFor(jobs int) int {
 // is written before any backend is called and each result as soon as
 // its prefix is complete, each write flushed when w is an
 // http.Flusher. A completed run's status is then served by
-// SweepStatus.
+// SweepStatus. A sweep past the frozen-horizon budget is rejected, as
+// a backend rejects it, before any keying (wire.CheckFrozenHorizons).
 func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, w io.Writer) (Stats, error) {
 	if format != FormatNDJSON && format != FormatCSV {
 		return Stats{}, fmt.Errorf("gridcoord: unknown format %q", format)
 	}
-	if sweep.Version == "" {
-		sweep.Version = wire.V1
+	if err := wire.CheckFrozenHorizons(sweep.Jobs); err != nil {
+		return Stats{}, err
 	}
 	id, keys, err := wire.SemanticSweepKeys(sweep)
 	if err != nil {
@@ -352,8 +352,8 @@ func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, 
 	return c.run(ctx, sweep, id, keys, format, w)
 }
 
-// run is Run for a sweep the caller has already keyed with
-// wire.SemanticSweepKeys: id is its semantic sweep hash (the HTTP
+// run is Run for a sweep the caller has already admitted and keyed
+// with wire.SemanticSweepKeys: id is its semantic sweep hash (the HTTP
 // handler sends it as X-Sweep-Id before the body) and keys its result
 // keys, which place the jobs.
 func (c *Coordinator) run(ctx context.Context, sweep wire.Sweep, id string, keys []string, format Format, w io.Writer) (Stats, error) {

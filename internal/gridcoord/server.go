@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"taskalloc/internal/bisect"
 	"taskalloc/internal/simserver/client"
 	"taskalloc/internal/wire"
 )
@@ -92,8 +93,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
-	// One keying pass names the sweep (X-Sweep-Id and the stream
-	// header) and places its jobs.
+	// Admit the grid as a backend does, then key it in one pass that
+	// names the sweep (X-Sweep-Id and the stream header) and places it.
+	if err := wire.CheckFrozenHorizons(sweep.Jobs); err != nil {
+		httpError(w, wire.DecodeStatus(err), "%v", err)
+		return
+	}
 	id, keys, err := wire.SemanticSweepKeys(sweep)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -117,23 +122,22 @@ func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := c.Bisect(r.Context(), req)
 	if err != nil {
-		// A backend rejection keeps its status (the coordinator shares
-		// the backends' admission verdicts); anything else is a bad
-		// gateway.
+		// The coordinator's own admission and a backend rejection keep a
+		// backend's status (the coordinator shares the backends'
+		// admission verdicts); anything else is a bad gateway.
 		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
+		switch {
+		case errors.Is(err, wire.ErrFrozenBudget):
+			httpError(w, wire.DecodeStatus(err), "%v", err)
+		case errors.As(err, &apiErr):
 			httpError(w, apiErr.StatusCode, "%s", apiErr.Message)
-			return
+		default:
+			httpError(w, http.StatusBadGateway, "%v", err)
 		}
-		httpError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	disposition := "miss"
-	if resp.Evals > 0 && resp.CacheHits == resp.Evals {
-		disposition = "hit"
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", disposition)
+	w.Header().Set("X-Cache", bisect.Disposition(*resp))
 	_ = json.NewEncoder(w).Encode(resp)
 }
 

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,4 +281,147 @@ func TestSweepStreamsAsItMerges(t *testing.T) {
 			t.Errorf("CSV body differs from the single-host rendering:\n%s\nwant\n%s", g, w)
 		}
 	})
+}
+
+// postDoc POSTs a JSON document and returns the status and body.
+func postDoc(t *testing.T, url string, doc []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestCoordinatorFrozenBudget: the coordinator admits a grid against
+// the frozen-horizon budget itself, before keying anything, as a
+// backend does. A template composing two distinct frozen snapshots
+// whose horizons sum past wire.MaxFrozenHorizon, as a one-job sweep
+// and as a bisect, gets the backend's own status and message from the
+// coordinator's HTTP surface, and Run and Bisect return the budget
+// error — and the coordinator's backend is never called.
+func TestCoordinatorFrozenBudget(t *testing.T) {
+	backend := simserver.New(simserver.Options{})
+	t.Cleanup(backend.Close)
+	bs := httptest.NewServer(backend)
+	t.Cleanup(bs.Close)
+	var calls atomic.Int64
+	counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		backend.ServeHTTP(w, r)
+	}))
+	t.Cleanup(counted.Close)
+	coord, err := New(Options{Backends: []string{counted.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(coord.Handler())
+	t.Cleanup(cs.Close)
+
+	frozen := func(d int) wire.Schedule {
+		return wire.Schedule{Kind: "frozen", When: []uint64{0}, Vectors: [][]int{{d}},
+			Horizon: wire.MaxFrozenHorizon/2 + 1}
+	}
+	job := wire.Job{Rounds: 50, Config: wire.Config{Ants: 100, Shards: 1, Schedule: &wire.Schedule{
+		Kind: "compose", When: []uint64{0, 20}, Parts: []wire.Schedule{frozen(10), frozen(20)}}}}
+	sweep := wire.Sweep{Version: wire.V1, Jobs: []wire.Job{job}}
+	req := wire.BisectRequest{Version: wire.V1, Job: job,
+		GammaLo: 0.01, GammaHi: 1.0 / 16, TargetBand: 1e9, MaxEvals: 2}
+	sweepDoc, err := wire.MarshalSweep(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bisectDoc, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		path string
+		doc  []byte
+	}{{"/v1/sweeps", sweepDoc}, {"/v1/bisect", bisectDoc}} {
+		code, msg := postDoc(t, bs.URL+p.path, p.doc)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("backend POST %s: HTTP %d %q, want 413", p.path, code, msg)
+		}
+		if gotCode, gotMsg := postDoc(t, cs.URL+p.path, p.doc); gotCode != code || !bytes.Equal(gotMsg, msg) {
+			t.Errorf("coordinator POST %s: HTTP %d %q; the backend answered HTTP %d %q",
+				p.path, gotCode, gotMsg, code, msg)
+		}
+	}
+	var out bytes.Buffer
+	if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &out); !errors.Is(err, wire.ErrFrozenBudget) || out.Len() > 0 {
+		t.Errorf("Run: error %v after %d bytes, want wire.ErrFrozenBudget before any", err, out.Len())
+	}
+	if _, err := coord.Bisect(context.Background(), req); !errors.Is(err, wire.ErrFrozenBudget) {
+		t.Errorf("Bisect: error %v, want wire.ErrFrozenBudget", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("the coordinator sent its backend %d requests; the budget is checked before any keying", n)
+	}
+}
+
+// TestLargeTemplateParity: the coordinator accepts what a single host
+// accepts. The template's schedule is a 2^20-point trace, 11.5 MB as
+// compact JSON and past wire.MaxBodyBytes once indented, so an indented
+// sub-sweep of it is one a backend rejects. A bisect over it (its first
+// round: both endpoint cells in one sub-sweep) and the template as a
+// one-job sweep must get the same response from one backend as through
+// a coordinator in front of another. TestBisectRoundSplitsBySize covers
+// a round too large for one sub-sweep.
+func TestLargeTemplateParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves about 100 MB of JSON; skipped under -short")
+	}
+	const points = 1 << 20
+	when := make([]uint64, points)
+	vecs := make([][]int, points)
+	for i := range when {
+		when[i], vecs[i] = uint64(i), []int{1 + i%2}
+	}
+	job := wire.Job{Rounds: 200, Config: wire.Config{Ants: 200, Shards: 1,
+		Schedule: &wire.Schedule{Kind: "trace", When: when, Vectors: vecs}}}
+	bisectDoc, err := json.Marshal(wire.BisectRequest{Version: wire.V1, Job: job,
+		GammaLo: 0.004, GammaHi: 1.0 / 16, TargetBand: 1e-9, MaxEvals: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepDoc, err := json.Marshal(wire.Sweep{Version: wire.V1, Jobs: []wire.Job{job}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boot := func() string {
+		srv := simserver.New(simserver.Options{Workers: 1})
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	single := boot()
+	coord, err := New(Options{Backends: []string{boot()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(coord.Handler())
+	t.Cleanup(cs.Close)
+
+	for _, p := range []struct {
+		path string
+		doc  []byte
+	}{{"/v1/bisect", bisectDoc}, {"/v1/sweeps", sweepDoc}} {
+		code, want := postDoc(t, single+p.path, p.doc)
+		if code != http.StatusOK {
+			t.Fatalf("backend POST %s: HTTP %d %q", p.path, code, want)
+		}
+		gotCode, got := postDoc(t, cs.URL+p.path, p.doc)
+		if gotCode != code || !bytes.Equal(got, want) {
+			t.Errorf("coordinator POST %s: HTTP %d, %d bytes %.300q; the backend answered HTTP %d, %d bytes %.300q",
+				p.path, gotCode, len(got), got, code, len(want), want)
+		}
+	}
 }

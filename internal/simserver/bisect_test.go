@@ -337,3 +337,45 @@ func TestBisectUndecodableTemplate(t *testing.T) {
 		t.Fatalf("400 body %q, want %q", msg, want)
 	}
 }
+
+// TestBisectFrozenBudget: a bisect template gets a one-cell sweep's
+// admission, the frozen-horizon budget included. The template composes
+// two distinct frozen snapshots whose horizons sum past
+// wire.MaxFrozenHorizon: a few hundred bytes that would materialize
+// both snapshots at every keying and decode. The bisect must be
+// rejected with the status and message of the same template POSTed as
+// a one-job sweep.
+func TestBisectFrozenBudget(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	frozen := func(d int) wire.Schedule {
+		return wire.Schedule{Kind: "frozen", When: []uint64{0}, Vectors: [][]int{{d}},
+			Horizon: wire.MaxFrozenHorizon/2 + 1}
+	}
+	job := wire.Job{Rounds: 50, Config: wire.Config{Ants: 100, Shards: 1, Schedule: &wire.Schedule{
+		Kind: "compose", When: []uint64{0, 20}, Parts: []wire.Schedule{frozen(10), frozen(20)}}}}
+	blob, err := wire.MarshalSweep(wire.Sweep{Jobs: []wire.Job{job}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepMsg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("one-job sweep: HTTP %d %q, want 413", resp.StatusCode, sweepMsg)
+	}
+
+	req := wire.BisectRequest{Version: wire.V1, Job: job,
+		GammaLo: 0.01, GammaHi: 1.0 / 16, TargetBand: 1e9, MaxEvals: 2}
+	got, code, msg := postBisect(t, ts, req)
+	if got != nil || code != resp.StatusCode || msg != strings.TrimSpace(string(sweepMsg)) {
+		t.Fatalf("bisect: HTTP %d %q (%+v); the one-job sweep got HTTP %d %q",
+			code, msg, got, resp.StatusCode, sweepMsg)
+	}
+}

@@ -212,6 +212,25 @@ func (c *Client) sweepsURL(format string, opts SubmitOptions) string {
 	return u
 }
 
+// post POSTs a JSON document and returns the 200 response, whose body
+// the caller closes; any other status is the server's rejection.
+func (c *Client) post(ctx context.Context, target string, body []byte) (*http.Response, error) {
+	req, err := c.newRequest(ctx, http.MethodPost, target, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, apiError(resp)
+	}
+	return resp, nil
+}
+
 // SubmitSweep POSTs the grid and consumes the NDJSON stream. onResult,
 // if non-nil, observes each cell as its line arrives (in job order);
 // the full result set is returned either way.
@@ -221,20 +240,11 @@ func (c *Client) SubmitSweep(ctx context.Context, sweep wire.Sweep, opts SubmitO
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost,
-		c.sweepsURL("ndjson", opts), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
+	resp, err := c.post(ctx, c.sweepsURL("ndjson", opts), body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	return consumeNDJSON(resp, 0, opts, onResult)
 }
 
@@ -352,20 +362,11 @@ func (c *Client) SubmitSweepCSV(ctx context.Context, sweep wire.Sweep, opts Subm
 	if err != nil {
 		return nil, false, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost,
-		c.sweepsURL("csv", opts), bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
+	resp, err := c.post(ctx, c.sweepsURL("csv", opts), body)
 	if err != nil {
 		return nil, false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, apiError(resp)
-	}
 	out, err := io.ReadAll(resp.Body)
 	return out, resp.Header.Get("X-Sweep-Cache") == "hit", err
 }
@@ -381,20 +382,11 @@ func (c *Client) Bisect(ctx context.Context, req wire.BisectRequest) (*wire.Bise
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := c.newRequest(ctx, http.MethodPost,
-		c.base+"/v1/bisect", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.post(ctx, c.base+"/v1/bisect", body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var out wire.BisectResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("client: decode bisect response: %w", err)

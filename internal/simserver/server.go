@@ -295,9 +295,9 @@ func Open(opts Options) (*Server, error) {
 		s.auth = newAuthState(opts.Tenants, s.metrics)
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
-	s.mux.HandleFunc("POST /v1/bisect", s.handleBisect)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGet)
+	s.mux.HandleFunc("POST /v1/sweeps", s.drained(s.handleSubmit))
+	s.mux.HandleFunc("POST /v1/bisect", s.drained(s.handleBisect))
+	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.drained(s.handleGet))
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -311,15 +311,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.instrumented(w, r)
 }
 
-// begin registers an in-flight request; false once Close has started.
-func (s *Server) begin() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
+// drained wraps a handler Close waits for: each request registers in
+// flight, and once Close has started it is answered 503 instead.
+func (s *Server) drained(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		open := !s.closed
+		if open {
+			s.inflight.Add(1)
+		}
+		s.mu.Unlock()
+		if !open {
+			httpError(w, http.StatusServiceUnavailable, "server is draining")
+			return
+		}
+		defer s.inflight.Done()
+		h(w, r)
 	}
-	s.inflight.Add(1)
-	return true
 }
 
 // Close drains the server: new submissions are rejected with 503,
@@ -421,13 +429,50 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.begin() {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+// admit bounds what a grid — a sweep, or a bisect template as a
+// one-cell grid — can buy before anything is keyed or run (running
+// sweeps are not cancelled on client disconnect, so this is where CPU
+// and decode memory are bounded); it returns the status to reject with.
+func (s *Server) admit(jobs []wire.Job) (int, error) {
+	if len(jobs) > s.opts.MaxJobs {
+		return http.StatusRequestEntityTooLarge,
+			fmt.Errorf("grid has %d jobs, limit %d", len(jobs), s.opts.MaxJobs)
 	}
-	defer s.inflight.Done()
+	for i, j := range jobs {
+		if j.Rounds < 0 || j.Rounds > s.opts.MaxCellRounds {
+			return http.StatusBadRequest,
+				fmt.Errorf("jobs[%d]: rounds %d outside [0, %d]", i, j.Rounds, s.opts.MaxCellRounds)
+		}
+		if j.Config.Ants > s.opts.MaxCellAnts {
+			return http.StatusBadRequest,
+				fmt.Errorf("jobs[%d]: ants %d over limit %d", i, j.Config.Ants, s.opts.MaxCellAnts)
+		}
+	}
+	if err := wire.CheckFrozenHorizons(jobs); err != nil {
+		return wire.DecodeStatus(err), err
+	}
+	return 0, nil
+}
 
+// requestWorkers is a request's fan-out bound: its ?workers=N, or the
+// server default; a bad value is answered 400 (ok false). A large N is
+// clamped, not rejected: the bytes are worker-count invariant and the
+// gate bounds running simulations, so the clamp only bounds the parked
+// goroutine stacks a huge request could spawn.
+func (s *Server) requestWorkers(w http.ResponseWriter, r *http.Request) (workers int, ok bool) {
+	v := r.URL.Query().Get("workers")
+	if v == "" {
+		return s.opts.Workers, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		httpError(w, http.StatusBadRequest, "bad workers %q", v)
+		return 0, false
+	}
+	return min(n, maxWorkersPerRequest), true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Admission stage: everything from here to the cache lookup —
 	// decode, bounds, hashing, quota. Observed only for admitted
 	// submissions (rejections show up in the per-route status counters).
@@ -441,21 +486,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown format %q (want ndjson or csv)", format)
 		return
 	}
-	workers := s.opts.Workers
-	if v := r.URL.Query().Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad workers %q", v)
-			return
-		}
-		// Clamp rather than reject: ordering (and therefore every
-		// response byte) is worker-count invariant, and the gate bounds
-		// running simulations anyway — the clamp only bounds parked
-		// goroutine stacks a huge request could otherwise spawn.
-		if n > maxWorkersPerRequest {
-			n = maxWorkersPerRequest
-		}
-		workers = n
+	workers, ok := s.requestWorkers(w, r)
+	if !ok {
+		return
 	}
 
 	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
@@ -463,50 +496,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
-	// Admission bounds: a well-formed document must not be able to buy
-	// unbounded compute (running sweeps are not cancelled on client
-	// disconnect, so this is where CPU is bounded).
-	if len(sweep.Jobs) > s.opts.MaxJobs {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"grid has %d jobs, limit %d", len(sweep.Jobs), s.opts.MaxJobs)
+	if status, err := s.admit(sweep.Jobs); err != nil {
+		httpError(w, status, "%v", err)
 		return
-	}
-	var frozenTotal uint64
-	frozenSeen := map[string]bool{}
-	for i, j := range sweep.Jobs {
-		if j.Rounds < 0 || j.Rounds > s.opts.MaxCellRounds {
-			httpError(w, http.StatusBadRequest,
-				"jobs[%d]: rounds %d outside [0, %d]", i, j.Rounds, s.opts.MaxCellRounds)
-			return
-		}
-		if j.Config.Ants > s.opts.MaxCellAnts {
-			httpError(w, http.StatusBadRequest,
-				"jobs[%d]: ants %d over limit %d", i, j.Config.Ants, s.opts.MaxCellAnts)
-			return
-		}
-		// Frozen snapshots materialize O(horizon) at decode; the wire
-		// codec caps each one, but the document-wide sum over DISTINCT
-		// snapshots must be capped too or a small body buys an
-		// unbounded buildRunnable. Identical encodings count once —
-		// buildRunnable materializes them once (frozen snapshots are
-		// safe to share across concurrent jobs; cmd/sweep grids
-		// duplicate one snapshot across every cell).
-		// Snapshots nested inside algebra operators count too: EachFrozen
-		// walks the whole schedule tree, so a compose cannot smuggle a
-		// snapshot past the budget.
-		if sc := j.Config.Schedule; sc != nil {
-			sc.EachFrozen(func(fz *wire.Schedule) {
-				if key := wire.FrozenKey(fz); !frozenSeen[key] {
-					frozenSeen[key] = true
-					frozenTotal += fz.Horizon
-				}
-			})
-			if frozenTotal > wire.MaxFrozenHorizon {
-				httpError(w, http.StatusRequestEntityTooLarge,
-					"grid's distinct frozen horizons sum past %d (job %d)", wire.MaxFrozenHorizon, i)
-				return
-			}
-		}
 	}
 	// The public sweep ID is the behavioral hash: equivalent spellings
 	// share one ID, one cache entry, and byte-identical bodies. The
@@ -717,12 +709,6 @@ func buildRunnable(sweep wire.Sweep, keys []string) (grid, error) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if !s.begin() {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer s.inflight.Done()
-
 	id := r.PathValue("id")
 	if q := r.URL.Query(); q.Has("cursor") || q.Has("format") {
 		// Stream mode: replay the response body from a cursor — how a

@@ -70,7 +70,7 @@ func semanticDigest(normal []byte) string {
 // cmd/sweep pattern: one frozen snapshot for the whole grid) runs once,
 // not per job.
 func SemanticSweepHash(s Sweep) (string, error) {
-	id, _, err := semanticSweep(s, false)
+	id, _, err := SemanticSweepKeys(s)
 	return id, err
 }
 
@@ -80,17 +80,10 @@ func SemanticSweepHash(s Sweep) (string, error) {
 // same pass over the same schedule memo as the sweep hash, so a
 // schedule the grid's cells share is normalized once for both.
 func SemanticSweepKeys(s Sweep) (id string, keys []string, err error) {
-	return semanticSweep(s, true)
-}
-
-func semanticSweep(s Sweep, withKeys bool) (string, []string, error) {
 	cache := semCache{}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s%s\n", semanticDomain, orDefault(s.Version, V1))
-	var keys []string
-	if withKeys {
-		keys = make([]string, len(s.Jobs))
-	}
+	keys = make([]string, len(s.Jobs))
 	for i, j := range s.Jobs {
 		norm := semanticJob(j, cache)
 		b, err := json.Marshal(norm)
@@ -99,9 +92,6 @@ func semanticSweep(s Sweep, withKeys bool) (string, []string, error) {
 		}
 		fmt.Fprintf(h, "%d:", len(b))
 		h.Write(b)
-		if !withKeys {
-			continue
-		}
 		if norm.Trajectory {
 			norm.Trajectory = false
 			if b, err = json.Marshal(norm); err != nil {
@@ -119,16 +109,30 @@ func semanticSweep(s Sweep, withKeys bool) (string, []string, error) {
 // server's in-flight bisect coalescing. The coordinator places a
 // search's cells per γ, by SemanticHash, not by this hash.
 func SemanticBisectHash(b BisectRequest) (string, error) {
+	id, _, err := SemanticBisectKeys(b)
+	return id, err
+}
+
+// SemanticBisectKeys is SemanticBisectHash plus the result-key function
+// of the search's γ cells (a job's SemanticHash with Trajectory
+// cleared, as SemanticSweepKeys keys a sweep's job). The function
+// shares the hash's schedule memo, so the template's schedule is
+// normalized once per search. It is not safe for concurrent use.
+func SemanticBisectKeys(b BisectRequest) (id string, key func(Job) (string, error), err error) {
+	cache := semCache{}
 	b.Job.Trajectory = false // ignored by bisect; must not split the hash
-	jb, err := json.Marshal(semanticJob(b.Job, semCache{}))
+	jb, err := json.Marshal(semanticJob(b.Job, cache))
 	if err != nil {
-		return "", fmt.Errorf("wire: semantic hash bisect request: %w", err)
+		return "", nil, fmt.Errorf("wire: semantic hash bisect request: %w", err)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%sbisect/%s\n%g %g %g %d\n", semanticDomain, orDefault(b.Version, V1),
 		b.GammaLo, b.GammaHi, b.TargetBand, b.MaxEvals)
 	h.Write(jb)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), func(j Job) (string, error) {
+		j.Trajectory = false
+		return semanticHash(j, cache)
+	}, nil
 }
 
 // semCache memoizes normalized schedule encodings by their syntactic

@@ -16,17 +16,19 @@
 // decoded struct re-encoded with configuration defaults applied — so
 // the hash is insensitive to JSON key order and whitespace but
 // sensitive to every semantic field (seed, γ, schedule parameters,
-// events, metadata, rounds). The service's result cache keys on it.
-// Shards = 0 (resolve to GOMAXPROCS at run time) is deliberately NOT
-// canonicalized away: submitters who need cross-host reproducibility
-// must pin Shards explicitly.
+// events, metadata, rounds). The service's caches key on the semantic
+// hashes instead (semantic.go), which also see through equivalent
+// schedule spellings; the syntactic ones only count a sweep cache's
+// alias hits and give a bisect cell its reported JobHash. Shards = 0
+// (resolve to GOMAXPROCS at run time) is deliberately NOT canonicalized
+// away: submitters who need cross-host reproducibility must pin Shards
+// explicitly.
 //
 // Runtime-only fields (Config.Pool, sweeprun.Job.Observe) are outside
 // the wire format; executors re-inject them after decoding.
 package wire
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -59,14 +61,43 @@ const MaxFrozenHorizon = 1 << 22
 const MaxBodyBytes = 64 << 20
 
 // DecodeStatus is the HTTP status a backend and the grid coordinator
-// both answer a request document that failed to decode with: 413 when
-// it ran past the body cap (http.MaxBytesReader), else 400.
+// both answer a request document that failed to decode or to pass
+// CheckFrozenHorizons with: 413 when it ran past the body cap
+// (http.MaxBytesReader) or the frozen-horizon budget, else 400.
 func DecodeStatus(err error) int {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	if errors.As(err, &tooLarge) || errors.Is(err, ErrFrozenBudget) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// ErrFrozenBudget is the error CheckFrozenHorizons wraps.
+var ErrFrozenBudget = fmt.Errorf("grid's distinct frozen horizons sum past %d", MaxFrozenHorizon)
+
+// CheckFrozenHorizons caps what decoding jobs can materialize: a frozen
+// snapshot costs O(horizon), so the horizons of the DISTINCT snapshots
+// of all jobs, nested ones included, must sum to at most
+// MaxFrozenHorizon, or a small body buys an unbounded decode (identical
+// encodings count once, as ToJobs materializes them once). The error
+// wraps ErrFrozenBudget and names the job that crossed the budget.
+func CheckFrozenHorizons(jobs []Job) error {
+	var total uint64
+	seen := map[string]bool{}
+	for i, j := range jobs {
+		if sc := j.Config.Schedule; sc != nil {
+			sc.eachFrozen(func(fz *Schedule) {
+				if key := FrozenKey(fz); !seen[key] {
+					seen[key] = true
+					total += min(fz.Horizon, MaxFrozenHorizon+1) // no wrap-around
+				}
+			}, 0)
+		}
+		if total > MaxFrozenHorizon {
+			return fmt.Errorf("%w (job %d)", ErrFrozenBudget, i)
+		}
+	}
+	return nil
 }
 
 // Sweep is the job-grid envelope: what POST /v1/sweeps accepts and
@@ -203,13 +234,14 @@ func EncodeSweep(w io.Writer, s Sweep) error {
 	return enc.Encode(s)
 }
 
-// MarshalSweep renders s as JSON bytes (EncodeSweep into memory).
+// MarshalSweep renders s as compact JSON, the body one program sends
+// another (EncodeSweep indents for people). An empty Version is stamped
+// V1.
 func MarshalSweep(s Sweep) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeSweep(&buf, s); err != nil {
-		return nil, err
+	if s.Version == "" {
+		s.Version = V1
 	}
-	return buf.Bytes(), nil
+	return json.Marshal(s)
 }
 
 // DecodeSweep reads one JSON sweep document. Unknown fields and version
@@ -764,8 +796,8 @@ func ToJobs(s Sweep) ([]sweeprun.Job, error) {
 
 // FrozenKey identifies a frozen schedule encoding by content. It is
 // the single identity both ToJobs' decode-side snapshot sharing and
-// the service's distinct-snapshot admission accounting key on — the
-// two must agree, or the admission memory bound stops matching what
+// CheckFrozenHorizons' distinct-snapshot accounting key on — the two
+// must agree, or the admission memory bound stops matching what
 // actually materializes.
 func FrozenKey(sc *Schedule) string {
 	b, err := json.Marshal(sc)
@@ -814,13 +846,11 @@ func (s *Schedule) tasks(depth int) int {
 	}
 }
 
-// EachFrozen calls fn for every frozen-kind node in the schedule tree,
-// including snapshots nested inside algebra operators. The service's
-// admission accounting walks it so a snapshot hidden inside a compose
-// is charged against the memory budget like a top-level one. Trees
-// deeper than MaxScheduleDepth are cut off — they never decode anyway.
-func (s *Schedule) EachFrozen(fn func(*Schedule)) { s.eachFrozen(fn, 0) }
-
+// eachFrozen calls fn for every frozen-kind node in the schedule tree,
+// including snapshots nested inside algebra operators, so
+// CheckFrozenHorizons charges a snapshot hidden inside a compose like a
+// top-level one. Trees deeper than MaxScheduleDepth are cut off — they
+// never decode anyway.
 func (s *Schedule) eachFrozen(fn func(*Schedule), depth int) {
 	if depth > MaxScheduleDepth {
 		return
@@ -901,8 +931,8 @@ func JobHash(j Job) (string, error) {
 }
 
 // SweepHash digests a whole grid: the version tag and every job's
-// canonical bytes, in order. The service's result cache and sweep IDs
-// key on it.
+// canonical bytes, in order. The service counts a sweep cache hit as
+// an alias hit when it differs from the entry creator's.
 func SweepHash(s Sweep) (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n", orDefault(s.Version, V1))
