@@ -16,7 +16,11 @@
 // journals' key index serves any cell a committed journal holds. One
 // -data-bytes budget covers all journals. -tenants FILE enables
 // bearer-token auth with per-tenant quotas and rate limits (a JSON
-// array of tenant objects; see API.md).
+// array of tenant objects; see API.md). What one request may buy (the
+// body size, jobs per grid, rounds and ants per cell, the frozen-horizon
+// budget, the bisect evaluation budget) is no flag: those bounds are
+// constants of the wire format, the same on every backend and the grid
+// coordinator.
 //
 // Observability: GET /v1/metrics serves Prometheus text exposition of
 // every counter the service keeps (GET /v1/healthz is liveness only),
@@ -45,9 +49,7 @@ import (
 	"syscall"
 	"time"
 
-	"taskalloc/internal/bisect"
 	"taskalloc/internal/simserver"
-	"taskalloc/internal/wire"
 )
 
 func main() {
@@ -57,11 +59,6 @@ func main() {
 		maxConc  = flag.Int("max-concurrent", 0, "simulations in flight across all requests (0 = GOMAXPROCS)")
 		cacheCap = flag.Int("cache-entries", 128, "completed sweeps kept for cached replay")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "retained-bytes budget of the result cache (trajectories dominate)")
-		maxBody  = flag.Int64("max-body-bytes", wire.MaxBodyBytes, "largest accepted submission document")
-		maxJobs  = flag.Int("max-jobs", 10000, "largest accepted grid (jobs per sweep)")
-		maxRnds  = flag.Int("max-cell-rounds", 10_000_000, "largest accepted per-cell horizon")
-		maxAnts  = flag.Int("max-cell-ants", 10_000_000, "largest accepted per-cell colony size")
-		maxBis   = flag.Int("max-bisect-evals", bisect.DefaultMaxEvals, "largest accepted bisect evaluation budget (POST /v1/bisect)")
 		jobCache = flag.Int("job-cache-entries", 4096, "job results (sweep and bisect cells, reports only) kept in memory for reuse by later sweeps and bisects")
 		drainFor = flag.Duration("drain-timeout", time.Minute,
 			"grace for in-flight HTTP handlers on shutdown (sweeps still drain fully after it; a second signal force-kills)")
@@ -90,11 +87,6 @@ func main() {
 		MaxConcurrent:   *maxConc,
 		CacheEntries:    *cacheCap,
 		CacheBytes:      *cacheB,
-		MaxBodyBytes:    *maxBody,
-		MaxJobs:         *maxJobs,
-		MaxCellRounds:   *maxRnds,
-		MaxCellAnts:     *maxAnts,
-		MaxBisectEvals:  *maxBis,
 		JobCacheEntries: *jobCache,
 		DataDir:         *dataDir,
 		DataBytes:       *dataB,

@@ -47,7 +47,6 @@ import (
 	"taskalloc"
 	"taskalloc/internal/demand"
 	"taskalloc/internal/scenario"
-	"taskalloc/internal/simserver/client"
 	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
 )
@@ -198,12 +197,16 @@ func writeJobsFile(path string, values []string, p jobParams) error {
 func writeJobHashes(w io.Writer, jobs []wire.Job) error {
 	distinct := make(map[string]bool)
 	for i, j := range jobs {
-		h, err := client.HashJob(j)
+		syn, err := wire.JobHash(j)
 		if err != nil {
 			return fmt.Errorf("jobs[%d]: %w", i, err)
 		}
-		distinct[h.Semantic] = true
-		fmt.Fprintf(w, "# job %d syntactic %s semantic %s\n", i, h.Syntactic, h.Semantic)
+		sem, err := wire.SemanticHash(j)
+		if err != nil {
+			return fmt.Errorf("jobs[%d]: %w", i, err)
+		}
+		distinct[sem] = true
+		fmt.Fprintf(w, "# job %d syntactic %s semantic %s\n", i, syn, sem)
 	}
 	fmt.Fprintf(w, "# %d jobs, %d distinct behaviors under semantic hashing\n",
 		len(jobs), len(distinct))

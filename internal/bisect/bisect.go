@@ -21,11 +21,6 @@ import (
 	"taskalloc/internal/wire"
 )
 
-// DefaultMaxEvals is the evaluation budget of a request that leaves
-// max_evals 0: the simulation service's default limit and the budget
-// the grid coordinator stamps on such a request.
-const DefaultMaxEvals = 128
-
 // GammaWidthFloor stops refining a segment whose γ width cannot
 // meaningfully halve in float64 — without it, a regret band that never
 // narrows (a noise floor) would burn the whole budget on one segment.
@@ -49,7 +44,7 @@ type segment struct {
 // — |ΔAvgRegret| across its endpoints — exceeds req.TargetBand, until
 // every segment converges or req.MaxEvals is spent (the final round is
 // truncated deterministically, leading segments first). req.MaxEvals
-// must be positive: callers apply their own default before calling.
+// must be positive: New applies the default for 0.
 //
 // The response carries Cells (sorted ascending by γ), Intervals (the
 // final segmentation in γ order), Evals, CacheHits, and Converged;
@@ -177,19 +172,23 @@ type Search struct {
 }
 
 // New prepares req for a search: after hashing its ID, a MaxEvals of 0
-// becomes defaultMaxEvals, and Trajectory is cleared (bisect cells
+// becomes wire.MaxBisectEvals, and Trajectory is cleared (bisect cells
 // never stream trajectories).
-func New(req wire.BisectRequest, defaultMaxEvals int) (*Search, error) {
+func New(req wire.BisectRequest) (*Search, error) {
 	id, key, err := wire.SemanticBisectKeys(req)
 	if err != nil {
 		return nil, err
 	}
 	if req.MaxEvals == 0 {
-		req.MaxEvals = defaultMaxEvals
+		req.MaxEvals = wire.MaxBisectEvals
 	}
 	req.Job.Trajectory = false
 	return &Search{ID: id, req: req, key: key}, nil
 }
+
+// Budget is the search's evaluation budget: the request's max_evals,
+// or wire.MaxBisectEvals when it left max_evals 0.
+func (s *Search) Budget() int { return s.req.MaxEvals }
 
 // Run runs the search (Run) and stamps the response's Version and ID.
 // Each round, eval gets the γ cells: jobs[i], the template with

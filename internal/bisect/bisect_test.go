@@ -209,7 +209,7 @@ func TestSearchDerivesCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(req, 5)
+	s, err := New(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +242,9 @@ func TestSearchDerivesCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Version != wire.V1 || resp.ID != wantID || resp.Evals != 5 {
-			t.Errorf("response version %q, id %s, %d evals; want %q, %s, the default budget of 5",
-				resp.Version, resp.ID, resp.Evals, wire.V1, wantID)
+		if resp.Version != wire.V1 || resp.ID != wantID || resp.Evals != wire.MaxBisectEvals {
+			t.Errorf("response version %q, id %s, %d evals; want %q, %s, the default budget of %d",
+				resp.Version, resp.ID, resp.Evals, wire.V1, wantID, wire.MaxBisectEvals)
 		}
 		if want := map[bool]string{true: "hit", false: "miss"}[cached]; Disposition(resp) != want {
 			t.Errorf("%d of %d cells cached: disposition %q, want %q", resp.CacheHits, resp.Evals, Disposition(resp), want)

@@ -14,16 +14,17 @@ import (
 // The response is identical to the same request POSTed to one
 // backend's /v1/bisect — same search path, same cells, same ID — and a
 // repeat request is served entirely from the backends' caches. A
-// template past the frozen-horizon budget is rejected before anything
-// is keyed, with an error wrapping wire.ErrFrozenBudget.
+// request a backend would not admit (an evaluation budget over
+// wire.MaxBisectEvals, a template wire.Admit rejects) is rejected
+// before anything is keyed, with an error wrapping wire.ErrAdmission.
 func (c *Coordinator) Bisect(ctx context.Context, req wire.BisectRequest) (*wire.BisectResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	if err := wire.CheckFrozenHorizons([]wire.Job{req.Job}); err != nil {
+	if err := wire.Admit([]wire.Job{req.Job}); err != nil {
 		return nil, err
 	}
-	search, err := bisect.New(req, bisect.DefaultMaxEvals)
+	search, err := bisect.New(req)
 	if err != nil {
 		return nil, err
 	}

@@ -47,6 +47,12 @@
 // other than 429) are not retried: a backend that rejects a sub-sweep
 // would reject it identically everywhere.
 //
+// Admission: Run, Bisect and Handler apply the backends' admission
+// contract (wire.Admit, wire.BisectRequest.Validate) before they key,
+// write or send anything, so a document a backend would reject gets
+// that backend's status and message. A run that fails after Handler
+// has sent its headers aborts the response instead of ending it.
+//
 // Adaptive grids: Bisect runs the shared search (internal/bisect) on
 // the coordinator and dispatches each round's keyed γ cells through the
 // same scheduler as a static plan: each cell goes to the owner of its
@@ -106,9 +112,6 @@ type Options struct {
 	// assignment, so it must be identical across submissions for the
 	// backend caches to stay warm.
 	Backends []string
-	// HTTPClient is used for every backend call; nil means
-	// http.DefaultClient.
-	HTTPClient *http.Client
 	// Workers is the per-backend ?workers override (0 = backend
 	// default). Never changes the merged bytes.
 	Workers int
@@ -254,7 +257,7 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{opts: opts, runs: make(map[string]*wire.SweepStatus)}
 	for _, b := range opts.Backends {
-		cl := client.New(b, opts.HTTPClient)
+		cl := client.New(b, nil)
 		if opts.Token != "" {
 			cl = cl.WithToken(opts.Token)
 		}
@@ -336,26 +339,32 @@ func (c *Coordinator) chunkSizeFor(jobs int) int {
 // is written before any backend is called and each result as soon as
 // its prefix is complete, each write flushed when w is an
 // http.Flusher. A completed run's status is then served by
-// SweepStatus. A sweep past the frozen-horizon budget is rejected, as
-// a backend rejects it, before any keying (wire.CheckFrozenHorizons).
+// SweepStatus. A sweep a backend would not admit is rejected, as a
+// backend rejects it, before anything is keyed or written (admitKeys).
 func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, w io.Writer) (Stats, error) {
 	if format != FormatNDJSON && format != FormatCSV {
 		return Stats{}, fmt.Errorf("gridcoord: unknown format %q", format)
 	}
-	if err := wire.CheckFrozenHorizons(sweep.Jobs); err != nil {
-		return Stats{}, err
-	}
-	id, keys, err := wire.SemanticSweepKeys(sweep)
+	id, keys, err := admitKeys(sweep)
 	if err != nil {
 		return Stats{}, err
 	}
 	return c.run(ctx, sweep, id, keys, format, w)
 }
 
-// run is Run for a sweep the caller has already admitted and keyed
-// with wire.SemanticSweepKeys: id is its semantic sweep hash (the HTTP
-// handler sends it as X-Sweep-Id before the body) and keys its result
-// keys, which place the jobs.
+// admitKeys admits sweep as a backend does (wire.Admit; the error wraps
+// wire.ErrAdmission), then keys it in one pass (wire.SemanticSweepKeys)
+// that names the sweep and places its jobs.
+func admitKeys(sweep wire.Sweep) (id string, keys []string, err error) {
+	if err := wire.Admit(sweep.Jobs); err != nil {
+		return "", nil, err
+	}
+	return wire.SemanticSweepKeys(sweep)
+}
+
+// run is Run for a sweep admitted and keyed by admitKeys: id is its
+// semantic sweep hash (the HTTP handler sends it as X-Sweep-Id before
+// the body) and keys its result keys, which place the jobs.
 func (c *Coordinator) run(ctx context.Context, sweep wire.Sweep, id string, keys []string, format Format, w io.Writer) (Stats, error) {
 	assign, err := Partition(keys, len(c.clients))
 	if err != nil {

@@ -93,25 +93,24 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
-	// Admit the grid as a backend does, then key it in one pass that
-	// names the sweep (X-Sweep-Id and the stream header) and places it.
-	if err := wire.CheckFrozenHorizons(sweep.Jobs); err != nil {
-		httpError(w, wire.DecodeStatus(err), "%v", err)
-		return
-	}
-	id, keys, err := wire.SemanticSweepKeys(sweep)
+	// Admit and key the grid before committing to a status: a document
+	// a backend rejects gets that backend's status and message.
+	id, keys, err := admitKeys(sweep)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType(string(format)))
 	w.Header().Set("X-Sweep-Id", id)
 	// The merger flushes the headers and the stream header before any
-	// backend is called, so from here on a failure can only truncate
-	// the body — the status line is already on the wire. The client's
-	// stream decoder treats a short body as an error, so truncation is
-	// never silent.
-	_, _ = c.run(r.Context(), sweep, id, keys, format, w)
+	// backend is called, so from here on the status line is on the wire
+	// and a failed run (a backend's rejection, exhausted attempts, every
+	// backend down) can only cut the body short. Abort the response, so
+	// that every HTTP client sees the transfer fail instead of a clean
+	// end of a short body.
+	if _, err := c.run(r.Context(), sweep, id, keys, format, w); err != nil {
+		panic(http.ErrAbortHandler)
+	}
 }
 
 func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {
@@ -127,7 +126,7 @@ func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {
 		// admission verdicts); anything else is a bad gateway.
 		var apiErr *client.APIError
 		switch {
-		case errors.Is(err, wire.ErrFrozenBudget):
+		case errors.Is(err, wire.ErrAdmission):
 			httpError(w, wire.DecodeStatus(err), "%v", err)
 		case errors.As(err, &apiErr):
 			httpError(w, apiErr.StatusCode, "%s", apiErr.Message)

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,14 +299,16 @@ func postDoc(t *testing.T, url string, doc []byte) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestCoordinatorFrozenBudget: the coordinator admits a grid against
-// the frozen-horizon budget itself, before keying anything, as a
-// backend does. A template composing two distinct frozen snapshots
-// whose horizons sum past wire.MaxFrozenHorizon, as a one-job sweep
-// and as a bisect, gets the backend's own status and message from the
-// coordinator's HTTP surface, and Run and Bisect return the budget
-// error — and the coordinator's backend is never called.
-func TestCoordinatorFrozenBudget(t *testing.T) {
+// TestCoordinatorAdmission: the coordinator admits a document as a
+// backend does, before it keys anything or calls a backend. For each
+// admission bound — the job count, a cell's rounds and ants, the
+// frozen-horizon budget (two distinct frozen snapshots composed, whose
+// horizons sum past wire.MaxFrozenHorizon) and the evaluation budget —
+// a sweep or a bisect past it gets the backend's own status and message
+// from the coordinator's HTTP surface; Run returns the error having
+// written nothing, and Bisect returns it; and the coordinator's backend
+// is never called.
+func TestCoordinatorAdmission(t *testing.T) {
 	backend := simserver.New(simserver.Options{})
 	t.Cleanup(backend.Close)
 	bs := httptest.NewServer(backend)
@@ -323,45 +326,109 @@ func TestCoordinatorFrozenBudget(t *testing.T) {
 	cs := httptest.NewServer(coord.Handler())
 	t.Cleanup(cs.Close)
 
+	cell := wire.Job{Rounds: 10, Config: wire.Config{Ants: 10, Demands: []int{2}, Shards: 1}}
+	over := func(mut func(*wire.Job)) wire.Job {
+		j := cell
+		mut(&j)
+		return j
+	}
 	frozen := func(d int) wire.Schedule {
 		return wire.Schedule{Kind: "frozen", When: []uint64{0}, Vectors: [][]int{{d}},
 			Horizon: wire.MaxFrozenHorizon/2 + 1}
 	}
-	job := wire.Job{Rounds: 50, Config: wire.Config{Ants: 100, Shards: 1, Schedule: &wire.Schedule{
-		Kind: "compose", When: []uint64{0, 20}, Parts: []wire.Schedule{frozen(10), frozen(20)}}}}
-	sweep := wire.Sweep{Version: wire.V1, Jobs: []wire.Job{job}}
-	req := wire.BisectRequest{Version: wire.V1, Job: job,
-		GammaLo: 0.01, GammaHi: 1.0 / 16, TargetBand: 1e9, MaxEvals: 2}
-	sweepDoc, err := wire.MarshalSweep(sweep)
-	if err != nil {
-		t.Fatal(err)
+	rounds := over(func(j *wire.Job) { j.Rounds = wire.MaxCellRounds + 1 })
+	ants := over(func(j *wire.Job) { j.Config.Ants = wire.MaxCellAnts + 1 })
+	frozenSum := over(func(j *wire.Job) {
+		j.Config.Demands = nil
+		j.Config.Schedule = &wire.Schedule{Kind: "compose", When: []uint64{0, 5},
+			Parts: []wire.Schedule{frozen(10), frozen(20)}}
+	})
+	// A band no segment meets: a coordinator that admitted the
+	// evaluation budget would spend all of it (propJob's regret varies
+	// with γ).
+	bisectOf := func(j wire.Job, evals int) *wire.BisectRequest {
+		return &wire.BisectRequest{Version: wire.V1, Job: j,
+			GammaLo: 0.01, GammaHi: 1.0 / 16, TargetBand: 1e-9, MaxEvals: evals}
 	}
-	bisectDoc, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []struct {
-		path string
-		doc  []byte
-	}{{"/v1/sweeps", sweepDoc}, {"/v1/bisect", bisectDoc}} {
-		code, msg := postDoc(t, bs.URL+p.path, p.doc)
-		if code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("backend POST %s: HTTP %d %q, want 413", p.path, code, msg)
-		}
-		if gotCode, gotMsg := postDoc(t, cs.URL+p.path, p.doc); gotCode != code || !bytes.Equal(gotMsg, msg) {
-			t.Errorf("coordinator POST %s: HTTP %d %q; the backend answered HTTP %d %q",
-				p.path, gotCode, gotMsg, code, msg)
-		}
-	}
-	var out bytes.Buffer
-	if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &out); !errors.Is(err, wire.ErrFrozenBudget) || out.Len() > 0 {
-		t.Errorf("Run: error %v after %d bytes, want wire.ErrFrozenBudget before any", err, out.Len())
-	}
-	if _, err := coord.Bisect(context.Background(), req); !errors.Is(err, wire.ErrFrozenBudget) {
-		t.Errorf("Bisect: error %v, want wire.ErrFrozenBudget", err)
+	for _, tc := range []struct {
+		name   string
+		jobs   []wire.Job          // a sweep's grid, when bisect is nil
+		bisect *wire.BisectRequest // a bisect request
+		want   int                 // the backend's status
+	}{
+		{name: "sweep jobs", jobs: slices.Repeat([]wire.Job{cell}, wire.MaxJobs+1), want: http.StatusRequestEntityTooLarge},
+		{name: "sweep rounds", jobs: []wire.Job{cell, cell, rounds, cell}, want: http.StatusBadRequest},
+		{name: "sweep ants", jobs: []wire.Job{cell, cell, ants, cell}, want: http.StatusBadRequest},
+		{name: "sweep frozen budget", jobs: []wire.Job{frozenSum}, want: http.StatusRequestEntityTooLarge},
+		{name: "bisect rounds", bisect: bisectOf(rounds, 2), want: http.StatusBadRequest},
+		{name: "bisect ants", bisect: bisectOf(ants, 2), want: http.StatusBadRequest},
+		{name: "bisect frozen budget", bisect: bisectOf(frozenSum, 2), want: http.StatusRequestEntityTooLarge},
+		{name: "bisect evaluation budget", bisect: bisectOf(propJob(9500), 200), want: http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sweep := wire.Sweep{Version: wire.V1, Jobs: tc.jobs}
+			path := "/v1/sweeps"
+			doc, err := wire.MarshalSweep(sweep)
+			if tc.bisect != nil {
+				path = "/v1/bisect"
+				doc, err = json.Marshal(tc.bisect)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, msg := postDoc(t, bs.URL+path, doc)
+			if code != tc.want {
+				t.Fatalf("backend POST %s: HTTP %d %q, want %d", path, code, msg, tc.want)
+			}
+			if gotCode, gotMsg := postDoc(t, cs.URL+path, doc); gotCode != code || !bytes.Equal(gotMsg, msg) {
+				t.Errorf("coordinator POST %s: HTTP %d %.200q; the backend answered HTTP %d %q",
+					path, gotCode, gotMsg, code, msg)
+			}
+			if tc.bisect != nil {
+				if _, err := coord.Bisect(context.Background(), *tc.bisect); !errors.Is(err, wire.ErrAdmission) {
+					t.Errorf("Bisect: error %v, want wire.ErrAdmission", err)
+				}
+				return
+			}
+			var out bytes.Buffer
+			if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &out); !errors.Is(err, wire.ErrAdmission) || out.Len() > 0 {
+				t.Errorf("Run: error %v after %d bytes, want wire.ErrAdmission before any", err, out.Len())
+			}
+		})
 	}
 	if n := calls.Load(); n != 0 {
-		t.Errorf("the coordinator sent its backend %d requests; the budget is checked before any keying", n)
+		t.Errorf("the coordinator sent its backend %d requests; admission comes before any", n)
+	}
+}
+
+// TestSweepAbortsAfterHeaders: a coordinator sweep that fails after its
+// headers went out aborts the response rather than ending it cleanly,
+// so a plain HTTP client sees the transfer fail. Job 2's algorithm is
+// unknown: the coordinator admits and keys the grid (it does not decode
+// configs), and the backend owning job 2 rejects its sub-sweep.
+func TestSweepAbortsAfterHeaders(t *testing.T) {
+	coord, err := New(Options{Backends: bootBackends(t, 3, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(coord.Handler())
+	t.Cleanup(cs.Close)
+	sweep := fastSweep(9400, 4)
+	sweep.Jobs[2].Config.Algorithm = "bogus"
+	doc, err := wire.MarshalSweep(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(cs.URL+"/v1/sweeps", "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d, want 200: the headers go out before any backend is called", resp.StatusCode)
+	}
+	if body, err := io.ReadAll(resp.Body); err == nil {
+		t.Fatalf("read a cleanly ended %d-byte body %.300q; want the transfer to fail", len(body), body)
 	}
 }
 

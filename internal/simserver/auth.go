@@ -33,8 +33,10 @@ type TenantConfig struct {
 	Name string `json:"name"`
 	// Token is the bearer token (compared constant-time).
 	Token string `json:"token"`
-	// MaxJobs caps the tenant's cumulative submitted sweep jobs across
-	// the server's lifetime; <= 0 means unlimited.
+	// MaxJobs caps the tenant's cumulative submitted jobs across the
+	// server's lifetime: a sweep is charged its job count, and a bisect
+	// its evaluation budget (max_evals, or wire.MaxBisectEvals for 0),
+	// both at admission, cached or not; <= 0 means unlimited.
 	MaxJobs int64 `json:"max_jobs,omitempty"`
 	// RatePerSec refills the tenant's request bucket; <= 0 means no
 	// rate limit.
@@ -131,7 +133,7 @@ func (t *tenant) admit(now time.Time) (bool, time.Duration) {
 	return true, 0
 }
 
-// chargeJobs charges n sweep jobs against the tenant's quota; false
+// chargeJobs charges n jobs against the tenant's quota; false
 // (and no charge) when the quota would be exceeded.
 func (t *tenant) chargeJobs(n int) bool {
 	t.mu.Lock()

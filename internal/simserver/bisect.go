@@ -12,10 +12,12 @@ import (
 
 // Adaptive γ-bisection (POST /v1/bisect). The search — its ID, budget
 // and keyed γ cells — is internal/bisect's, shared with the grid
-// coordinator. The server admits the template as a one-cell sweep and
-// serves or runs each round's cells through the sweeps' runner
-// (runCells), so a repeat, overlapping or equivalent search reuses the
-// job tier; fresh cells are journaled per search (searchJournal).
+// coordinator. The server admits the template as a one-cell sweep (the
+// decode checks the evaluation budget), charges the tenant quota the
+// budget, and serves or runs each round's cells through the sweeps'
+// runner (runCells), so a repeat, overlapping or equivalent search
+// reuses the job tier; fresh cells are journaled per search
+// (searchJournal).
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	workers, ok := s.requestWorkers(w, r)
@@ -23,25 +25,21 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+	if err == nil {
+		err = wire.Admit([]wire.Job{req.Job})
+	}
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
-	// Admission: the template is admitted as a one-cell sweep, plus the
-	// evaluation budget (each evaluation is one cell of compute).
-	if status, err := s.admit([]wire.Job{req.Job}); err != nil {
-		httpError(w, status, "%v", err)
-		return
-	}
-	if req.MaxEvals > s.opts.MaxBisectEvals {
-		httpError(w, http.StatusBadRequest,
-			"max_evals %d over limit %d", req.MaxEvals, s.opts.MaxBisectEvals)
-		return
-	}
-	search, err := bisect.New(req, s.opts.MaxBisectEvals)
+	search, err := bisect.New(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// Each evaluation is one cell of compute, cached or not.
+	if !chargeQuota(w, r, search.Budget()) {
 		return
 	}
 

@@ -147,10 +147,10 @@ func TestBisectConvergesOnGoldenScenario(t *testing.T) {
 }
 
 // TestBisectIDIsCanonicalHash: the response ID must be the behavioral
-// hash of the request AS SENT — max_evals 0 included — so coordinator
-// affinity and caller-side correlation hold across servers with
-// different -max-bisect-evals, and equivalent template spellings share
-// one ID.
+// hash of the request AS SENT — max_evals 0 included, not the budget it
+// resolves to — so a backend and the coordinator, which hash the same
+// document, agree on it, and equivalent template spellings share one
+// ID.
 func TestBisectIDIsCanonicalHash(t *testing.T) {
 	srv := New(Options{Workers: 1})
 	defer srv.Close()
@@ -283,7 +283,7 @@ func TestBisectNaNRegret(t *testing.T) {
 // TestBisectAdmission: malformed and over-bound requests are rejected
 // before any simulation runs.
 func TestBisectAdmission(t *testing.T) {
-	srv := New(Options{Workers: 1, MaxCellRounds: 200, MaxBisectEvals: 16})
+	srv := New(Options{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -299,8 +299,8 @@ func TestBisectAdmission(t *testing.T) {
 		{"gamma over max", func(r *wire.BisectRequest) { r.GammaHi = 0.5 }, "gamma_lo"},
 		{"zero band", func(r *wire.BisectRequest) { r.TargetBand = 0 }, "target_band"},
 		{"max_evals one", func(r *wire.BisectRequest) { r.MaxEvals = 1 }, "max_evals"},
-		{"rounds over limit", func(r *wire.BisectRequest) { r.Job.Rounds = 201 }, "rounds"},
-		{"evals over limit", func(r *wire.BisectRequest) { r.MaxEvals = 17 }, "max_evals"},
+		{"rounds over limit", func(r *wire.BisectRequest) { r.Job.Rounds = wire.MaxCellRounds + 1 }, "rounds"},
+		{"evals over limit", func(r *wire.BisectRequest) { r.MaxEvals = wire.MaxBisectEvals + 1 }, "max_evals"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -322,7 +322,7 @@ func TestBisectAdmission(t *testing.T) {
 // message names the template's field, not a jobs array the request
 // does not have.
 func TestBisectUndecodableTemplate(t *testing.T) {
-	srv := New(Options{Workers: 1, MaxCellRounds: 200, MaxBisectEvals: 16})
+	srv := New(Options{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -54,22 +55,6 @@ func (c *Client) WithTraceID(id string) *Client {
 	out := *c
 	out.traceID = id
 	return &out
-}
-
-// newRequest builds a request with the client's auth and trace
-// propagation applied.
-func (c *Client) newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return nil, err
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	if c.traceID != "" {
-		req.Header.Set("X-Trace-Id", c.traceID)
-	}
-	return req, nil
 }
 
 // SubmitOptions tunes one submission.
@@ -212,19 +197,33 @@ func (c *Client) sweepsURL(format string, opts SubmitOptions) string {
 	return u
 }
 
-// post POSTs a JSON document and returns the 200 response, whose body
-// the caller closes; any other status is the server's rejection.
-func (c *Client) post(ctx context.Context, target string, body []byte) (*http.Response, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, target, bytes.NewReader(body))
+// do sends one request, with the client's auth and trace propagation
+// applied and a non-nil body as a JSON document, and returns the
+// response, whose body the caller closes, when its status is 200 or one
+// of also; any other status is the server's rejection.
+func (c *Client) do(ctx context.Context, method, target string, body []byte, also ...int) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.token != "" {
+		req.Header.Set("Authorization", "Bearer "+c.token)
+	}
+	if c.traceID != "" {
+		req.Header.Set("X-Trace-Id", c.traceID)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK && !slices.Contains(also, resp.StatusCode) {
 		defer resp.Body.Close()
 		return nil, apiError(resp)
 	}
@@ -240,7 +239,7 @@ func (c *Client) SubmitSweep(ctx context.Context, sweep wire.Sweep, opts SubmitO
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.post(ctx, c.sweepsURL("ndjson", opts), body)
+	resp, err := c.do(ctx, http.MethodPost, c.sweepsURL("ndjson", opts), body)
 	if err != nil {
 		return nil, err
 	}
@@ -339,19 +338,11 @@ func (c *Client) ResumeSweep(ctx context.Context, id string, cursor int, opts Su
 	if cursor < 0 {
 		return nil, fmt.Errorf("client: negative cursor %d", cursor)
 	}
-	u := c.base + "/v1/sweeps/" + url.PathEscape(id) + "?cursor=" + strconv.Itoa(cursor)
-	req, err := c.newRequest(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, c.base+"/v1/sweeps/"+url.PathEscape(id)+"?cursor="+strconv.Itoa(cursor), nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	return consumeNDJSON(resp, cursor, opts, onResult)
 }
 
@@ -362,7 +353,7 @@ func (c *Client) SubmitSweepCSV(ctx context.Context, sweep wire.Sweep, opts Subm
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := c.post(ctx, c.sweepsURL("csv", opts), body)
+	resp, err := c.do(ctx, http.MethodPost, c.sweepsURL("csv", opts), body)
 	if err != nil {
 		return nil, false, err
 	}
@@ -382,7 +373,7 @@ func (c *Client) Bisect(ctx context.Context, req wire.BisectRequest) (*wire.Bise
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.post(ctx, c.base+"/v1/bisect", body)
+	resp, err := c.do(ctx, http.MethodPost, c.base+"/v1/bisect", body)
 	if err != nil {
 		return nil, err
 	}
@@ -394,50 +385,14 @@ func (c *Client) Bisect(ctx context.Context, req wire.BisectRequest) (*wire.Bise
 	return &out, nil
 }
 
-// JobHashes is the pair of canonical identities one wire job carries:
-// the syntactic hash of its defaults-applied document and the semantic
-// hash of its behavioral normal form. Syntactically distinct spellings
-// of one behavior — a frozen snapshot and its generative schedule, a
-// demands field and its static-schedule equivalent — share Semantic
-// but not Syntactic; the service caches and the grid coordinator
-// partitions by Semantic.
-type JobHashes struct {
-	// Syntactic is wire.JobHash: identity of the document as spelled.
-	Syntactic string
-	// Semantic is wire.SemanticHash: identity of the behavior.
-	Semantic string
-}
-
-// HashJob computes both canonical identities of one wire job — the
-// pair cmd/sweep -dump-jobs prints, and the key space the server's
-// result cache and the coordinator's partitioning operate in.
-func HashJob(j wire.Job) (JobHashes, error) {
-	syn, err := wire.JobHash(j)
-	if err != nil {
-		return JobHashes{}, err
-	}
-	sem, err := wire.SemanticHash(j)
-	if err != nil {
-		return JobHashes{}, err
-	}
-	return JobHashes{Syntactic: syn, Semantic: sem}, nil
-}
-
-// GetSweep fetches a sweep's status/summary by ID.
+// GetSweep fetches a sweep's status/summary by ID (a running sweep's
+// status is a 202).
 func (c *Client) GetSweep(ctx context.Context, id string) (*wire.SweepStatus, error) {
-	req, err := c.newRequest(ctx, http.MethodGet,
-		c.base+"/v1/sweeps/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, c.base+"/v1/sweeps/"+url.PathEscape(id), nil, http.StatusAccepted)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, apiError(resp)
-	}
 	var status wire.SweepStatus
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		return nil, fmt.Errorf("client: decode sweep status: %w", err)
@@ -447,35 +402,20 @@ func (c *Client) GetSweep(ctx context.Context, id string) (*wire.SweepStatus, er
 
 // Healthz probes liveness.
 func (c *Client) Healthz(ctx context.Context) error {
-	req, err := c.newRequest(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
+	resp, err := c.do(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return nil
+	return resp.Body.Close()
 }
 
 // Version fetches the server's wire-format and runtime versions.
 func (c *Client) Version(ctx context.Context) (map[string]string, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, c.base+"/v1/version", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, c.base+"/v1/version", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	out := map[string]string{}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err

@@ -578,3 +578,58 @@ func TestTenantAuthEndToEnd(t *testing.T) {
 		t.Fatal("exposition leaks the tenant token")
 	}
 }
+
+// TestTenantQuotaChargesBisect: a bisect is charged its evaluation
+// budget against the tenant job quota at admission — max_evals, or the
+// wire.MaxBisectEvals default for 0 — whatever its cache disposition:
+// the endpoints-only search below runs two cells and is charged 128.
+func TestTenantQuotaChargesBisect(t *testing.T) {
+	srv, err := simserver.Open(simserver.Options{
+		Workers: 2,
+		Tenants: []simserver.TenantConfig{
+			{Name: "acme", Token: "sekret-acme", MaxJobs: wire.MaxBisectEvals + 2},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	ctx := context.Background()
+	auth := client.New(ts.URL, ts.Client()).WithToken("sekret-acme")
+
+	cell := wire.Job{Rounds: 50, Config: wire.Config{Ants: 50, Demands: []int{10, 10}, Seed: 3, Shards: 1}}
+	req := wire.BisectRequest{Version: wire.V1, Job: cell,
+		GammaLo: 0.01, GammaHi: 0.05, TargetBand: 1e9} // converges on the endpoints
+	if resp, err := auth.Bisect(ctx, req); err != nil || resp.Evals != 2 {
+		t.Fatalf("first bisect: %+v, %v; want 2 evals", resp, err)
+	}
+	sweep := func(n int) error {
+		jobs := make([]wire.Job, n)
+		for i := range jobs {
+			jobs[i] = cell
+			jobs[i].Config.Seed = uint64(100*n + i)
+		}
+		_, err := auth.SubmitSweep(ctx, wire.Sweep{Version: wire.V1, Jobs: jobs}, client.SubmitOptions{}, nil)
+		return err
+	}
+	var quotaErr *client.QuotaError
+	if err := sweep(3); !errors.As(err, &quotaErr) ||
+		quotaErr.Message != "job quota exceeded (3 jobs over tenant limit)" {
+		t.Fatalf("3-job sweep after a default-budget bisect: %v, want the quota 403", err)
+	}
+	if err := sweep(2); err != nil {
+		t.Fatalf("2-job sweep filling the quota: %v", err)
+	}
+	if _, err := auth.Bisect(ctx, req); !errors.As(err, &quotaErr) ||
+		quotaErr.StatusCode != http.StatusForbidden ||
+		quotaErr.Message != "job quota exceeded (128 jobs over tenant limit)" {
+		t.Fatalf("repeat bisect past the quota: %v, want the quota 403", err)
+	}
+	if jobs := sampleValue(scrape(t, ts.URL), `taskalloc_tenant_jobs_submitted_total{tenant="acme"} `); jobs != "130" {
+		t.Errorf("tenant acme charged %q jobs, want 130", jobs)
+	}
+}

@@ -162,7 +162,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.tenantQuotaRejected = r.CounterVec("taskalloc_tenant_quota_rejected_total",
 		"Submissions rejected 403 by the tenant job quota.", "tenant")
 	m.tenantJobs = r.CounterVec("taskalloc_tenant_jobs_submitted_total",
-		"Cumulative sweep jobs charged against the tenant quota.", "tenant")
+		"Cumulative jobs charged against the tenant quota (a sweep its jobs, a bisect its evaluation budget).", "tenant")
 	return m
 }
 

@@ -53,13 +53,15 @@ import (
 	"time"
 
 	"taskalloc"
-	"taskalloc/internal/bisect"
 	"taskalloc/internal/store"
 	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
 )
 
-// Options tunes a Server.
+// Options tunes a Server. What one request may buy is not among them:
+// the admission bounds are constants of the wire format (wire.Admit,
+// wire.BisectRequest.Validate), the same on every backend and the grid
+// coordinator.
 type Options struct {
 	// Workers bounds each sweep's simulations in flight; <= 0 means
 	// GOMAXPROCS. A request's ?workers=N overrides it per submission
@@ -71,27 +73,10 @@ type Options struct {
 	// CacheEntries caps the completed-sweep cache; <= 0 means 128.
 	// Eviction is FIFO over completed sweeps.
 	CacheEntries int
-	// MaxBodyBytes caps a submission document's size (the decoder
-	// materializes the whole grid); <= 0 means wire.MaxBodyBytes.
-	MaxBodyBytes int64
-	// MaxJobs caps a single sweep's grid size; <= 0 means 10000.
-	MaxJobs int
-	// MaxCellRounds caps one cell's horizon — the compute bound a
-	// well-formed document could otherwise dodge (a running sweep is
-	// deliberately not cancelled on client disconnect, so admission is
-	// where compute is bounded); <= 0 means 10,000,000.
-	MaxCellRounds int
-	// MaxCellAnts caps one cell's colony size (engine state is O(ants)
-	// and per-round work is O(ants·k)); <= 0 means 10,000,000.
-	MaxCellAnts int
 	// CacheBytes caps the cached cells' retained bytes (trajectory
 	// CSVs dominate); completed sweeps are evicted FIFO past it.
 	// <= 0 means 256 MiB.
 	CacheBytes int64
-	// MaxBisectEvals caps one bisect request's evaluated γ cells (and
-	// is the default when the request leaves max_evals 0); <= 0 means
-	// bisect.DefaultMaxEvals.
-	MaxBisectEvals int
 	// JobCacheEntries caps the memory job tier: job-level results that
 	// sweeps and bisects reuse cell by cell, keyed by the behavioral job
 	// hash (reports only — a few hundred bytes each); <= 0 means 4096.
@@ -239,23 +224,8 @@ func Open(opts Options) (*Server, error) {
 	if opts.CacheEntries <= 0 {
 		opts.CacheEntries = 128
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = wire.MaxBodyBytes
-	}
-	if opts.MaxJobs <= 0 {
-		opts.MaxJobs = 10000
-	}
-	if opts.MaxCellRounds <= 0 {
-		opts.MaxCellRounds = 10_000_000
-	}
-	if opts.MaxCellAnts <= 0 {
-		opts.MaxCellAnts = 10_000_000
-	}
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = 256 << 20
-	}
-	if opts.MaxBisectEvals <= 0 {
-		opts.MaxBisectEvals = bisect.DefaultMaxEvals
 	}
 	if opts.JobCacheEntries <= 0 {
 		opts.JobCacheEntries = 4096
@@ -429,29 +399,18 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
-// admit bounds what a grid — a sweep, or a bisect template as a
-// one-cell grid — can buy before anything is keyed or run (running
-// sweeps are not cancelled on client disconnect, so this is where CPU
-// and decode memory are bounded); it returns the status to reject with.
-func (s *Server) admit(jobs []wire.Job) (int, error) {
-	if len(jobs) > s.opts.MaxJobs {
-		return http.StatusRequestEntityTooLarge,
-			fmt.Errorf("grid has %d jobs, limit %d", len(jobs), s.opts.MaxJobs)
+// chargeQuota charges n jobs against the request's tenant quota, at
+// admission and whatever the cache disposition ends up being (a hit
+// still consumed a submission); false when it answered the quota 403.
+func chargeQuota(w http.ResponseWriter, r *http.Request, n int) bool {
+	if t := tenantFrom(r); t != nil && !t.chargeJobs(n) {
+		writeErrorBody(w, http.StatusForbidden, wire.ErrorBody{
+			Error: fmt.Sprintf("job quota exceeded (%d jobs over tenant limit)", n),
+			Kind:  "quota",
+		})
+		return false
 	}
-	for i, j := range jobs {
-		if j.Rounds < 0 || j.Rounds > s.opts.MaxCellRounds {
-			return http.StatusBadRequest,
-				fmt.Errorf("jobs[%d]: rounds %d outside [0, %d]", i, j.Rounds, s.opts.MaxCellRounds)
-		}
-		if j.Config.Ants > s.opts.MaxCellAnts {
-			return http.StatusBadRequest,
-				fmt.Errorf("jobs[%d]: ants %d over limit %d", i, j.Config.Ants, s.opts.MaxCellAnts)
-		}
-	}
-	if err := wire.CheckFrozenHorizons(jobs); err != nil {
-		return wire.DecodeStatus(err), err
-	}
-	return 0, nil
+	return true
 }
 
 // requestWorkers is a request's fan-out bound: its ?workers=N, or the
@@ -491,13 +450,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+	if err == nil {
+		err = wire.Admit(sweep.Jobs)
+	}
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
-		return
-	}
-	if status, err := s.admit(sweep.Jobs); err != nil {
-		httpError(w, status, "%v", err)
 		return
 	}
 	// The public sweep ID is the behavioral hash: equivalent spellings
@@ -516,13 +474,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The tenant job quota is charged at admission, whatever the cache
-	// disposition ends up being (a hit still consumed a submission).
-	if t := tenantFrom(r); t != nil && !t.chargeJobs(len(sweep.Jobs)) {
-		writeErrorBody(w, http.StatusForbidden, wire.ErrorBody{
-			Error: fmt.Sprintf("job quota exceeded (%d jobs over tenant limit)", len(sweep.Jobs)),
-			Kind:  "quota",
-		})
+	if !chargeQuota(w, r, len(sweep.Jobs)) {
 		return
 	}
 

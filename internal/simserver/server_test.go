@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +25,17 @@ import (
 	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
 )
+
+// spaces is an endless reader of JSON whitespace: the padding the body
+// probes stream instead of allocating.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
 
 // testGrid builds a small deterministic (γ × seed) grid in the
 // cmd/sweep Meta convention. Shards > 1 so the sweep exercises the
@@ -324,15 +337,13 @@ func TestOpsEndpoints(t *testing.T) {
 	}
 
 	// Oversized submissions are refused before the decoder materializes
-	// them.
-	tiny := simserver.New(simserver.Options{MaxBodyBytes: 64})
-	ths := httptest.NewServer(tiny)
-	defer func() {
-		ths.Close()
-		tiny.Close()
-	}()
-	big := `{"version":"taskalloc/v1","jobs":[` + strings.Repeat(" ", 100) + `]}`
-	resp, err = http.Post(ths.URL+"/v1/sweeps", "application/json", strings.NewReader(big))
+	// them: the probe is one byte past wire.MaxBodyBytes, whitespace
+	// padding streamed rather than allocated.
+	head, tail := `{"version":"taskalloc/v1","jobs":[`, `]}`
+	big := io.MultiReader(strings.NewReader(head),
+		io.LimitReader(spaces{}, wire.MaxBodyBytes+1-int64(len(head)+len(tail))),
+		strings.NewReader(tail))
+	resp, err = http.Post(hs.URL+"/v1/sweeps", "application/json", big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,33 +352,35 @@ func TestOpsEndpoints(t *testing.T) {
 		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
 	}
 
-	// Compute bounds: grids over MaxJobs and cells over MaxCellRounds
-	// are refused at admission.
-	bounded := simserver.New(simserver.Options{MaxJobs: 1, MaxCellRounds: 100})
-	bhs := httptest.NewServer(bounded)
-	defer func() {
-		bhs.Close()
-		bounded.Close()
-	}()
-	tooMany := `{"version":"taskalloc/v1","jobs":[
-		{"rounds":10,"config":{"ants":10,"demands":[2]}},
-		{"rounds":10,"config":{"ants":10,"demands":[2]}}]}`
-	resp, err = http.Post(bhs.URL+"/v1/sweeps", "application/json", strings.NewReader(tooMany))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("over-MaxJobs grid: status %d, want 413", resp.StatusCode)
-	}
-	tooLong := `{"version":"taskalloc/v1","jobs":[{"rounds":101,"config":{"ants":10,"demands":[2]}}]}`
-	resp, err = http.Post(bhs.URL+"/v1/sweeps", "application/json", strings.NewReader(tooLong))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over-MaxCellRounds cell: status %d, want 400", resp.StatusCode)
+	// Compute bounds: grids over wire.MaxJobs and cells over
+	// wire.MaxCellRounds are refused at admission.
+	cell := wire.Job{Rounds: 10, Config: wire.Config{Ants: 10, Demands: []int{2}}}
+	long := cell
+	long.Rounds = wire.MaxCellRounds + 1
+	for _, tc := range []struct {
+		name string
+		jobs []wire.Job
+		code int
+		msg  string
+	}{
+		{"over-MaxJobs grid", slices.Repeat([]wire.Job{cell}, wire.MaxJobs+1),
+			http.StatusRequestEntityTooLarge, "grid has 10001 jobs, limit 10000"},
+		{"over-MaxCellRounds cell", []wire.Job{long},
+			http.StatusBadRequest, "jobs[0]: rounds 10000001 outside [0, 10000000]"},
+	} {
+		doc, err := wire.MarshalSweep(wire.Sweep{Version: wire.V1, Jobs: tc.jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/sweeps", "application/json", bytes.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || strings.TrimSpace(string(msg)) != tc.msg {
+			t.Errorf("%s: HTTP %d %q, want %d %q", tc.name, resp.StatusCode, msg, tc.code, tc.msg)
+		}
 	}
 
 	// A failed validation does not poison the cache: a corrected grid

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 
 	"taskalloc"
 	"taskalloc/internal/agent"
@@ -32,14 +33,16 @@ type BisectRequest struct {
 	// while |AvgRegret(hi) − AvgRegret(lo)| exceeds it. Must be > 0.
 	TargetBand float64 `json:"target_band"`
 	// MaxEvals caps the number of evaluated γ cells (cached ones
-	// included); 0 means the server default, and values >= 2 are
-	// honored exactly (the endpoints alone cost two evaluations, so 1
-	// is rejected). The server rejects values over its own bound.
+	// included); 0 means MaxBisectEvals, and values from 2 to
+	// MaxBisectEvals are honored exactly (the endpoints alone cost two
+	// evaluations, so 1 is rejected, and a value over MaxBisectEvals is
+	// an admission rejection).
 	MaxEvals int `json:"max_evals,omitempty"`
 }
 
-// Validate checks the request's intrinsic invariants (the server layers
-// its admission bounds on top).
+// Validate checks the request's invariants and its evaluation budget
+// against MaxBisectEvals (an error wrapping ErrAdmission). Its template
+// is admitted separately, as a one-cell grid (Admit).
 func (b BisectRequest) Validate() error {
 	if b.GammaLo <= 0 || b.GammaHi > agent.MaxGamma || b.GammaLo >= b.GammaHi {
 		return fmt.Errorf("wire: bisect needs 0 < gamma_lo < gamma_hi <= %g, got [%g, %g]",
@@ -52,6 +55,9 @@ func (b BisectRequest) Validate() error {
 		// The interval endpoints alone cost two evaluations, so a budget
 		// of 1 cannot be honored; 0 selects the server default.
 		return fmt.Errorf("wire: bisect needs max_evals of 0 (server default) or >= 2, got %d", b.MaxEvals)
+	}
+	if b.MaxEvals > MaxBisectEvals {
+		return reject(http.StatusBadRequest, "max_evals %d over limit %d", b.MaxEvals, MaxBisectEvals)
 	}
 	if b.Job.Rounds < 0 {
 		return fmt.Errorf("wire: bisect job rounds %d < 0", b.Job.Rounds)

@@ -144,7 +144,7 @@ type semCache map[string]*Schedule
 // normalize returns the canonical re-encoding of sc, or ok=false when
 // sc does not decode/validate and must keep its syntactic identity.
 func (m semCache) normalize(sc *Schedule) (*Schedule, bool) {
-	key := FrozenKey(sc)
+	key := frozenKey(sc)
 	if got, hit := m[key]; hit {
 		return got, got != nil
 	}

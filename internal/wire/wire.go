@@ -55,46 +55,98 @@ const V1 = "taskalloc/v1"
 // corrupt document cannot make the decoder allocate without bound.
 const MaxFrozenHorizon = 1 << 22
 
-// MaxBodyBytes is the default cap on a request document's size (the
-// decoders materialize the whole document), a backend's and the grid
+// MaxBodyBytes caps a request document's size (the decoders
+// materialize the whole document), a backend's and the grid
 // coordinator's alike.
 const MaxBodyBytes = 64 << 20
 
+// The admission bounds: what one request document may buy before
+// anything is keyed or run (a running sweep is not cancelled when its
+// client goes away, so admission is where compute is bounded). They are
+// constants of the wire format, so every backend and the grid
+// coordinator reject the same documents with the same status and
+// message (Admit, BisectRequest.Validate).
+const (
+	// MaxJobs bounds a sweep's grid size.
+	MaxJobs = 10_000
+	// MaxCellRounds bounds one cell's horizon.
+	MaxCellRounds = 10_000_000
+	// MaxCellAnts bounds one cell's colony size (engine state is
+	// O(ants) and per-round work O(ants·k)).
+	MaxCellAnts = 10_000_000
+	// MaxBisectEvals bounds a bisect's evaluated γ cells, and is the
+	// budget of one that leaves max_evals 0.
+	MaxBisectEvals = 128
+)
+
+// ErrAdmission is the error every admission rejection wraps; its
+// message names the bound, and DecodeStatus gives its status.
+var ErrAdmission = errors.New("wire: request past an admission bound")
+
+// admissionError is one admission rejection and the status it gets.
+type admissionError struct {
+	status int
+	msg    string
+}
+
+func (e *admissionError) Error() string { return e.msg }
+func (e *admissionError) Unwrap() error { return ErrAdmission }
+
+// reject builds an admission rejection answered with status.
+func reject(status int, format string, args ...any) error {
+	return &admissionError{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
 // DecodeStatus is the HTTP status a backend and the grid coordinator
-// both answer a request document that failed to decode or to pass
-// CheckFrozenHorizons with: 413 when it ran past the body cap
-// (http.MaxBytesReader) or the frozen-horizon budget, else 400.
+// both answer a request document that failed to decode or to be
+// admitted with: 413 when it ran past the body cap
+// (http.MaxBytesReader), an admission rejection's own status (413 for
+// the grid size and the frozen-horizon budget, 400 for the other
+// bounds), else 400.
 func DecodeStatus(err error) int {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) || errors.Is(err, ErrFrozenBudget) {
+	var rejected *admissionError
+	switch {
+	case errors.As(err, &tooLarge):
 		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &rejected):
+		return rejected.status
 	}
 	return http.StatusBadRequest
 }
 
-// ErrFrozenBudget is the error CheckFrozenHorizons wraps.
-var ErrFrozenBudget = fmt.Errorf("grid's distinct frozen horizons sum past %d", MaxFrozenHorizon)
-
-// CheckFrozenHorizons caps what decoding jobs can materialize: a frozen
+// Admit checks a grid — a sweep, or a bisect template as a one-cell
+// grid — against the admission bounds: its job count, each cell's
+// rounds and ants, and what decoding it can materialize. A frozen
 // snapshot costs O(horizon), so the horizons of the DISTINCT snapshots
 // of all jobs, nested ones included, must sum to at most
 // MaxFrozenHorizon, or a small body buys an unbounded decode (identical
 // encodings count once, as ToJobs materializes them once). The error
-// wraps ErrFrozenBudget and names the job that crossed the budget.
-func CheckFrozenHorizons(jobs []Job) error {
+// wraps ErrAdmission; past a per-job bound it names the job.
+func Admit(jobs []Job) error {
+	if len(jobs) > MaxJobs {
+		return reject(http.StatusRequestEntityTooLarge, "grid has %d jobs, limit %d", len(jobs), MaxJobs)
+	}
 	var total uint64
 	seen := map[string]bool{}
 	for i, j := range jobs {
+		if j.Rounds < 0 || j.Rounds > MaxCellRounds {
+			return reject(http.StatusBadRequest, "jobs[%d]: rounds %d outside [0, %d]", i, j.Rounds, MaxCellRounds)
+		}
+		if j.Config.Ants > MaxCellAnts {
+			return reject(http.StatusBadRequest, "jobs[%d]: ants %d over limit %d", i, j.Config.Ants, MaxCellAnts)
+		}
 		if sc := j.Config.Schedule; sc != nil {
 			sc.eachFrozen(func(fz *Schedule) {
-				if key := FrozenKey(fz); !seen[key] {
+				if key := frozenKey(fz); !seen[key] {
 					seen[key] = true
 					total += min(fz.Horizon, MaxFrozenHorizon+1) // no wrap-around
 				}
 			}, 0)
 		}
 		if total > MaxFrozenHorizon {
-			return fmt.Errorf("%w (job %d)", ErrFrozenBudget, i)
+			return reject(http.StatusRequestEntityTooLarge,
+				"grid's distinct frozen horizons sum past %d (job %d)", MaxFrozenHorizon, i)
 		}
 	}
 	return nil
@@ -774,7 +826,7 @@ func ToJobs(s Sweep) ([]sweeprun.Job, error) {
 		var key string
 		var shared demand.Schedule
 		if sc := wj.Config.Schedule; sc != nil && sc.Kind == "frozen" {
-			key = FrozenKey(sc)
+			key = frozenKey(sc)
 			if shared = frozen[key]; shared != nil {
 				wj.Config.Schedule = nil
 			}
@@ -794,12 +846,12 @@ func ToJobs(s Sweep) ([]sweeprun.Job, error) {
 	return out, nil
 }
 
-// FrozenKey identifies a frozen schedule encoding by content. It is
+// frozenKey identifies a frozen schedule encoding by content. It is
 // the single identity both ToJobs' decode-side snapshot sharing and
-// CheckFrozenHorizons' distinct-snapshot accounting key on — the two
-// must agree, or the admission memory bound stops matching what
-// actually materializes.
-func FrozenKey(sc *Schedule) string {
+// Admit's distinct-snapshot accounting key on — the two must agree, or
+// the admission memory bound stops matching what actually
+// materializes.
+func frozenKey(sc *Schedule) string {
 	b, err := json.Marshal(sc)
 	if err != nil {
 		return fmt.Sprintf("%p", sc) // unreachable: Schedule always marshals
@@ -847,9 +899,8 @@ func (s *Schedule) tasks(depth int) int {
 }
 
 // eachFrozen calls fn for every frozen-kind node in the schedule tree,
-// including snapshots nested inside algebra operators, so
-// CheckFrozenHorizons charges a snapshot hidden inside a compose like a
-// top-level one. Trees deeper than MaxScheduleDepth are cut off — they
+// including snapshots nested inside algebra operators, so Admit
+// charges a snapshot hidden inside a compose like a top-level one. Trees deeper than MaxScheduleDepth are cut off — they
 // never decode anyway.
 func (s *Schedule) eachFrozen(fn func(*Schedule), depth int) {
 	if depth > MaxScheduleDepth {
