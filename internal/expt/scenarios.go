@@ -60,13 +60,7 @@ func runS5(p Params) (*Result, error) {
 			return scenario.NewMarkovModulated([]demand.Vector{base, rev}, pm, uint64(rounds)/8, 0, p.Seed)
 		}},
 	}
-	algos := []struct {
-		name string
-		alg  taskalloc.Algorithm
-	}{
-		{"ant", taskalloc.Ant},
-		{"precise-sigmoid", taskalloc.PreciseSigmoid},
-	}
+	algos := []taskalloc.Algorithm{taskalloc.Ant, taskalloc.PreciseSigmoid}
 
 	// One heterogeneous job grid, executed by one batch-runner call over
 	// one shared worker pool: families × algorithms × seeds, in table
@@ -84,11 +78,11 @@ func runS5(p Params) (*Result, error) {
 		for _, a := range algos {
 			for s := 0; s < seeds; s++ {
 				jobs = append(jobs, sweeprun.Job{
-					Meta: []string{fam.name, a.name},
+					Meta: []string{fam.name, a.String()},
 					Config: taskalloc.Config{
 						Ants:      n,
 						Demand:    frozen,
-						Algorithm: a.alg,
+						Algorithm: a,
 						Epsilon:   0.5,
 						Noise:     taskalloc.SigmoidNoise(0.02),
 						Seed:      p.Seed + uint64(s),

@@ -88,7 +88,7 @@ func EnsembleJSON() ([]byte, error) {
 				}
 				cfg := taskalloc.Config{
 					Ants:      ants,
-					Algorithm: a.alg,
+					Algorithm: a,
 					Epsilon:   0.5,
 					Noise:     taskalloc.SigmoidNoise(0.04),
 					Seed:      seed + uint64(s),
@@ -101,7 +101,7 @@ func EnsembleJSON() ([]byte, error) {
 					cfg.Demands = base
 				}
 				jobs = append(jobs, sweeprun.Job{
-					Meta:   []string{fam.name, a.name},
+					Meta:   []string{fam.name, a.String()},
 					Config: cfg,
 					Rounds: rounds,
 				})

@@ -98,14 +98,8 @@ var families = []struct {
 	}},
 }
 
-var algorithms = []struct {
-	name string
-	alg  taskalloc.Algorithm
-}{
-	{"ant", taskalloc.Ant},
-	{"precise-sigmoid", taskalloc.PreciseSigmoid},
-	{"precise-adversarial", taskalloc.PreciseAdversarial},
-	{"trivial", taskalloc.Trivial},
+var algorithms = []taskalloc.Algorithm{
+	taskalloc.Ant, taskalloc.PreciseSigmoid, taskalloc.PreciseAdversarial, taskalloc.Trivial,
 }
 
 // All returns the corpus: every scenario family × algorithm.
@@ -115,7 +109,7 @@ func All() []Case {
 		for _, a := range algorithms {
 			fam, a := fam, a
 			out = append(out, Case{
-				Name:   fam.name + "_" + a.name,
+				Name:   fam.name + "_" + a.String(),
 				Rounds: rounds,
 				Config: func() (taskalloc.Config, error) {
 					sched, err := fam.build()
@@ -124,7 +118,7 @@ func All() []Case {
 					}
 					cfg := taskalloc.Config{
 						Ants:      ants,
-						Algorithm: a.alg,
+						Algorithm: a,
 						Epsilon:   0.5,
 						Noise:     taskalloc.SigmoidNoise(0.04),
 						Seed:      seed,

@@ -252,15 +252,17 @@ func TestDurableResumeTimesRender(t *testing.T) {
 }
 
 // onlyJournalFiles fails unless every file under a durable data
-// directory is a journal log or a commit marker.
+// directory is a journal log, a commit marker, or the journal store's
+// commit manifest.
 func onlyJournalFiles(t *testing.T, dir string) {
 	t.Helper()
+	manifest := filepath.Join(dir, "sweeps", "commits")
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		if ext := filepath.Ext(path); ext != ".wal" && ext != ".ok" {
-			t.Errorf("data directory holds %s; want only .wal and .ok files", path)
+		if ext := filepath.Ext(path); ext != ".wal" && ext != ".ok" && path != manifest {
+			t.Errorf("data directory holds %s; want only .wal and .ok files and the commit manifest", path)
 		}
 		return nil
 	})

@@ -20,18 +20,38 @@
 //     not at all. Completion is marked by a sidecar ".ok" file written
 //     the same way, so "complete" is itself an atomic, crash-safe
 //     property. The marker holds the committed byte size, then the key
-//     and frame offset of every keyed record: Open rebuilds the key
-//     index from the markers alone, without reading journal bodies, and
-//     Get checks the frame's CRC and key before serving it.
+//     and frame offset of every keyed record, and Get checks the
+//     frame's CRC and key before serving it.
 //   - Removal deletes the marker before the log, and Open drops a
 //     marker whose log is gone, so a stale marker can never vouch for a
 //     later journal of the same id or publish its keys.
+//   - The commit manifest, one append-only file in the store root,
+//     caches the markers so Open reads one file, not one per journal.
+//     Before Commit renames a marker into place it appends one frame
+//     holding the journal id, the commit time and the marker's exact
+//     bytes, fsynced when Sync is on; a failed append fails the commit.
+//     Each append first cuts the file back to its last whole frame, so
+//     no torn frame ever has a good one after it, and writes ahead of
+//     its frame a tombstone (an entry with no marker bytes) for each
+//     committed journal removed or evicted since the last append.
+//   - Markers stay the source of truth. Open reads a listed marker that
+//     has no entry (a store written before the manifest, or a lost
+//     tail) directly, drops an entry whose marker is not listed, and
+//     takes each id's latest frame, so a tombstone keeps an earlier
+//     commit's entry from vouching for a later marker of that id. It
+//     indexes keys in commit order: manifest order, with the markers
+//     read directly merged in by log mtime, then id. The manifest is
+//     rewritten from the live markers (temp file + rename) after a torn
+//     tail, after markers read directly, and once dead entries outnumber
+//     live ones, so it stays proportional to the live journals.
 //
 // The store enforces one byte budget by evicting least-recently-
 // committed complete journals; in-flight journals are never evicted.
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -72,10 +92,22 @@ const frameHeaderSize = 1 + 4 + 4
 // cannot make recovery allocate without bound.
 const maxFrameBytes = 1 << 30
 
-// okSuffix marks a committed journal: "<id>.wal" + "<id>.ok".
+// okSuffix marks a committed journal: "<id>.wal" + "<id>.ok". Files
+// are staged under tempPrefix and renamed into place.
 const (
-	walSuffix = ".wal"
-	okSuffix  = ".ok"
+	walSuffix  = ".wal"
+	okSuffix   = ".ok"
+	tempPrefix = "tmp-"
+)
+
+// The commit manifest lives in the store root, where a binary from
+// before it, which skips non-directory entries, ignores it. It holds
+// manifestMagic, then one kindKeyed frame per commit: the journal id as
+// the key, then the commit time (Unix ns, little-endian) and the
+// marker's bytes.
+const (
+	manifestName  = "commits"
+	manifestMagic = "TACMIT1\n"
 )
 
 // Sentinel errors callers branch on.
@@ -120,6 +152,21 @@ type Store struct {
 	// wrong record, and the index holds no key strings.
 	keys map[uint64]recordLoc
 	seed maphash.Seed
+	// seq numbers commits in index order; committed counts the complete
+	// journals the index holds. removed lists the committed journals
+	// forgotten since the manifest was last written: the next append
+	// writes a tombstone for each, ahead of its commit's frame.
+	seq       int
+	committed int
+	removed   []string
+
+	// mfMu serializes a commit's manifest append with its marker rename
+	// and index update, so the manifest's order is the index's, and
+	// guards the manifest: mfSize bytes of whole frames (the magic
+	// included) and mfFrames frames, live or dead. mfMu comes before mu.
+	mfMu     sync.Mutex
+	mfSize   int64
+	mfFrames int
 
 	// Monotone activity counters, exported for the telemetry layer.
 	appends   atomic.Uint64
@@ -130,9 +177,34 @@ type Store struct {
 type journalInfo struct {
 	size     int64 // wal + ok marker bytes
 	mtime    time.Time
+	seq      int // commit order, when complete
 	complete bool
 	open     bool     // an un-Closed Journal handle exists
 	keys     []uint64 // the key hashes its marker lists, to unindex it
+}
+
+// keyLoc is one keyed record a commit marker lists: its key's hash
+// under the store's seed, and the offset of its frame in the log.
+type keyLoc struct {
+	hash uint64
+	off  int64
+}
+
+// commitEntry is one committed journal as Open finds it: from a
+// manifest entry, or from the marker itself with its log's mtime.
+type commitEntry struct {
+	id    string
+	mtime time.Time
+	size  int64 // wal + ok marker bytes
+	keys  []keyLoc
+	live  bool // the latest entry of a journal Open found committed
+}
+
+// markerRef is a marker Open listed: its fanout directory, and the
+// index of its id's latest manifest entry, or -1 when it has none.
+type markerRef struct {
+	dir   string
+	entry int
 }
 
 // recordLoc locates one keyed record: its journal and the offset of its
@@ -149,79 +221,327 @@ type keyedRecord struct {
 }
 
 // Open opens (creating if needed) the journal store rooted at dir and
-// rebuilds its index by scanning the fanout directories: every journal,
-// and the keys the commit markers list. A marker whose journal is gone
-// is deleted.
+// rebuilds its index. It lists each fanout directory by name, takes the
+// committed journals' markers from the commit manifest, and reads only
+// the markers the manifest lacks; it lstats a log only when its journal
+// is uncommitted (the byte budget and a resume need its size) or its
+// marker is read directly. A marker whose journal is gone is deleted.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir: dir, opts: opts, journals: make(map[string]*journalInfo),
-		keys: make(map[uint64]recordLoc), seed: maphash.MakeSeed(),
-	}
-	shards, err := os.ReadDir(dir)
+	s := &Store{dir: dir, opts: opts, seed: maphash.MakeSeed()}
+	root, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, sh := range shards {
-		if !sh.IsDir() {
+	var logs []string
+	markers := map[string]markerRef{}
+	for _, e := range root {
+		path := filepath.Join(dir, e.Name())
+		if !e.IsDir() {
+			if strings.HasPrefix(e.Name(), tempPrefix) {
+				_ = os.Remove(path) // a manifest rewrite cut short
+			}
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(dir, sh.Name()))
+		names, err := readNames(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		markers := map[string]bool{}
-		for _, f := range files {
-			if id, ok := strings.CutSuffix(f.Name(), okSuffix); ok {
-				markers[id] = true
-			}
-		}
-		for _, f := range files {
-			name := f.Name()
-			id, isWal := strings.CutSuffix(name, walSuffix)
-			if !isWal {
-				if !strings.HasSuffix(name, okSuffix) {
-					_ = os.Remove(filepath.Join(dir, sh.Name(), name)) // stale temp
+		for _, name := range names {
+			if id, ok := strings.CutSuffix(name, walSuffix); ok {
+				if ValidID(id) {
+					logs = append(logs, id)
 				}
-				continue
+			} else if id, ok := strings.CutSuffix(name, okSuffix); ok {
+				markers[id] = markerRef{dir: path, entry: -1}
+			} else {
+				_ = os.Remove(filepath.Join(path, name)) // stale temp
 			}
-			if !ValidID(id) {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			// A committed log's last write is its commit frame, just
-			// before the marker, so its mtime is the commit time.
-			ji := &journalInfo{size: info.Size(), mtime: info.ModTime()}
-			if markers[id] {
-				delete(markers, id)
-				ji.complete = true
-				raw, _ := os.ReadFile(s.okPath(id))
-				ji.size += int64(len(raw))
-				// An unreadable marker indexes nothing; Load reports the
-				// journal corrupt.
-				if _, keyed, err := parseMarker(raw); err == nil {
-					s.indexLocked(id, ji, keyed)
-				}
-			}
-			s.journals[id] = ji
-			s.bytes += ji.size
-		}
-		// The markers left are orphans, from a removal that stopped
-		// between marker and log: drop them before a later journal of
-		// that id could read as committed.
-		for id := range markers {
-			_ = os.Remove(filepath.Join(dir, sh.Name(), id+okSuffix))
 		}
 	}
+
+	s.journals = make(map[string]*journalInfo, len(logs))
+	entries, torn := s.readManifest(markers)
+	var direct []commitEntry
+	for _, id := range logs {
+		m, ok := markers[id]
+		if !ok {
+			if fi, err := os.Lstat(s.walPath(id)); err == nil {
+				s.journals[id] = &journalInfo{size: fi.Size(), mtime: fi.ModTime()}
+				s.bytes += fi.Size()
+			}
+			continue
+		}
+		delete(markers, id)
+		if m.entry >= 0 {
+			entries[m.entry].live = true
+			continue
+		}
+		// A marker the manifest lacks (or caches unparsably) is read
+		// directly. A committed log's last write is its commit frame, just
+		// before the marker, so its mtime is the commit time.
+		fi, err := os.Lstat(s.walPath(id))
+		if err != nil {
+			continue
+		}
+		raw, _ := os.ReadFile(s.okPath(id))
+		c := commitEntry{id: id, mtime: fi.ModTime(), size: fi.Size() + int64(len(raw))}
+		// An unreadable marker indexes nothing; Load reports the journal
+		// corrupt.
+		_, c.keys, _ = parseMarker(raw, s.seed)
+		direct = append(direct, c)
+	}
+	// The markers left are orphans, from a removal that stopped between
+	// marker and log: drop them before a later journal of that id could
+	// read as committed.
+	for id, m := range markers {
+		_ = os.Remove(filepath.Join(m.dir, id+okSuffix))
+	}
+	s.indexCommits(entries, direct)
+	s.compactLocked(torn || len(direct) > 0)
 	s.mu.Lock()
 	s.evictLocked("")
 	s.mu.Unlock()
 	return s, nil
+}
+
+// readNames lists a directory's entry names, unsorted and unstatted.
+func readNames(dir string) ([]string, error) {
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return f.Readdirnames(-1)
+}
+
+// readManifest streams the commit manifest. For each id in markers it
+// parses the latest entry's marker bytes into entries and sets the
+// marker's entry to its index, or to -1 when the id's latest frame is
+// a tombstone or its marker bytes do not parse; the other frames are
+// dead. It reports whether bytes remain past the last whole frame (a
+// torn tail, or a file that is not a manifest), and sets mfSize and
+// mfFrames to the whole frames read.
+func (s *Store) readManifest(markers map[string]markerRef) (entries []commitEntry, torn bool) {
+	f, err := os.Open(s.manifestPath())
+	if err != nil {
+		return nil, !errors.Is(err, os.ErrNotExist)
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 64<<10)
+	magic := make([]byte, len(manifestMagic))
+	if n, _ := io.ReadFull(br, magic); string(magic[:n]) != manifestMagic {
+		return nil, n > 0
+	}
+	entries = make([]commitEntry, 0, len(markers))
+	r := &reader{r: br, off: int64(len(manifestMagic)), reuse: true}
+	for {
+		s.mfSize = r.off
+		kind, payload, ok := r.next()
+		if !ok {
+			return entries, r.sawTail
+		}
+		id, rest, ok := splitKeyed(payload)
+		if kind != kindKeyed || !ok || !ValidID(id) || len(rest) < 8 {
+			return entries, true
+		}
+		s.mfFrames++
+		m, listed := markers[id]
+		if !listed {
+			continue
+		}
+		m.entry = -1
+		if len(rest) > 8 { // else a tombstone
+			if size, keys, err := parseMarker(rest[8:], s.seed); err == nil {
+				m.entry = len(entries)
+				entries = append(entries, commitEntry{id: id, size: size + int64(len(rest)-8), keys: keys,
+					mtime: time.Unix(0, int64(binary.LittleEndian.Uint64(rest)))})
+			}
+		}
+		markers[id] = m
+	}
+}
+
+// indexCommits indexes the committed journals Open found in commit
+// order: the live manifest entries in manifest order, with the markers
+// read directly merged in by log mtime, then id — eviction's order.
+func (s *Store) indexCommits(entries, direct []commitEntry) {
+	sort.Slice(direct, func(i, j int) bool {
+		return committedBefore(direct[i].mtime, direct[i].id, direct[j].mtime, direct[j].id)
+	})
+	n := 0
+	for _, c := range entries {
+		if c.live {
+			n += len(c.keys)
+		}
+	}
+	for _, c := range direct {
+		n += len(c.keys)
+	}
+	s.keys = make(map[uint64]recordLoc, n)
+	index := func(c *commitEntry) {
+		ji := &journalInfo{size: c.size, mtime: c.mtime}
+		s.journals[c.id] = ji
+		s.bytes += ji.size
+		s.indexLocked(c.id, ji, c.keys)
+	}
+	for i := range entries {
+		if !entries[i].live {
+			continue
+		}
+		for len(direct) > 0 && direct[0].mtime.Before(entries[i].mtime) {
+			index(&direct[0])
+			direct = direct[1:]
+		}
+		index(&entries[i])
+	}
+	for i := range direct {
+		index(&direct[i])
+	}
+}
+
+// committedBefore is eviction's order: commit time, then id.
+func committedBefore(at time.Time, a string, bt time.Time, b string) bool {
+	if !at.Equal(bt) {
+		return at.Before(bt)
+	}
+	return a < b
+}
+
+// appendManifest appends one commit's frame to the manifest, after a
+// tombstone (an entry with no marker bytes) for each id in removed. It
+// first cuts the file back to its last whole frame, so a frame that a
+// failed append left behind never precedes a good one. Caller holds
+// s.mfMu.
+func (s *Store) appendManifest(removed []string, id string, t time.Time, marker []byte) error {
+	var buf bytes.Buffer
+	if s.mfSize == 0 {
+		buf.WriteString(manifestMagic)
+	}
+	// A bytes.Buffer write cannot fail.
+	for _, r := range removed {
+		_ = writeFrame(&buf, kindKeyed, entryPayload(r, t, nil))
+	}
+	_ = writeFrame(&buf, kindKeyed, entryPayload(id, t, marker))
+	f, err := os.OpenFile(s.manifestPath(), os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	err = f.Truncate(s.mfSize)
+	if err == nil {
+		_, err = f.WriteAt(buf.Bytes(), s.mfSize)
+	}
+	if err == nil && s.opts.Sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.mfSize += int64(buf.Len())
+	s.mfFrames += len(removed) + 1
+	return nil
+}
+
+// compactLocked rewrites the manifest when force is set or once dead
+// entries (of removed, evicted or superseded journals, and tombstones)
+// outnumber live ones: one entry per live journal, in commit order,
+// read from its marker. Caller holds s.mfMu, or owns the store, as Open
+// does.
+func (s *Store) compactLocked(force bool) {
+	type live struct {
+		id    string
+		mtime time.Time
+		seq   int
+	}
+	s.mu.Lock()
+	if !force && s.mfFrames <= 2*s.committed {
+		s.mu.Unlock()
+		return
+	}
+	entries := make([]live, 0, s.committed)
+	for id, ji := range s.journals {
+		if ji.complete {
+			entries = append(entries, live{id, ji.mtime, ji.seq})
+		}
+	}
+	// The rewrite drops the entries these tombstones would close; a
+	// journal forgotten from here on still gets its tombstone.
+	removed := len(s.removed)
+	s.mu.Unlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
+	size, frames := int64(len(manifestMagic)), 0
+	err := s.writeFile(s.dir, s.manifestPath(), func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		_, _ = bw.WriteString(manifestMagic) // a write error resurfaces at Flush
+		for _, e := range entries {
+			marker, err := os.ReadFile(s.okPath(e.id))
+			if err != nil {
+				continue // removed meanwhile: its entry would be dead
+			}
+			p := entryPayload(e.id, e.mtime, marker)
+			if err := writeFrame(bw, kindKeyed, p); err != nil {
+				return err
+			}
+			size += int64(frameHeaderSize + len(p))
+			frames++
+		}
+		return bw.Flush()
+	})
+	if err != nil {
+		return // best effort: the old manifest reads the same
+	}
+	s.mfSize, s.mfFrames = size, frames
+	s.mu.Lock()
+	s.removed = s.removed[removed:]
+	s.mu.Unlock()
+}
+
+// entryPayload is one manifest frame's payload.
+func entryPayload(id string, t time.Time, marker []byte) []byte {
+	return keyedPayload(id, binary.LittleEndian.AppendUint64(nil, uint64(t.UnixNano())), marker)
+}
+
+// keyedPayload is a kindKeyed frame's payload: the key's length (one
+// byte), the key, then the record's parts.
+func keyedPayload(key string, parts ...[]byte) []byte {
+	n := 1 + len(key)
+	for _, p := range parts {
+		n += len(p)
+	}
+	b := append(append(make([]byte, 0, n), byte(len(key))), key...)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// writeFile makes path appear whole or not at all: write fills a temp
+// file in dir, fsynced when Sync is on, which is then renamed to path.
+func (s *Store) writeFile(dir, path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	err = write(tmp)
+	if err == nil && s.opts.Sync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
 // ValidID reports whether id is usable as a journal id or a record
@@ -232,13 +552,23 @@ func ValidID(id string) bool {
 	if len(id) < 8 || len(id) > 128 {
 		return false
 	}
-	for _, c := range id {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+	for i := 0; i < len(id); i++ {
+		if !lowerHex[id[i]] {
 			return false
 		}
 	}
 	return true
 }
+
+// lowerHex marks the bytes ValidID accepts. A table lookup, unlike a
+// range test, takes no branch that a random hex id mispredicts, and Open
+// checks every key every marker lists.
+var lowerHex = func() (t [256]bool) {
+	for _, c := range "0123456789abcdef" {
+		t[c] = true
+	}
+	return t
+}()
 
 func (s *Store) walPath(id string) string {
 	return filepath.Join(s.dir, id[:2], id+walSuffix)
@@ -246,6 +576,10 @@ func (s *Store) walPath(id string) string {
 
 func (s *Store) okPath(id string) string {
 	return filepath.Join(s.dir, id[:2], id+okSuffix)
+}
+
+func (s *Store) manifestPath() string {
+	return filepath.Join(s.dir, manifestName)
 }
 
 // Lookup reports whether the index holds a journal for id — one being
@@ -287,13 +621,17 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return rec, true
 }
 
-// indexLocked publishes a committed journal's keys. Caller holds s.mu
-// (or owns the store, as Open does).
-func (s *Store) indexLocked(id string, ji *journalInfo, keyed []keyedRecord) {
-	ji.keys = make([]uint64, len(keyed))
-	for i, k := range keyed {
-		ji.keys[i] = maphash.String(s.seed, k.key)
-		s.keys[ji.keys[i]] = recordLoc{id: id, off: k.off}
+// indexLocked marks a journal committed, latest in commit order, and
+// publishes its keys: a key an earlier journal also holds now points
+// here. Caller holds s.mu (or owns the store, as Open does).
+func (s *Store) indexLocked(id string, ji *journalInfo, keys []keyLoc) {
+	s.seq++
+	s.committed++
+	ji.complete, ji.seq = true, s.seq
+	ji.keys = make([]uint64, len(keys))
+	for i, k := range keys {
+		ji.keys[i] = k.hash
+		s.keys[k.hash] = recordLoc{id: id, off: k.off}
 	}
 }
 
@@ -308,6 +646,10 @@ func (s *Store) forgetLocked(id string) {
 		if s.keys[k].id == id {
 			delete(s.keys, k)
 		}
+	}
+	if ji.complete {
+		s.committed--
+		s.removed = append(s.removed, id)
 	}
 	s.bytes -= ji.size
 	delete(s.journals, id)
@@ -355,28 +697,13 @@ func (s *Store) Create(id string, header []byte) (*Journal, error) {
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fail(fmt.Errorf("store: %w", err))
 	}
-	tmp, err := os.CreateTemp(shard, "tmp-*")
-	if err != nil {
-		return fail(fmt.Errorf("store: %w", err))
-	}
-	if _, err := tmp.Write([]byte(journalMagic)); err == nil {
-		err = writeFrame(tmp, kindHeader, header)
-	} else {
-		err = fmt.Errorf("store: %w", err)
-	}
-	if err == nil && s.opts.Sync {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("store: %w", cerr)
-	}
-	if err != nil {
-		_ = os.Remove(tmp.Name())
+	if err := s.writeFile(shard, s.walPath(id), func(w io.Writer) error {
+		if _, err := io.WriteString(w, journalMagic); err != nil {
+			return err
+		}
+		return writeFrame(w, kindHeader, header)
+	}); err != nil {
 		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), s.walPath(id)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fail(fmt.Errorf("store: %w", err))
 	}
 	f, err := os.OpenFile(s.walPath(id), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -487,10 +814,7 @@ func (s *Store) evictLocked(keep string) {
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if !cands[i].mtime.Equal(cands[j].mtime) {
-			return cands[i].mtime.Before(cands[j].mtime)
-		}
-		return cands[i].id < cands[j].id
+		return committedBefore(cands[i].mtime, cands[i].id, cands[j].mtime, cands[j].id)
 	})
 	for _, c := range cands {
 		if s.bytes <= s.opts.MaxBytes {
@@ -546,7 +870,7 @@ func (s *Store) recover(id string) (*Recovered, int64, error) {
 
 	var committedSize int64 = -1
 	if ok, err := os.ReadFile(s.okPath(id)); err == nil {
-		n, _, perr := parseMarker(ok)
+		n, _, perr := parseMarker(ok, s.seed)
 		if perr != nil {
 			return nil, 0, fmt.Errorf("%w: unreadable commit marker", ErrCorrupt)
 		}
@@ -622,12 +946,16 @@ func (s *Store) recover(id string) (*Recovered, int64, error) {
 	return rec, valid, nil
 }
 
-// reader decodes frames sequentially, tracking the valid offset.
+// reader decodes frames sequentially, tracking the valid offset. With
+// reuse set, every payload shares one buffer, which the next call
+// overwrites.
 type reader struct {
 	r           io.Reader
 	off         int64
 	commitStart int64
 	sawTail     bool
+	reuse       bool
+	buf         []byte
 }
 
 // next reads one frame; ok=false at EOF or at the first invalid frame
@@ -646,7 +974,11 @@ func (r *reader) next() (kind byte, payload []byte, ok bool) {
 		r.sawTail = true
 		return 0, nil, false
 	}
-	payload = make([]byte, length)
+	if r.reuse && cap(r.buf) >= int(length) {
+		payload = r.buf[:length]
+	} else if payload = make([]byte, length); r.reuse {
+		r.buf = payload
+	}
 	if _, err := io.ReadFull(r.r, payload); err != nil {
 		r.sawTail = true
 		return 0, nil, false
@@ -685,22 +1017,28 @@ func formatMarker(size int64, keyed []keyedRecord) []byte {
 	return b
 }
 
-// parseMarker reads a commit marker back. A marker written before
-// records were keyed holds the size alone, and lists no keys.
-func parseMarker(raw []byte) (size int64, keyed []keyedRecord, err error) {
-	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if size, err = strconv.ParseInt(strings.TrimSpace(lines[0]), 10, 64); err != nil {
+// parseMarker reads a commit marker back: the committed log size, then
+// each keyed record's key, hashed under seed, and frame offset. A
+// marker written before records were keyed holds the size alone.
+func parseMarker(raw []byte, seed maphash.Seed) (size int64, keys []keyLoc, err error) {
+	first, rest, more := strings.Cut(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if size, err = strconv.ParseInt(strings.TrimSpace(first), 10, 64); err != nil {
 		return 0, nil, err
 	}
-	for _, line := range lines[1:] {
+	if more {
+		keys = make([]keyLoc, 0, strings.Count(rest, "\n")+1)
+	}
+	for more {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		key, off, _ := strings.Cut(line, " ")
 		n, err := strconv.ParseInt(off, 10, 64)
 		if err != nil || n < 0 || !ValidID(key) {
 			return 0, nil, fmt.Errorf("store: bad marker line %q", line)
 		}
-		keyed = append(keyed, keyedRecord{key: key, off: n})
+		keys = append(keys, keyLoc{maphash.String(seed, key), n})
 	}
-	return size, keyed, nil
+	return size, keys, nil
 }
 
 // frameCRC covers the kind byte and the payload.
@@ -716,12 +1054,10 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[5:9], frameCRC(kind, payload))
 	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	_, err := w.Write(payload)
+	return err
 }
 
 // Journal is one open write-ahead log. Append and Commit are not safe
@@ -750,10 +1086,9 @@ func (j *Journal) Append(key string, payload []byte) error {
 	if key != "" && !ValidID(key) {
 		return fmt.Errorf("store: invalid record key %q", key)
 	}
-	frame := make([]byte, 0, 1+len(key)+len(payload))
-	frame = append(append(append(frame, byte(len(key))), key...), payload...)
+	frame := keyedPayload(key, payload)
 	if err := writeFrame(j.f, kindKeyed, frame); err != nil {
-		return err
+		return fmt.Errorf("store: %w", err)
 	}
 	if j.s.opts.Sync {
 		if err := j.f.Sync(); err != nil {
@@ -776,16 +1111,17 @@ func (j *Journal) Append(key string, payload []byte) error {
 	return nil
 }
 
-// Commit writes the terminal commit record, then the sidecar marker
-// via temp file + atomic rename, and closes the journal. After Commit
-// the journal is complete: OpenAppend refuses it and recovery returns
-// every record plus the commit payload.
+// Commit writes the terminal commit record, appends the commit to the
+// manifest, writes the sidecar marker via temp file + atomic rename,
+// and closes the journal. After Commit the journal is complete:
+// OpenAppend refuses it and recovery returns every record plus the
+// commit payload.
 func (j *Journal) Commit(payload []byte) error {
 	if j.closed {
 		return errors.New("store: commit on closed journal")
 	}
 	if err := writeFrame(j.f, kindCommit, payload); err != nil {
-		return err
+		return fmt.Errorf("store: %w", err)
 	}
 	// With Sync on, the log must be on disk before the marker can vouch
 	// for it; a failed fsync leaves the journal uncommitted. With Sync
@@ -795,41 +1131,42 @@ func (j *Journal) Commit(payload []byte) error {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
+	s := j.s
 	committed := j.size + int64(frameHeaderSize+len(payload))
 	marker := formatMarker(committed, j.keyed)
-	shard := filepath.Join(j.s.dir, j.id[:2])
-	tmp, err := os.CreateTemp(shard, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	s.mfMu.Lock()
+	defer s.mfMu.Unlock()
+	now := time.Now()
+	s.mu.Lock()
+	removed := s.removed
+	s.mu.Unlock()
+	if err := s.appendManifest(removed, j.id, now, marker); err != nil {
+		return err
 	}
-	_, werr := tmp.Write(marker)
-	if werr == nil && j.s.opts.Sync {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil && cerr != nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), j.s.okPath(j.id)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	if err := s.writeFile(filepath.Join(s.dir, j.id[:2]), s.okPath(j.id), func(w io.Writer) error {
+		_, err := w.Write(marker)
+		return err
+	}); err != nil {
+		return err
 	}
 	grow := committed - j.size + int64(len(marker))
 	j.size = committed
-	j.s.mu.Lock()
-	if ji, ok := j.s.journals[j.id]; ok {
+	s.mu.Lock()
+	s.removed = s.removed[len(removed):]
+	if ji, ok := s.journals[j.id]; ok {
 		ji.size += grow
-		ji.complete = true
 		ji.open = false
-		ji.mtime = time.Now()
-		j.s.bytes += grow
-		j.s.indexLocked(j.id, ji, j.keyed)
-		j.s.evictLocked(j.id)
+		ji.mtime = now
+		s.bytes += grow
+		keys := make([]keyLoc, len(j.keyed))
+		for i, k := range j.keyed {
+			keys[i] = keyLoc{maphash.String(s.seed, k.key), k.off}
+		}
+		s.indexLocked(j.id, ji, keys)
+		s.evictLocked(j.id)
 	}
-	j.s.mu.Unlock()
+	s.mu.Unlock()
+	s.compactLocked(false)
 	j.closed = true
 	return j.f.Close()
 }

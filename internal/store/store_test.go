@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"testing"
@@ -527,12 +528,17 @@ func testKeyIndexChecksRecordKey(t *testing.T, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, keyed, err := parseMarker(raw)
-	if err != nil || len(keyed) != 3 {
-		t.Fatalf("marker lists %d keys (%v), want 3", len(keyed), err)
+	size, keys, err := parseMarker(raw, maphash.MakeSeed())
+	if err != nil || len(keys) != 3 {
+		t.Fatalf("marker lists %d keys (%v), want 3", len(keys), err)
 	}
-	keyed[0].off, keyed[1].off = keyed[1].off, keyed[0].off
-	if err := os.WriteFile(okf, formatMarker(size, keyed), 0o644); err != nil {
+	swapped := []keyedRecord{{keyOf(0), keys[1].off}, {keyOf(1), keys[0].off}, {keyOf(2), keys[2].off}}
+	if err := os.WriteFile(okf, formatMarker(size, swapped), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Without the manifest's copy of the marker, Open indexes the
+	// rewritten one.
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir, opts)
@@ -556,7 +562,7 @@ func testKeyIndexChecksRecordKey(t *testing.T, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log[keyed[2].off+frameHeaderSize+1+int64(len(keyOf(2)))] ^= 0xff
+	log[keys[2].off+frameHeaderSize+1+int64(len(keyOf(2)))] ^= 0xff
 	if err := os.WriteFile(wal, log, 0o644); err != nil {
 		t.Fatal(err)
 	}

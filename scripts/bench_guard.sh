@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Bench smoke guard: fail if BenchmarkEngineParallel regresses more than
-# TOLERANCE (default 20%) against the checked-in baseline BENCH_N.json.
+# TOLERANCE (default 20%) against the checked-in baseline BENCH_N.json,
+# on a host with the baseline's logical CPU count; on any other host the
+# comparison is skipped (see below) and the script is a smoke only.
 # Usage:
 #
 #   scripts/bench_guard.sh [baseline-N]     # default baseline 1
