@@ -10,8 +10,9 @@
 // the same directory replays completed sweeps from the journal, resumes
 // interrupted ones, and lets clients reconnect to a half-streamed
 // response via GET /v1/sweeps/{id}?cursor=N. Sweeps and bisects reuse
-// each other's cells through the job tier (-job-cache-entries in
-// memory); each bisect search journals its fresh cells too, and every
+// each other's cells through the job tier: in memory, any cell a held
+// sweep or bisect search holds (-cache-entries and -cache-bytes bound
+// them); each bisect search journals its fresh cells too, and every
 // journal record carries its cell's key, so after a restart the
 // journals' key index serves any cell a committed journal holds. One
 // -data-bytes budget covers all journals. -tenants FILE enables
@@ -57,9 +58,8 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		workers  = flag.Int("workers", 0, "per-sweep simulations in flight (0 = GOMAXPROCS)")
 		maxConc  = flag.Int("max-concurrent", 0, "simulations in flight across all requests (0 = GOMAXPROCS)")
-		cacheCap = flag.Int("cache-entries", 128, "completed sweeps kept for cached replay")
-		cacheB   = flag.Int64("cache-bytes", 256<<20, "retained-bytes budget of the result cache (trajectories dominate)")
-		jobCache = flag.Int("job-cache-entries", 4096, "job results (sweep and bisect cells, reports only) kept in memory for reuse by later sweeps and bisects")
+		cacheCap = flag.Int("cache-entries", 128, "memory-tier entries kept: completed sweeps, for cached replay, and bisect searches; their cells are reused by later sweeps and bisects")
+		cacheB   = flag.Int64("cache-bytes", 256<<20, "retained-bytes budget of the memory tier's entries (trajectories dominate)")
 		drainFor = flag.Duration("drain-timeout", time.Minute,
 			"grace for in-flight HTTP handlers on shutdown (sweeps still drain fully after it; a second signal force-kills)")
 		dataDir  = flag.String("data-dir", "", "enable durability: journal sweeps and bisect cells under this directory (empty = memory-only)")
@@ -83,16 +83,15 @@ func main() {
 		}
 	}
 	opts := simserver.Options{
-		Workers:         *workers,
-		MaxConcurrent:   *maxConc,
-		CacheEntries:    *cacheCap,
-		CacheBytes:      *cacheB,
-		JobCacheEntries: *jobCache,
-		DataDir:         *dataDir,
-		DataBytes:       *dataB,
-		SyncWrites:      *syncWr,
-		Tenants:         tenantCfgs,
-		JobDelay:        *jobDelay,
+		Workers:       *workers,
+		MaxConcurrent: *maxConc,
+		CacheEntries:  *cacheCap,
+		CacheBytes:    *cacheB,
+		DataDir:       *dataDir,
+		DataBytes:     *dataB,
+		SyncWrites:    *syncWr,
+		Tenants:       tenantCfgs,
+		JobDelay:      *jobDelay,
 	}
 	if *logReqs {
 		opts.AccessLog = os.Stderr

@@ -44,7 +44,7 @@ func (c *Coordinator) Bisect(ctx context.Context, req wire.BisectRequest) (*wire
 // stolen, in as few sub-sweeps of at most limit bytes per owner as
 // their encoded size allows (splitBySize), so a repeat search sends
 // every backend the sub-sweeps it has cached. A cell is Cached when its sub-sweep's primary stream
-// replayed it (X-Sweep-Cache); only a computing (miss) primary is
+// replayed it (X-Cache other than miss); only a computing (miss) primary is
 // backed up, so a backup never changes a cell's Cached.
 func (c *Coordinator) evalRound(ctx context.Context, clients []*client.Client, limit int,
 	jobs []wire.Job, keys []string, cells []wire.BisectCell) error {

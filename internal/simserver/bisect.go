@@ -1,6 +1,7 @@
 package simserver
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -16,7 +17,8 @@ import (
 // decode checks the evaluation budget), charges the tenant quota the
 // budget, and serves or runs each round's cells through the sweeps'
 // runner (runCells), so a repeat, overlapping or equivalent search
-// reuses the job tier; fresh cells are journaled per search
+// reuses the job tier. A search runs under its own memory-tier entry
+// (runBisectCoalesced), and its fresh cells are journaled per search
 // (searchJournal).
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
@@ -43,7 +45,11 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, disposition, err := s.runBisectCoalesced(r, search, workers)
+	resp, disposition, err := s.runBisectCoalesced(r.Context(), search.ID, func(e *entry) (wire.BisectResponse, error) {
+		sj := &searchJournal{s: s, id: search.ID}
+		defer sj.commit()
+		return search.Run(s.bisectEvaluator(e, workers, sj))
+	})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -56,63 +62,63 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// bisectFlight is one in-flight bisect execution identical concurrent
-// requests coalesce onto (the sweep cache's coalescing, without the
-// long-term retention — the job cache already makes a repeat cheap).
-type bisectFlight struct {
-	done chan struct{}
-	resp wire.BisectResponse
-	err  error
-}
-
-// runBisectCoalesced executes the search, coalescing concurrent
-// equivalent requests (same semantic id) onto one execution — without
-// it, a dashboard double-refresh doubles admission-gated compute. The
-// returned disposition is "coalesced" for a waiter and the search's
-// own verdict (bisect.Disposition) for the owner. The returned
-// response is nil (with nil error) only when a waiter's request
-// context ended before the owner finished. Completed flights are not
-// retained: a later repeat re-runs the (job-cache-warm) search.
-func (s *Server) runBisectCoalesced(r *http.Request, search *bisect.Search, workers int) (*wire.BisectResponse, string, error) {
-	id := search.ID
+// runBisectCoalesced runs a search under its memory-tier entry, so that
+// concurrent identical requests share one execution (else a dashboard
+// double-refresh doubles admission-gated compute): a request that finds
+// the entry in flight waits for the owner's response (disposition
+// "coalesced") or error. Otherwise it owns a new entry and runs run,
+// which holds each round's cells in it. A completed entry answers no
+// request: its holds and FIFO place pass to the new owner, so a repeat
+// finds every cell it held. An owner with no response drops its entry.
+// The response is nil with a nil error only if a waiter's ctx ended or
+// its owner panicked.
+func (s *Server) runBisectCoalesced(ctx context.Context, searchID string, run func(e *entry) (wire.BisectResponse, error)) (*wire.BisectResponse, string, error) {
+	id := searchID + searchJournalSuffix
 	s.mu.Lock()
-	if f := s.bisectFlights[id]; f != nil {
+	if e := s.entries[id]; e != nil && !e.completed() {
 		s.mu.Unlock()
 		s.metrics.bisectCoalesced.Inc()
 		select {
-		case <-f.done:
-		case <-r.Context().Done():
+		case <-e.done:
+		case <-ctx.Done():
 			return nil, "", nil
 		}
-		if f.err != nil {
-			return nil, "", f.err
+		if e.resp == nil {
+			return nil, "", e.err
 		}
-		resp := f.resp
-		return &resp, "coalesced", nil
+		return e.resp, "coalesced", nil
 	}
-	f := &bisectFlight{done: make(chan struct{})}
-	s.bisectFlights[id] = f
+	e := &entry{id: id, done: make(chan struct{})}
+	if old := s.entries[id]; old != nil {
+		e.keys = old.keys
+		s.cacheSize -= old.size
+		s.entries[id] = e
+	} else {
+		s.addLocked(e)
+	}
 	s.mu.Unlock()
 
-	sj := &searchJournal{s: s, id: id}
-	f.resp, f.err = search.Run(s.bisectEvaluator(workers, sj))
-	sj.commit()
-	s.mu.Lock()
-	delete(s.bisectFlights, id)
-	s.mu.Unlock()
-	close(f.done)
-	if f.err != nil {
-		return nil, "", f.err
+	defer func() {
+		if e.resp == nil {
+			s.drop(e)
+		}
+	}()
+	resp, err := run(e)
+	if err != nil {
+		e.err = err
+		return nil, "", err
 	}
-	resp := f.resp
-	return &resp, bisect.Disposition(resp), nil
+	e.resp = &resp
+	close(e.done)
+	return e.resp, bisect.Disposition(resp), nil
 }
 
-// bisectEvaluator returns the local evaluator for one search: runCells
-// serves a round's repeats from the job tier and decodes and runs the
-// rest as one batch, which is written through to memory and to the
-// search's journal sj. A repeat search decodes nothing.
-func (s *Server) bisectEvaluator(workers int, sj *searchJournal) func([]wire.Job, []string, []wire.BisectCell) error {
+// bisectEvaluator returns the local evaluator for the search that owns
+// entry e: runCells serves a round's repeats from the job tier and
+// decodes and runs the rest as one batch. As the round ends, e holds
+// all of its cells, and the fresh ones are written to the search's
+// journal sj. A repeat search decodes nothing.
+func (s *Server) bisectEvaluator(e *entry, workers int, sj *searchJournal) func([]wire.Job, []string, []wire.BisectCell) error {
 	return func(wjobs []wire.Job, keys []string, cells []wire.BisectCell) error {
 		g := grid{
 			jobs: make([]sweeprun.Job, len(wjobs)),
@@ -139,6 +145,7 @@ func (s *Server) bisectEvaluator(workers int, sj *searchJournal) func([]wire.Job
 		for i, wj := range wjobs {
 			g.jobs[i] = sweeprun.Job{Meta: wj.Meta, Rounds: wj.Rounds}
 		}
+		round := make([]cell, 0, len(wjobs))
 		var fresh []cell
 		err := s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
 			cells[i].Cached = known
@@ -148,6 +155,7 @@ func (s *Server) bisectEvaluator(workers int, sj *searchJournal) func([]wire.Job
 				rep := c.report
 				cells[i].Report = &rep
 			}
+			round = append(round, c)
 			if !known {
 				fresh = append(fresh, c)
 			}
@@ -156,9 +164,7 @@ func (s *Server) bisectEvaluator(workers int, sj *searchJournal) func([]wire.Job
 			return err
 		}
 		s.mu.Lock()
-		for _, c := range fresh {
-			s.storeJobLocked(c.key, jobResult{report: c.report, err: c.err})
-		}
+		s.holdLocked(e, round)
 		s.mu.Unlock()
 		sj.append(fresh)
 		return nil

@@ -81,8 +81,8 @@ type SubmitOptions struct {
 type Submission struct {
 	// Header is the stream's leading line (sweep ID, grid size).
 	Header wire.StreamHeader
-	// Cached is true when the response was replayed from the server's
-	// result cache (X-Sweep-Cache: hit).
+	// Cached is Disposition folded to two values: false when the server
+	// ran the sweep (miss), else true.
 	Cached bool
 	// Disposition is the server's X-Cache verdict: "miss" (this request
 	// ran the sweep), "hit" (replayed from the result cache — including
@@ -251,10 +251,8 @@ func (c *Client) SubmitSweep(ctx context.Context, sweep wire.Sweep, opts SubmitO
 // Submission carrying the response's cache headers, announced through
 // opts.OnStart before the body is read.
 func consumeNDJSON(resp *http.Response, cursor int, opts SubmitOptions, onResult func(wire.Result)) (*Submission, error) {
-	sub := &Submission{
-		Cached:      resp.Header.Get("X-Sweep-Cache") == "hit",
-		Disposition: resp.Header.Get("X-Cache"),
-	}
+	d := resp.Header.Get("X-Cache")
+	sub := &Submission{Cached: d != "miss", Disposition: d}
 	if opts.OnStart != nil {
 		opts.OnStart(sub)
 	}
@@ -359,7 +357,7 @@ func (c *Client) SubmitSweepCSV(ctx context.Context, sweep wire.Sweep, opts Subm
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
-	return out, resp.Header.Get("X-Sweep-Cache") == "hit", err
+	return out, resp.Header.Get("X-Cache") != "miss", err
 }
 
 // Bisect POSTs an adaptive γ-bisection request (POST /v1/bisect) and

@@ -11,17 +11,64 @@ import (
 
 // The job tier: job-level results keyed by the behavioral job hash
 // (wire.SemanticHash with Trajectory cleared — for sweep cells,
-// wire.SemanticSweepKeys). It is a memory FIFO in front of the journal
-// store's key index (durable mode only), and sweeps and bisects produce
-// their cells through the one runner below (runCells): a cell some
-// earlier sweep or bisect computed is never simulated again while the
-// tier holds it. Reports only — a few hundred bytes each — so a job
-// that asks for a trajectory always runs. Every journaled cell, a
-// sweep's or a bisect search's, is appended with its key, so the disk
-// level needs no writes of its own; cells enter the memory tier when
-// their sweep is published (fresh, resumed, or replayed from a
-// journal), when a bisect computes them, and when the index serves
-// them.
+// wire.SemanticSweepKeys), shaped alike in memory and on disk: entries,
+// one per sweep or bisect search, and a key index over the cells they
+// hold. In memory, a sweep entry holds its keyed cells once published,
+// a search entry each round's cells as the round ends; on disk, the
+// store indexes committed journals. Sweeps and bisects produce their
+// cells through one runner (runCells): a cell either level holds is
+// never simulated again. Reports only, so a trajectory job always runs.
+
+// held is one key's cell outcome, and, in the memory index, the number
+// of held entries that hold it. Only holders changes once indexed.
+type held struct {
+	report  taskalloc.Report
+	err     string
+	holders int
+}
+
+// holdLocked charges e the bytes of cells and makes it hold each keyed
+// cell it does not hold yet: the key enters the index, or its holder
+// count grows by one. Caller holds s.mu.
+func (s *Server) holdLocked(e *entry, cells []cell) {
+	mine := make(map[string]bool, len(e.keys)+len(cells))
+	for _, k := range e.keys {
+		mine[k] = true
+	}
+	for _, c := range cells {
+		size := int64(len(c.traj)) + int64(len(c.err)) + 256 // report + struct overhead
+		for _, m := range c.meta {
+			size += int64(len(m))
+		}
+		e.size += size
+		s.cacheSize += size
+		if c.key == "" || mine[c.key] {
+			continue
+		}
+		mine[c.key] = true
+		e.keys = append(e.keys, c.key)
+		h := s.index[c.key]
+		if h == nil {
+			h = &held{report: c.report, err: c.err}
+			s.index[c.key] = h
+		}
+		h.holders++
+	}
+	s.evictLocked()
+}
+
+// releaseLocked drops e's holds and byte charge: each of its keys loses
+// one holder, and leaves the index at zero. Caller holds s.mu.
+func (s *Server) releaseLocked(e *entry) {
+	for _, k := range e.keys {
+		if h := s.index[k]; h.holders > 1 {
+			h.holders--
+		} else {
+			delete(s.index, k)
+		}
+	}
+	s.cacheSize -= e.size
+}
 
 // runCells produces every cell of g and hands it to emit in strict
 // index order, known reporting whether the cell was served rather than
@@ -105,66 +152,40 @@ func (s *Server) runCells(g grid, prefix []cell, hits, misses *obs.Counter, work
 // lookup: the tier holds reports only.
 func (s *Server) tierCell(g grid, i int, hits, misses *obs.Counter) (cell, bool) {
 	if g.recs[i] == nil {
-		if jr, ok := s.lookupJob(g.keys[i]); ok {
+		if h, ok := s.lookupJob(g.keys[i]); ok {
 			hits.Inc()
-			return cell{meta: g.jobs[i].Meta, rounds: g.jobs[i].Rounds, report: jr.report, err: jr.err}, true
+			return cell{meta: g.jobs[i].Meta, rounds: g.jobs[i].Rounds, report: h.report, err: h.err}, true
 		}
 	}
 	misses.Inc()
 	return cell{}, false
 }
 
-// jobResult is one cached cell outcome. Reports are a few hundred
-// bytes, so the tier is bounded by entry count, not bytes.
-type jobResult struct {
-	report taskalloc.Report
-	err    string
-}
-
-// lookupJob consults the job tier for one key: memory first, then the
-// journal store's key index (a committed journal of this or a previous
-// process lifetime), whose hits are promoted into memory and counted as
-// job_cache_disk_hits. The store serves a record only if it was
+// lookupJob consults the job tier for one key: the memory index first,
+// then the journal store's key index (a committed journal of this or a
+// previous process lifetime), whose hits are counted as
+// job_cache_disk_hits; the entry that reads a disk hit holds it with
+// the rest of its cells. The store serves a record only if it was
 // appended with key. Callers count the hit or miss themselves.
-func (s *Server) lookupJob(key string) (jobResult, bool) {
+func (s *Server) lookupJob(key string) (*held, bool) {
 	s.mu.Lock()
-	jr, ok := s.jobCache[key]
+	h := s.index[key]
 	s.mu.Unlock()
-	if ok {
-		return jr, true
+	if h != nil {
+		return h, true
 	}
 	if s.store == nil {
-		return jobResult{}, false
+		return nil, false
 	}
 	raw, ok := s.store.Get(key)
 	if !ok {
-		return jobResult{}, false
+		return nil, false
 	}
 	var rec cellRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
-		return jobResult{}, false
+		return nil, false
 	}
-	jr = jobResult{err: rec.Err}
-	if rec.Report != nil {
-		jr.report = *rec.Report
-	}
-	s.mu.Lock()
-	s.storeJobLocked(key, jr)
-	s.mu.Unlock()
 	s.metrics.jobCacheDiskHits.Inc()
-	return jr, true
-}
-
-// storeJobLocked inserts one memory-tier entry, evicting FIFO past the
-// entry budget. Caller holds s.mu.
-func (s *Server) storeJobLocked(key string, jr jobResult) {
-	if _, ok := s.jobCache[key]; ok {
-		return
-	}
-	s.jobCache[key] = jr
-	s.jobOrder = append(s.jobOrder, key)
-	for len(s.jobOrder) > s.opts.JobCacheEntries {
-		delete(s.jobCache, s.jobOrder[0])
-		s.jobOrder = s.jobOrder[1:]
-	}
+	c := recordToCell(rec, key)
+	return &held{report: c.report, err: c.err}, true
 }

@@ -188,6 +188,13 @@ func TestConcurrentOverlappingSweeps(t *testing.T) {
 	}
 }
 
+// holdCells seeds the memory tier as a published sweep does: a
+// completed entry under id that holds cells.
+func holdCells(s *Server, id string, cells ...cell) {
+	e, _ := s.lookupOrCreate(id, "", len(cells))
+	s.publish(e, cells, sweeprun.Summary{})
+}
+
 // TestKnownCellsMerge is the randomized check of the cell runner
 // (runCells, driven through executeOwned's journaling and publish):
 // over random splits of a grid into a recovered journal prefix,
@@ -219,7 +226,7 @@ func TestKnownCellsMerge(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		render := newBody(&buf, "ndjson", id, n, 0)
-		entry := &sweepEntry{id: id, done: make(chan struct{})}
+		entry, _ := s.lookupOrCreate(id, synID, n)
 		s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
 			order = append(order, i)
 			render(i, c)
@@ -251,22 +258,21 @@ func TestKnownCellsMerge(t *testing.T) {
 			t.Fatalf("trial %d: recovered %d of %d prefix cells: %v", trial, len(rec.cells), prefix, err)
 		}
 		var memory, disk int
-		var diskCells []cell
+		var memoryCells, diskCells []cell
 		for i := prefix; i < n; i++ {
 			if sweep.Jobs[i].Trajectory {
 				continue
 			}
 			switch rng.Intn(3) {
 			case 0:
-				s.mu.Lock()
-				s.storeJobLocked(keys[i], jobResult{report: ref[i].report, err: ref[i].err})
-				s.mu.Unlock()
+				memoryCells = append(memoryCells, ref[i])
 				memory++
 			case 1:
 				diskCells = append(diskCells, ref[i])
 				disk++
 			}
 		}
+		holdCells(s, fmt.Sprintf("%064x", trial+1), memoryCells...)
 		sj := &searchJournal{s: s, id: fmt.Sprintf("%064x", trial+1)}
 		sj.append(diskCells)
 		sj.commit()
@@ -301,7 +307,7 @@ func TestKnownCellsMerge(t *testing.T) {
 		}
 		s.mu.Lock()
 		for i, k := range keys {
-			if _, ok := s.jobCache[k]; !ok {
+			if _, ok := s.index[k]; !ok {
 				t.Errorf("%s: cell %d not in the memory tier after publish", where, i)
 			}
 		}
@@ -363,11 +369,11 @@ func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 
 	// Warm every cell but 1 and 4: only those two are decoded.
 	warm := func(cells ...int) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		var held []cell
 		for _, i := range cells {
-			s.storeJobLocked(keys[i], jobResult{report: ref[i].report, err: ref[i].err})
+			held = append(held, ref[i])
 		}
+		holdCells(s, fmt.Sprint(cells), held...)
 	}
 	warm(0, 2, 3, 5)
 	decoded, cells, known, err := run(s, nil)
@@ -546,7 +552,7 @@ func TestKeylessJournalReplays(t *testing.T) {
 				t.Fatalf("keyless journal replay differs:\n--- replay\n%s--- golden\n%s", got, want)
 			}
 			srv.mu.Lock()
-			warm := len(srv.jobCache)
+			warm := len(srv.index)
 			srv.mu.Unlock()
 			if warm != tc.warm {
 				t.Fatalf("memory tier holds %d entries after the replay, want %d", warm, tc.warm)

@@ -106,18 +106,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.diskResumes = r.Counter("taskalloc_disk_resumes_total",
 		"Incomplete journals resumed (prefix replayed, remainder executed).")
 	m.jobCacheDiskHits = r.Counter("taskalloc_job_cache_disk_hits_total",
-		"Sweep and bisect cells served from the journal store's key index (promoted into memory).")
+		"Sweep and bisect cells served from the journal store's key index.")
 	m.persistErrors = r.Counter("taskalloc_persist_errors_total",
 		"Best-effort durability failures (request served from memory).")
 
 	r.GaugeFunc("taskalloc_sweep_cache_entries",
-		"Completed-sweep cache entries currently held.", func() float64 {
+		"Memory-tier entries currently held, sweeps' and bisect searches', in flight or completed.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(len(s.cache))
+			return float64(len(s.entries))
 		})
 	r.GaugeFunc("taskalloc_sweep_cache_bytes",
-		"Bytes retained by the completed-sweep cache.", func() float64 {
+		"Bytes charged to the memory tier's entries, sweeps' and bisect searches'.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(s.cacheSize)

@@ -122,17 +122,15 @@ func (s *Server) createJournal(id, synID string, sweep wire.Sweep) *store.Journa
 }
 
 // sweepIDLen is the length of every sweep ID, a hex SHA-256
-// (wire.SemanticSweepKeys). A search journal's id is longer
-// (searchJournalSuffix), so no sweep route can name one.
+// (wire.SemanticSweepKeys). A search's journal and memory-tier entry
+// share a longer id (searchJournalSuffix), so no sweep route names one.
 const sweepIDLen = 64
 
-// hasJournal reports whether id has an on-disk sweep journal and
+// hasJournal reports whether sweep id has an on-disk journal and
 // whether it is committed. The store's index is the only record of
-// on-disk sweeps, so a journal the store evicted reads as absent, and
-// a bisect search's journal is never a sweep's: the sweep routes
-// neither read nor remove it.
+// on-disk sweeps, so a journal the store evicted reads as absent.
 func (s *Server) hasJournal(id string) (exists, complete bool) {
-	if s.store == nil || len(id) != sweepIDLen {
+	if s.store == nil {
 		return false, false
 	}
 	return s.store.Lookup(id)
@@ -218,7 +216,7 @@ func (s *Server) discardRecovered(id string, j *store.Journal) {
 // it is emitted: the record is on disk before its bytes can reach a
 // client, so a crash never leaves a client holding bytes the journal
 // cannot replay.
-func (s *Server) executeOwned(entry *sweepEntry, g grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) {
+func (s *Server) executeOwned(entry *entry, g grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) {
 	cells := make([]cell, len(g.jobs))
 	// A sweep grid is decoded at admission (buildRunnable sets no
 	// decode hook), so runCells has no error to return here.
@@ -279,7 +277,7 @@ func (s *Server) checkpoint(j *store.Journal, i int, c cell) *store.Journal {
 // means no usable journal — execute fresh. synID is the submitting
 // document's syntactic hash ("" for GETs), for alias accounting against
 // the stored creator's.
-func (s *Server) serveFromDisk(w http.ResponseWriter, entry *sweepEntry, synID, format string, cursor, workers int) bool {
+func (s *Server) serveFromDisk(w http.ResponseWriter, entry *entry, synID, format string, cursor, workers int) bool {
 	exists, complete := s.hasJournal(entry.id)
 	if !exists {
 		return false

@@ -23,16 +23,15 @@
 // several behaviorally identical schedule spellings was used (a frozen
 // snapshot vs. the generative family it froze, Demands vs. a static
 // schedule, a degenerate Markov chain vs. its step) — is served from
-// cache byte-identically to the fresh response. The X-Sweep-Cache
-// header says hit or miss; the finer X-Cache header distinguishes
-// hit | miss | coalesced, and GET /v1/metrics counts semantic-alias
-// hits (cache hits whose syntactic hash differs from the entry
-// creator's).
-// Concurrent equivalent submissions coalesce onto one execution. Below
-// the sweep cache, each cell's report is kept in the job tier under its
-// behavioral job hash, so a new grid that shares cells with an earlier
-// sweep or bisect simulates only the cells no one computed yet — with
-// the same response bytes.
+// cache byte-identically to the fresh response. The X-Cache header says
+// hit | miss | coalesced | resume, and GET /v1/metrics counts
+// semantic-alias hits (cache hits whose syntactic hash differs from the
+// entry creator's).
+// Concurrent equivalent submissions coalesce onto one execution. Each
+// sweep and bisect search is an entry of the memory tier, which keeps a
+// key index over its entries' cells under each cell's behavioral job
+// hash, so a new grid that shares cells with a held sweep or search
+// simulates only the cells no one computed yet — with the same bytes.
 //
 // All handlers share one colony worker pool and one cross-request
 // simulation gate sized to GOMAXPROCS; Close drains in-flight sweeps
@@ -70,18 +69,14 @@ type Options struct {
 	// MaxConcurrent bounds simulations in flight across ALL requests
 	// (the shared gate); <= 0 means GOMAXPROCS.
 	MaxConcurrent int
-	// CacheEntries caps the completed-sweep cache; <= 0 means 128.
-	// Eviction is FIFO over completed sweeps.
+	// CacheEntries caps the memory tier's entries, sweeps' and bisect
+	// searches'; <= 0 means 128. Eviction is FIFO over completed entries,
+	// and a cell is reusable from memory while a held entry holds it.
 	CacheEntries int
-	// CacheBytes caps the cached cells' retained bytes (trajectory
-	// CSVs dominate); completed sweeps are evicted FIFO past it.
-	// <= 0 means 256 MiB.
+	// CacheBytes caps the bytes charged to the memory tier's entries
+	// (trajectory CSVs dominate); completed entries are evicted FIFO
+	// past it. <= 0 means 256 MiB.
 	CacheBytes int64
-	// JobCacheEntries caps the memory job tier: job-level results that
-	// sweeps and bisects reuse cell by cell, keyed by the behavioral job
-	// hash (reports only — a few hundred bytes each); <= 0 means 4096.
-	// Eviction is FIFO.
-	JobCacheEntries int
 	// DataDir enables durability: sweep journals are checkpointed under
 	// DataDir/sweeps so a restart can replay completed sweeps and
 	// resume interrupted ones (GET /v1/sweeps/{id}?cursor=N), and each
@@ -132,19 +127,15 @@ type Server struct {
 	gate chan struct{}
 	mux  *http.ServeMux
 
-	mu        sync.Mutex
-	closed    bool
-	inflight  sync.WaitGroup
-	cache     map[string]*sweepEntry
-	order     []string // insertion order, for FIFO eviction
-	cacheSize int64    // retained bytes across completed entries
-
-	// The memory job tier (jobtier.go), keyed by wire.SemanticHash, and
-	// the in-flight bisect executions concurrent equivalent requests
-	// coalesce onto (keyed by wire.SemanticBisectHash).
-	jobCache      map[string]jobResult
-	jobOrder      []string // insertion order, for FIFO eviction
-	bisectFlights map[string]*bisectFlight
+	mu       sync.Mutex
+	closed   bool
+	inflight sync.WaitGroup
+	// The memory tier: its entries, their insertion order (for FIFO
+	// eviction) and bytes, and the key index over their cells.
+	entries   map[string]*entry
+	order     []string
+	cacheSize int64
+	index     map[string]*held
 
 	// store is the durability layer, nil when Options.DataDir is empty:
 	// the journal store, whose index is the one record of on-disk sweeps
@@ -173,17 +164,34 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
-// sweepEntry is one sweep's lifecycle: created on first submission,
-// filled by the owning request, read by everyone after done closes.
-type sweepEntry struct {
-	id    string // semantic sweep hash: the cache key and public sweep ID
-	synID string // creator's syntactic hash, for semantic-alias accounting
+// entry is one entry of the memory tier: a sweep under its sweep ID, or
+// a bisect search under its journal's id. The request that creates it
+// owns it, runs it and closes done; requests that find it in flight
+// wait and render the owner's result. A completed sweep answers later
+// requests too; a completed search only holds cells.
+type entry struct {
+	id    string
+	synID string // a sweep creator's syntactic hash, for semantic-alias accounting
 	jobs  int
 	done  chan struct{}
-	// Written only by the owning request before close(done):
+	keys  []string // the distinct keys it holds in the index (under s.mu)
+	size  int64    // the bytes it is charged (under s.mu)
+	// Written only by the owner before close(done): a sweep's cells (nil
+	// if the owner failed) and summary, or a search's response or error.
 	cells   []cell
 	summary sweeprun.Summary
-	size    int64 // approximate retained bytes (trajectories dominate)
+	resp    *wire.BisectResponse
+	err     error
+}
+
+// completed reports whether e's owner has finished.
+func (e *entry) completed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // cell is one completed grid cell — everything any response format
@@ -227,16 +235,12 @@ func Open(opts Options) (*Server, error) {
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = 256 << 20
 	}
-	if opts.JobCacheEntries <= 0 {
-		opts.JobCacheEntries = 4096
-	}
 	s := &Server{
-		opts:          opts,
-		pool:          taskalloc.NewWorkerPool(),
-		gate:          make(chan struct{}, opts.MaxConcurrent),
-		cache:         make(map[string]*sweepEntry),
-		jobCache:      make(map[string]jobResult),
-		bisectFlights: make(map[string]*bisectFlight),
+		opts:    opts,
+		pool:    taskalloc.NewWorkerPool(),
+		gate:    make(chan struct{}, opts.MaxConcurrent),
+		entries: make(map[string]*entry),
+		index:   make(map[string]*held),
 	}
 	if opts.DataDir != "" {
 		if opts.DataBytes <= 0 {
@@ -325,16 +329,12 @@ func (s *Server) Close() {
 // on-disk journal and counts as a hit — is only known after the disk
 // check, and the Prometheus counters must stay monotone (no
 // reclassifying decrement).
-func (s *Server) lookupOrCreate(id, synID string, jobs int) (entry *sweepEntry, disposition string) {
+func (s *Server) lookupOrCreate(id, synID string, jobs int) (e *entry, disposition string) {
 	s.mu.Lock()
-	if e, ok := s.cache[id]; ok {
-		disposition = "coalesced"
-		var counter = s.metrics.sweepCoalesced
-		select {
-		case <-e.done:
-			disposition = "hit"
-			counter = s.metrics.sweepHits
-		default:
+	if e, ok := s.entries[id]; ok {
+		disposition, counter := "coalesced", s.metrics.sweepCoalesced
+		if e.completed() {
+			disposition, counter = "hit", s.metrics.sweepHits
 		}
 		alias := e.synID != synID
 		s.mu.Unlock()
@@ -344,53 +344,50 @@ func (s *Server) lookupOrCreate(id, synID string, jobs int) (entry *sweepEntry, 
 		}
 		return e, disposition
 	}
-	e := &sweepEntry{id: id, synID: synID, jobs: jobs, done: make(chan struct{})}
-	s.cache[id] = e
-	s.order = append(s.order, id)
-	s.evictLocked()
+	e = &entry{id: id, synID: synID, jobs: jobs, done: make(chan struct{})}
+	s.addLocked(e)
 	s.mu.Unlock()
 	return e, "miss"
 }
 
-// evictLocked drops the oldest completed entries while the cache is
-// over its entry-count or retained-bytes budget. In-flight entries are
-// never evicted (waiters hold their pointer, and the owner must be
-// able to publish); they count 0 bytes until published.
+// addLocked adds a new entry at the tail of the FIFO order and evicts
+// past the budgets. Caller holds s.mu.
+func (s *Server) addLocked(e *entry) {
+	s.entries[e.id] = e
+	s.order = append(s.order, e.id)
+	s.evictLocked()
+}
+
+// evictLocked drops the oldest completed entries, and their holds,
+// while the table is over its entry-count or byte budget. In-flight
+// entries are never evicted: waiters hold their pointer, and the owner
+// must be able to publish. Caller holds s.mu.
 func (s *Server) evictLocked() {
-	over := func() bool {
-		return len(s.cache) > s.opts.CacheEntries || s.cacheSize > s.opts.CacheBytes
-	}
-	for i := 0; over() && i < len(s.order); {
-		id := s.order[i]
-		e, ok := s.cache[id]
-		if !ok {
-			s.order = append(s.order[:i], s.order[i+1:]...)
+	for i := 0; (len(s.entries) > s.opts.CacheEntries || s.cacheSize > s.opts.CacheBytes) && i < len(s.order); {
+		e := s.entries[s.order[i]]
+		if !e.completed() {
+			i++
 			continue
 		}
-		select {
-		case <-e.done:
-			delete(s.cache, id)
-			s.cacheSize -= e.size
-			s.order = append(s.order[:i], s.order[i+1:]...)
-		default:
-			i++
-		}
+		delete(s.entries, e.id)
+		s.order = append(s.order[:i], s.order[i+1:]...)
+		s.releaseLocked(e)
 	}
 }
 
-// drop removes a failed submission's placeholder (from the cache AND
-// the eviction order, so repeated failures don't grow order without
-// bound and a resubmitted id doesn't inherit a stale FIFO position) so
-// a corrected resubmission is not welded to the broken one.
-func (s *Server) drop(e *sweepEntry) {
+// drop removes an owner's entry, and its holds, on any exit that yields
+// no result (a failed validation or search, a panic) and releases its
+// waiters, so a corrected resubmission is not welded to the broken one.
+func (s *Server) drop(e *entry) {
 	s.mu.Lock()
-	delete(s.cache, e.id)
+	delete(s.entries, e.id)
 	for i, id := range s.order {
 		if id == e.id {
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			break
 		}
 	}
+	s.releaseLocked(e)
 	s.mu.Unlock()
 	close(e.done)
 }
@@ -532,59 +529,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	published = true
 }
 
-// publish completes an entry: records its cells and summary, charges
-// its retained bytes against the cache budget (evicting older entries
-// as needed), stores every keyed cell in the memory job tier — fresh,
-// reused, or replayed from a journal alike, so a sweep served from disk
-// after a restart warms the bisects that follow it — and releases
-// every waiter. The field writes happen-before close(done), so waiters
-// read them race-free.
-func (s *Server) publish(e *sweepEntry, cells []cell, sum sweeprun.Summary) {
-	var size int64
-	for _, c := range cells {
-		size += int64(len(c.traj)) + int64(len(c.err)) + 256 // report + struct overhead
-		for _, m := range c.meta {
-			size += int64(len(m))
-		}
-	}
+// publish completes a sweep entry: records its cells and summary, makes
+// it hold every keyed cell — fresh, reused, or replayed from a journal
+// alike, so a sweep served from disk after a restart warms the bisects
+// that follow it — and releases every waiter. The field writes
+// happen-before close(done), so waiters read them race-free.
+func (s *Server) publish(e *entry, cells []cell, sum sweeprun.Summary) {
 	s.mu.Lock()
-	for _, c := range cells {
-		if c.key != "" {
-			s.storeJobLocked(c.key, jobResult{report: c.report, err: c.err})
-		}
-	}
 	e.cells = cells
 	e.summary = sum
-	e.size = size
-	if _, live := s.cache[e.id]; live {
-		s.cacheSize += size
-		s.evictLocked()
-	}
+	s.holdLocked(e, cells)
 	s.mu.Unlock()
 	close(e.done)
 }
 
 // setStreamHeaders stamps the response metadata shared by fresh and
 // cached replies. Bodies are byte-identical across the dispositions;
-// only these headers differ. X-Cache carries the full disposition
-// (hit | miss | coalesced); X-Sweep-Cache keeps its original binary
-// contract (miss only for the executing owner) for existing clients.
+// only X-Cache (hit | miss | coalesced | resume) differs.
 func (s *Server) setStreamHeaders(w http.ResponseWriter, format, id, disposition string) {
 	w.Header().Set("Content-Type", wire.ContentType(format))
 	w.Header().Set("X-Sweep-Id", id)
 	w.Header().Set("X-Cache", disposition)
-	if disposition == "miss" {
-		w.Header().Set("X-Sweep-Cache", "miss")
-	} else {
-		w.Header().Set("X-Sweep-Cache", "hit")
-	}
 }
 
 // streamOwned executes an owned sweep (executeOwned) and streams it as
 // it runs — a fresh POST (disposition miss) and a journal resume
 // (resume) alike: the headers, flushed at once, then every cell from
 // cursor on, each flushed and timed in the render stage.
-func (s *Server) streamOwned(w http.ResponseWriter, entry *sweepEntry, g grid, prefix []cell, j *store.Journal, format, disposition string, cursor, workers int) {
+func (s *Server) streamOwned(w http.ResponseWriter, entry *entry, g grid, prefix []cell, j *store.Journal, format, disposition string, cursor, workers int) {
 	s.setStreamHeaders(w, format, entry.id, disposition)
 	render := newBody(w, format, entry.id, len(g.jobs), cursor)
 	flusher, _ := w.(http.Flusher)
@@ -611,7 +583,7 @@ func (s *Server) streamOwned(w http.ResponseWriter, entry *sweepEntry, g grid, p
 // coalesced waiters, complete-journal replays, and cursored GETs alike.
 // A cursor past the end is a 400. Replays are not timed in the render
 // stage, which covers cells streamed while their sweep executes.
-func (s *Server) replay(w http.ResponseWriter, e *sweepEntry, format, disposition string, cursor int) {
+func (s *Server) replay(w http.ResponseWriter, e *entry, format, disposition string, cursor int) {
 	if cursor > len(e.cells) {
 		httpError(w, http.StatusBadRequest,
 			"cursor %d past end of sweep (%d jobs)", cursor, len(e.cells))
@@ -662,6 +634,10 @@ func buildRunnable(sweep wire.Sweep, keys []string) (grid, error) {
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if len(id) != sweepIDLen { // a search's entry or journal, or no sweep's
+		httpError(w, http.StatusNotFound, "unknown sweep %q", id)
+		return
+	}
 	if q := r.URL.Query(); q.Has("cursor") || q.Has("format") {
 		// Stream mode: replay the response body from a cursor — how a
 		// client reconnects to a half-streamed sweep after a restart.
@@ -669,7 +645,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	e := s.cache[id]
+	e := s.entries[id]
 	var jobsNow int
 	if e != nil {
 		jobsNow = e.jobs
@@ -687,9 +663,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	select {
-	case <-e.done:
-	default:
+	if !e.completed() {
 		w.WriteHeader(http.StatusAccepted)
 		_ = json.NewEncoder(w).Encode(wire.SweepStatus{ID: e.id, Status: "running", Jobs: jobsNow})
 		return
@@ -744,12 +718,11 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request, id stri
 	// journal evicted in between makes serveFromDisk decline below.
 	onDisk, _ := s.hasJournal(id)
 	s.mu.Lock()
-	e := s.cache[id]
+	e := s.entries[id]
 	owner := false
 	if e == nil && onDisk {
-		e = &sweepEntry{id: id, done: make(chan struct{})}
-		s.cache[id] = e
-		s.order = append(s.order, id)
+		e = &entry{id: id, done: make(chan struct{})}
+		s.addLocked(e)
 		owner = true
 	}
 	s.mu.Unlock()
