@@ -21,7 +21,9 @@
 // semantic hash on stderr), and -jobs replays a serialized grid
 // through the same codec and CSV renderer, so a grid run locally,
 // replayed from a file, or POSTed to cmd/simserve produces identical
-// bytes.
+// bytes. -jobs decodes through the service's decoder (wire.ToJobs), so
+// it refuses a grid whose distinct frozen snapshots sum past the
+// frozen-horizon budget, as the service does.
 //
 // Examples:
 //

@@ -15,13 +15,11 @@ import (
 // backend's /v1/bisect — same search path, same cells, same ID — and a
 // repeat request is served entirely from the backends' caches. A
 // request a backend would not admit (an evaluation budget over
-// wire.MaxBisectEvals, a template wire.Admit rejects) is rejected
-// before anything is keyed, with an error wrapping wire.ErrAdmission.
+// wire.MaxBisectEvals, a template past a bound or that does not
+// decode) is rejected by Validate before anything is keyed, with an
+// error wrapping wire.ErrAdmission.
 func (c *Coordinator) Bisect(ctx context.Context, req wire.BisectRequest) (*wire.BisectResponse, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	if err := wire.Admit([]wire.Job{req.Job}); err != nil {
 		return nil, err
 	}
 	search, err := bisect.New(req)

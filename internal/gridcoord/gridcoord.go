@@ -48,10 +48,12 @@
 // would reject it identically everywhere.
 //
 // Admission: Run, Bisect and Handler apply the backends' admission
-// contract (wire.Admit, wire.BisectRequest.Validate) before they key,
-// write or send anything, so a document a backend would reject gets
-// that backend's status and message. A run that fails after Handler
-// has sent its headers aborts the response instead of ending it.
+// contract (wire.Admit, wire.BisectRequest.Validate, which decode every
+// config) before they key, write or send anything, and Handler reads
+// the query as a backend does (wire.ParseQuery), so a document a
+// backend would reject gets that backend's status and message. A run
+// that fails after Handler has sent its headers, on the backends' side,
+// aborts the response instead of ending it.
 //
 // Adaptive grids: Bisect runs the shared search (internal/bisect) on
 // the coordinator and dispatches each round's keyed γ cells through the

@@ -79,16 +79,13 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	format := FormatNDJSON
-	switch r.URL.Query().Get("format") {
-	case "", "ndjson":
-	case "csv":
-		format = FormatCSV
-	default:
-		httpError(w, http.StatusBadRequest, "unknown format %q", r.URL.Query().Get("format"))
-		return
+	// The query reads as a backend reads it, but a valid ?workers=N is
+	// ignored: Options.Workers governs the backends.
+	format, _, err := wire.ParseQuery(r.URL.Query(), true)
+	var sweep wire.Sweep
+	if err == nil {
+		sweep, err = wire.DecodeSweep(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 	}
-	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
@@ -100,21 +97,25 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", wire.ContentType(string(format)))
+	w.Header().Set("Content-Type", wire.ContentType(format))
 	w.Header().Set("X-Sweep-Id", id)
 	// The merger flushes the headers and the stream header before any
 	// backend is called, so from here on the status line is on the wire
-	// and a failed run (a backend's rejection, exhausted attempts, every
-	// backend down) can only cut the body short. Abort the response, so
-	// that every HTTP client sees the transfer fail instead of a clean
-	// end of a short body.
-	if _, err := c.run(r.Context(), sweep, id, keys, format, w); err != nil {
+	// and a failed run (a backend's rejection of an admitted document,
+	// exhausted attempts, every backend down) can only cut the body
+	// short. Abort the response, so that every HTTP client sees the
+	// transfer fail instead of a clean end of a short body.
+	if _, err := c.run(r.Context(), sweep, id, keys, Format(format), w); err != nil {
 		panic(http.ErrAbortHandler)
 	}
 }
 
 func (c *Coordinator) handleBisect(w http.ResponseWriter, r *http.Request) {
-	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+	_, _, err := wire.ParseQuery(r.URL.Query(), false)
+	var req wire.BisectRequest
+	if err == nil {
+		req, err = wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+	}
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return

@@ -326,6 +326,48 @@ func TestCoordinatorAdmission(t *testing.T) {
 	cs := httptest.NewServer(coord.Handler())
 	t.Cleanup(cs.Close)
 
+	for _, tc := range admissionRows() {
+		t.Run(tc.name, func(t *testing.T) {
+			path, doc := tc.doc(t)
+			code, msg := postDoc(t, bs.URL+path, doc)
+			if code != tc.want {
+				t.Fatalf("backend POST %s: HTTP %d %q, want %d", path, code, msg, tc.want)
+			}
+			if gotCode, gotMsg := postDoc(t, cs.URL+path, doc); gotCode != code || !bytes.Equal(gotMsg, msg) {
+				t.Errorf("coordinator POST %s: HTTP %d %.200q; the backend answered HTTP %d %q",
+					path, gotCode, gotMsg, code, msg)
+			}
+			if tc.bisect != nil {
+				if _, err := coord.Bisect(context.Background(), *tc.bisect); !errors.Is(err, wire.ErrAdmission) {
+					t.Errorf("Bisect: error %v, want wire.ErrAdmission", err)
+				}
+				return
+			}
+			var out bytes.Buffer
+			sweep := wire.Sweep{Version: wire.V1, Jobs: tc.jobs}
+			if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &out); !errors.Is(err, wire.ErrAdmission) || out.Len() > 0 {
+				t.Errorf("Run: error %v after %d bytes, want wire.ErrAdmission before any", err, out.Len())
+			}
+		})
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("the coordinator sent its backend %d requests; admission comes before any", n)
+	}
+}
+
+// admissionRow is a document past one admission bound: a sweep's grid
+// (bisect nil) or a bisect request, and the status a backend answers.
+type admissionRow struct {
+	name   string
+	jobs   []wire.Job
+	bisect *wire.BisectRequest
+	want   int
+}
+
+// admissionRows are one document per admission bound, sweeps' and
+// bisects'. The frozen budget is broken by two distinct frozen
+// snapshots composed, whose horizons sum past wire.MaxFrozenHorizon.
+func admissionRows() []admissionRow {
 	cell := wire.Job{Rounds: 10, Config: wire.Config{Ants: 10, Demands: []int{2}, Shards: 1}}
 	over := func(mut func(*wire.Job)) wire.Job {
 		j := cell
@@ -350,12 +392,7 @@ func TestCoordinatorAdmission(t *testing.T) {
 		return &wire.BisectRequest{Version: wire.V1, Job: j,
 			GammaLo: 0.01, GammaHi: 1.0 / 16, TargetBand: 1e-9, MaxEvals: evals}
 	}
-	for _, tc := range []struct {
-		name   string
-		jobs   []wire.Job          // a sweep's grid, when bisect is nil
-		bisect *wire.BisectRequest // a bisect request
-		want   int                 // the backend's status
-	}{
+	return []admissionRow{
 		{name: "sweep jobs", jobs: slices.Repeat([]wire.Job{cell}, wire.MaxJobs+1), want: http.StatusRequestEntityTooLarge},
 		{name: "sweep rounds", jobs: []wire.Job{cell, cell, rounds, cell}, want: http.StatusBadRequest},
 		{name: "sweep ants", jobs: []wire.Job{cell, cell, ants, cell}, want: http.StatusBadRequest},
@@ -364,58 +401,41 @@ func TestCoordinatorAdmission(t *testing.T) {
 		{name: "bisect ants", bisect: bisectOf(ants, 2), want: http.StatusBadRequest},
 		{name: "bisect frozen budget", bisect: bisectOf(frozenSum, 2), want: http.StatusRequestEntityTooLarge},
 		{name: "bisect evaluation budget", bisect: bisectOf(propJob(9500), 200), want: http.StatusBadRequest},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sweep := wire.Sweep{Version: wire.V1, Jobs: tc.jobs}
-			path := "/v1/sweeps"
-			doc, err := wire.MarshalSweep(sweep)
-			if tc.bisect != nil {
-				path = "/v1/bisect"
-				doc, err = json.Marshal(tc.bisect)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			code, msg := postDoc(t, bs.URL+path, doc)
-			if code != tc.want {
-				t.Fatalf("backend POST %s: HTTP %d %q, want %d", path, code, msg, tc.want)
-			}
-			if gotCode, gotMsg := postDoc(t, cs.URL+path, doc); gotCode != code || !bytes.Equal(gotMsg, msg) {
-				t.Errorf("coordinator POST %s: HTTP %d %.200q; the backend answered HTTP %d %q",
-					path, gotCode, gotMsg, code, msg)
-			}
-			if tc.bisect != nil {
-				if _, err := coord.Bisect(context.Background(), *tc.bisect); !errors.Is(err, wire.ErrAdmission) {
-					t.Errorf("Bisect: error %v, want wire.ErrAdmission", err)
-				}
-				return
-			}
-			var out bytes.Buffer
-			if _, err := coord.Run(context.Background(), sweep, FormatNDJSON, &out); !errors.Is(err, wire.ErrAdmission) || out.Len() > 0 {
-				t.Errorf("Run: error %v after %d bytes, want wire.ErrAdmission before any", err, out.Len())
-			}
-		})
 	}
-	if n := calls.Load(); n != 0 {
-		t.Errorf("the coordinator sent its backend %d requests; admission comes before any", n)
+}
+
+// doc is the row's route and body.
+func (r admissionRow) doc(t testing.TB) (path string, doc []byte) {
+	t.Helper()
+	path = "/v1/sweeps"
+	doc, err := wire.MarshalSweep(wire.Sweep{Version: wire.V1, Jobs: r.jobs})
+	if r.bisect != nil {
+		path = "/v1/bisect"
+		doc, err = json.Marshal(r.bisect)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, doc
 }
 
 // TestSweepAbortsAfterHeaders: a coordinator sweep that fails after its
 // headers went out aborts the response rather than ending it cleanly,
-// so a plain HTTP client sees the transfer fail. Job 2's algorithm is
-// unknown: the coordinator admits and keys the grid (it does not decode
-// configs), and the backend owning job 2 rejects its sub-sweep.
+// so a plain HTTP client sees the transfer fail. The coordinator admits
+// and keys the grid, and its backends reject every sub-sweep.
 func TestSweepAbortsAfterHeaders(t *testing.T) {
-	coord, err := New(Options{Backends: bootBackends(t, 3, nil)})
+	urls := bootBackends(t, 3, func(int, http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "rejected", http.StatusBadRequest)
+		})
+	})
+	coord, err := New(Options{Backends: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := httptest.NewServer(coord.Handler())
 	t.Cleanup(cs.Close)
-	sweep := fastSweep(9400, 4)
-	sweep.Jobs[2].Config.Algorithm = "bogus"
-	doc, err := wire.MarshalSweep(sweep)
+	doc, err := wire.MarshalSweep(fastSweep(9400, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,9 @@ type TenantConfig struct {
 	// MaxJobs caps the tenant's cumulative submitted jobs across the
 	// server's lifetime: a sweep is charged its job count, and a bisect
 	// its evaluation budget (max_evals, or wire.MaxBisectEvals for 0),
-	// both at admission, cached or not; <= 0 means unlimited.
+	// both at admission, cached or not; <= 0 means unlimited. Only an
+	// admitted document is charged: one that admission rejects, a config
+	// that does not decode included, costs nothing.
 	MaxJobs int64 `json:"max_jobs,omitempty"`
 	// RatePerSec refills the tenant's request bucket; <= 0 means no
 	// rate limit.

@@ -3,34 +3,29 @@ package simserver
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"taskalloc/internal/bisect"
-	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
 )
 
 // Adaptive γ-bisection (POST /v1/bisect). The search — its ID, budget
 // and keyed γ cells — is internal/bisect's, shared with the grid
-// coordinator. The server admits the template as a one-cell sweep (the
-// decode checks the evaluation budget), charges the tenant quota the
-// budget, and serves or runs each round's cells through the sweeps'
-// runner (runCells), so a repeat, overlapping or equivalent search
-// reuses the job tier. A search runs under its own memory-tier entry
-// (runBisectCoalesced), and its fresh cells are journaled per search
-// (searchJournal).
+// coordinator. The decode admits the request (wire.BisectRequest.Validate:
+// the evaluation budget, and the template as a one-cell sweep, decoded),
+// the server charges the tenant quota the budget, and serves or runs
+// each round's cells through the sweeps' runner (runCells), so a
+// repeat, overlapping or equivalent search reuses the job tier. A
+// search runs under its own memory-tier entry (runBisectCoalesced), and
+// its fresh cells are journaled per search (searchJournal).
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
-	workers, ok := s.requestWorkers(w, r)
+	_, workers, ok := s.requestQuery(w, r, false)
 	if !ok {
 		return
 	}
 
 	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err == nil {
-		err = wire.Admit([]wire.Job{req.Job})
-	}
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
@@ -119,35 +114,10 @@ func (s *Server) runBisectCoalesced(ctx context.Context, searchID string, run fu
 // all of its cells, and the fresh ones are written to the search's
 // journal sj. A repeat search decodes nothing.
 func (s *Server) bisectEvaluator(e *entry, workers int, sj *searchJournal) func([]wire.Job, []string, []wire.BisectCell) error {
-	return func(wjobs []wire.Job, keys []string, cells []wire.BisectCell) error {
-		g := grid{
-			jobs: make([]sweeprun.Job, len(wjobs)),
-			recs: make([]*wire.TrajectoryRecorder, len(wjobs)),
-			keys: keys,
-			decode: func(idx []int) ([]sweeprun.Job, error) {
-				sub := wire.Sweep{Jobs: make([]wire.Job, len(idx))}
-				for k, i := range idx {
-					sub.Jobs[k] = wjobs[i]
-				}
-				jobs, err := wire.ToJobs(sub)
-				if err != nil {
-					// Every cell is the template with γ overridden, and
-					// no decode check reads γ: report the template's own
-					// error, without ToJobs's jobs[k] prefix.
-					if inner := errors.Unwrap(err); inner != nil {
-						err = inner
-					}
-					return nil, err
-				}
-				return jobs, nil
-			},
-		}
-		for i, wj := range wjobs {
-			g.jobs[i] = sweeprun.Job{Meta: wj.Meta, Rounds: wj.Rounds}
-		}
-		round := make([]cell, 0, len(wjobs))
+	return func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
+		round := make([]cell, 0, len(jobs))
 		var fresh []cell
-		err := s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
+		err := s.runCells(grid{jobs: jobs, keys: keys}, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
 			cells[i].Cached = known
 			if c.err != "" {
 				cells[i].Err = c.err

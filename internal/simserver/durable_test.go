@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"taskalloc/internal/simserver"
@@ -631,5 +632,60 @@ func TestTenantQuotaChargesBisect(t *testing.T) {
 	}
 	if jobs := sampleValue(scrape(t, ts.URL), `taskalloc_tenant_jobs_submitted_total{tenant="acme"} `); jobs != "130" {
 		t.Errorf("tenant acme charged %q jobs, want 130", jobs)
+	}
+}
+
+// TestTenantQuotaSkipsUndecodable: admission decodes every config, so a
+// document that does not decode is rejected before the quota charge and
+// the cache lookup. With a tenant quota, a 4-job sweep whose job 2 has
+// an unknown algorithm and a bisect whose template has one each get
+// their 400, and neither is charged to the tenant or counted as a sweep
+// request.
+func TestTenantQuotaSkipsUndecodable(t *testing.T) {
+	srv, err := simserver.Open(simserver.Options{
+		Workers: 1,
+		Tenants: []simserver.TenantConfig{{Name: "acme", Token: "sekret-acme", MaxJobs: 1000}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	ctx := context.Background()
+	auth := client.New(ts.URL, ts.Client()).WithToken("sekret-acme")
+
+	cell := wire.Job{Rounds: 50, Config: wire.Config{Ants: 50, Demands: []int{10, 10}, Shards: 1}}
+	sweep := wire.Sweep{Version: wire.V1}
+	for i := 0; i < 4; i++ {
+		j := cell
+		j.Config.Seed = uint64(i + 1)
+		sweep.Jobs = append(sweep.Jobs, j)
+	}
+	sweep.Jobs[2].Config.Algorithm = "bogus"
+	req := wire.BisectRequest{Version: wire.V1, Job: cell, GammaLo: 0.01, GammaHi: 0.05, TargetBand: 1e9}
+	req.Job.Config.Algorithm = "x"
+
+	var apiErr *client.APIError
+	_, err = auth.SubmitSweep(ctx, sweep, client.SubmitOptions{}, nil)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
+		apiErr.Message != `wire: jobs[2]: wire: unknown algorithm "bogus"` {
+		t.Fatalf("typo sweep: %v, want the decoder's 400", err)
+	}
+	_, err = auth.Bisect(ctx, req)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
+		apiErr.Message != `wire: unknown algorithm "x"` {
+		t.Fatalf("typo bisect: %v, want the decoder's 400", err)
+	}
+	body := scrape(t, ts.URL)
+	if jobs := sampleValue(body, `taskalloc_tenant_jobs_submitted_total{tenant="acme"} `); jobs != "0" {
+		t.Errorf("tenant acme charged %q jobs, want 0", jobs)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "taskalloc_sweep_requests_total{") && !strings.HasSuffix(line, " 0") {
+			t.Errorf("%s, want 0", line)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"taskalloc"
 	"taskalloc/internal/obs"
 	"taskalloc/internal/sweeprun"
+	"taskalloc/internal/wire"
 )
 
 // The job tier: job-level results keyed by the behavioral job hash
@@ -74,37 +75,43 @@ func (s *Server) releaseLocked(e *entry) {
 // index order, known reporting whether the cell was served rather than
 // simulated. Cell i is served from prefix (a recovered journal prefix,
 // len(prefix) <= len(g.jobs)) when i < len(prefix), else from the job
-// tier (tierCell, each lookup charged to hits or misses); the remaining
-// cells run as one sweeprun.Stream batch over the shared pool and gate.
-// Every emitted cell carries its job-tier key. The only error is
-// g.decode's, returned before any cell is emitted.
+// tier (tierCell, each lookup charged to hits or misses); the rest are
+// decoded (the one place a backend decodes a cell, so a warm cell never
+// is), get the trajectory recorders they asked for, and run as one
+// sweeprun.Stream batch over the shared pool and gate. Every emitted
+// cell carries its job-tier key. The only error is the decode's, before
+// any cell is emitted; an admitted document always decodes.
 func (s *Server) runCells(g grid, prefix []cell, hits, misses *obs.Counter, workers int, emit func(i int, c cell, known bool)) error {
 	n := len(g.jobs)
 	cells := make([]cell, n)
 	known := make([]bool, n)
 	copy(cells, prefix)
-	var run []int // indices of the cells that must be simulated
+	run := wire.Sweep{} // the cells that must be simulated
+	var idx []int       // their indices
 	for i := range cells {
 		if i < len(prefix) {
 			known[i] = true
 		} else if c, ok := s.tierCell(g, i, hits, misses); ok {
 			cells[i], known[i] = c, true
 		} else {
-			run = append(run, i)
+			run.Jobs = append(run.Jobs, g.jobs[i])
+			idx = append(idx, i)
 		}
 		cells[i].key = g.keys[i]
 	}
 
-	var jobs []sweeprun.Job
-	if g.decode != nil {
-		var err error
-		if jobs, err = g.decode(run); err != nil {
-			return err
-		}
-	} else {
-		jobs = make([]sweeprun.Job, len(run))
-		for k, i := range run {
-			jobs[k] = g.jobs[i]
+	jobs, err := wire.ToJobs(run)
+	if err != nil {
+		return err
+	}
+	recs := make([]*wire.TrajectoryRecorder, len(jobs))
+	for k, wj := range run.Jobs {
+		if wj.Trajectory {
+			rec := wire.NewTrajectoryRecorder(wj.Config.Tasks())
+			recs[k] = rec
+			jobs[k].Observe = func(sim *taskalloc.Simulation) taskalloc.Observer {
+				return rec.Observer(sim)
+			}
 		}
 	}
 
@@ -130,11 +137,11 @@ func (s *Server) runCells(g grid, prefix []cell, hits, misses *obs.Counter, work
 		}
 		// Stream emits in order, and advance has emitted every known
 		// cell before this one: cell i is next.
-		i := run[res.Index]
+		i := idx[res.Index]
 		c := cell{meta: res.Job.Meta, rounds: res.Job.Rounds, report: res.Report, key: g.keys[i]}
 		if res.Err != nil {
 			c.err = res.Err.Error()
-		} else if rec := g.recs[i]; rec != nil {
+		} else if rec := recs[res.Index]; rec != nil {
 			// Only successful cells carry a trajectory: a failed cell's
 			// recorder holds just the pre-written header, which would
 			// read as a legitimate zero-round run.
@@ -151,10 +158,10 @@ func (s *Server) runCells(g grid, prefix []cell, hits, misses *obs.Counter, work
 // hits or misses. A job that asks for a trajectory is a miss without a
 // lookup: the tier holds reports only.
 func (s *Server) tierCell(g grid, i int, hits, misses *obs.Counter) (cell, bool) {
-	if g.recs[i] == nil {
+	if j := g.jobs[i]; !j.Trajectory {
 		if h, ok := s.lookupJob(g.keys[i]); ok {
 			hits.Inc()
-			return cell{meta: g.jobs[i].Meta, rounds: g.jobs[i].Rounds, report: h.report, err: h.err}, true
+			return cell{meta: j.Meta, rounds: j.Rounds, report: h.report, err: h.err}, true
 		}
 	}
 	misses.Inc()

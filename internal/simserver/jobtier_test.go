@@ -3,7 +3,6 @@ package simserver
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -217,20 +216,18 @@ func TestKnownCellsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// run executes the grid through executeOwned and renders it as the
-	// NDJSON body; the recorders are per run (they hold trajectory state).
+	// NDJSON body.
 	run := func(s *Server, prefix []cell, j *store.Journal, workers int) (order []int, body []byte, cells []cell) {
 		t.Helper()
-		g, err := buildRunnable(sweep, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
 		render := newBody(&buf, "ndjson", id, n, 0)
 		entry, _ := s.lookupOrCreate(id, synID, n)
-		s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
+		if err := s.executeOwned(entry, grid{jobs: sweep.Jobs, keys: keys}, prefix, j, workers, func(i int, c cell) {
 			order = append(order, i)
 			render(i, c)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return order, buf.Bytes(), entry.cells
 	}
 
@@ -316,10 +313,11 @@ func TestKnownCellsMerge(t *testing.T) {
 	}
 }
 
-// TestRunCellsDecodesOnlyMisses: a grid that decodes on demand (a
-// bisect round) has only the cells the job tier cannot serve decoded —
-// a fully warm round decodes none — and a decode error comes back
-// before any cell is emitted.
+// TestRunCellsDecodesOnlyMisses: runCells decodes only the cells the
+// job tier cannot serve — a fully warm round decodes none — and a
+// decode error comes back before any cell is emitted. A cell is decoded
+// exactly when an undecodable spelling of it, under the cell's own
+// key, fails the round.
 func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 	sweep := reuseGrid()
 	n := len(sweep.Jobs)
@@ -327,44 +325,45 @@ func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// run drives one lazily decoded grid through runCells and returns
-	// the indices it decoded, the emitted cells, and their known flags.
-	run := func(s *Server, fail error) (decoded []int, cells []cell, known []bool, err error) {
+	// run drives the grid through runCells, cell bad (when >= 0) spelled
+	// so that it does not decode, and returns the emitted cells, their
+	// known flags and the error.
+	run := func(s *Server, bad int) (cells []cell, known []bool, err error) {
 		t.Helper()
-		g := grid{
-			jobs: make([]sweeprun.Job, n),
-			recs: make([]*wire.TrajectoryRecorder, n),
-			keys: keys,
-			decode: func(idx []int) ([]sweeprun.Job, error) {
-				decoded = append(decoded, idx...)
-				if fail != nil {
-					return nil, fail
-				}
-				sub := wire.Sweep{Jobs: make([]wire.Job, len(idx))}
-				for k, i := range idx {
-					sub.Jobs[k] = sweep.Jobs[i]
-				}
-				return wire.ToJobs(sub)
-			},
+		jobs := append([]wire.Job(nil), sweep.Jobs...)
+		if bad >= 0 {
+			jobs[bad].Config.Algorithm = "undecodable"
 		}
-		for i, wj := range sweep.Jobs {
-			g.jobs[i] = sweeprun.Job{Meta: wj.Meta, Rounds: wj.Rounds}
-		}
-		err = s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, 2, func(i int, c cell, k bool) {
+		err = s.runCells(grid{jobs: jobs, keys: keys}, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, 2, func(i int, c cell, k bool) {
 			if i != len(cells) {
 				t.Fatalf("emitted cell %d after %d cells", i, len(cells))
 			}
 			cells = append(cells, c)
 			known = append(known, k)
 		})
-		return decoded, cells, known, err
+		return cells, known, err
+	}
+	// decoded probes each cell alone and returns the ones runCells
+	// decodes on s.
+	decoded := func(s *Server) []int {
+		t.Helper()
+		out := []int{}
+		for i := 0; i < n; i++ {
+			if cells, _, err := run(s, i); err != nil {
+				if len(cells) != 0 {
+					t.Fatalf("decode failure: err %v after %d emitted cells, want it before any", err, len(cells))
+				}
+				out = append(out, i)
+			}
+		}
+		return out
 	}
 
 	s := New(Options{Workers: 2})
 	defer s.Close()
-	decoded, ref, _, err := run(s, nil)
-	if err != nil || !reflect.DeepEqual(decoded, []int{0, 1, 2, 3, 4, 5}) {
-		t.Fatalf("cold round decoded %v (err %v), want every cell", decoded, err)
+	ref, _, err := run(s, -1)
+	if got := decoded(s); err != nil || !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("cold round decoded %v (err %v), want every cell", got, err)
 	}
 
 	// Warm every cell but 1 and 4: only those two are decoded.
@@ -376,9 +375,9 @@ func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 		holdCells(s, fmt.Sprint(cells), held...)
 	}
 	warm(0, 2, 3, 5)
-	decoded, cells, known, err := run(s, nil)
-	if err != nil || !reflect.DeepEqual(decoded, []int{1, 4}) {
-		t.Fatalf("half-warm round decoded %v (err %v), want [1 4]", decoded, err)
+	cells, known, err := run(s, -1)
+	if got := decoded(s); err != nil || !reflect.DeepEqual(got, []int{1, 4}) {
+		t.Fatalf("half-warm round decoded %v (err %v), want [1 4]", got, err)
 	}
 	if want := []bool{true, false, true, true, false, true}; !reflect.DeepEqual(known, want) {
 		t.Fatalf("known = %v, want %v", known, want)
@@ -390,15 +389,11 @@ func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 	}
 
 	warm(1, 4)
-	if decoded, cells, _, err = run(s, nil); err != nil || len(decoded) != 0 || len(cells) != n {
-		t.Fatalf("warm round decoded %v and emitted %d cells (err %v), want none decoded, %d emitted", decoded, len(cells), err, n)
+	if cells, _, err = run(s, -1); err != nil || len(cells) != n {
+		t.Fatalf("warm round emitted %d cells (err %v), want %d", len(cells), err, n)
 	}
-
-	cold := New(Options{Workers: 2})
-	defer cold.Close()
-	bad := errors.New("undecodable")
-	if _, cells, _, err = run(cold, bad); err != bad || len(cells) != 0 {
-		t.Fatalf("decode failure: err %v after %d emitted cells, want %v before any", err, len(cells), bad)
+	if got := decoded(s); len(got) != 0 {
+		t.Fatalf("warm round decoded %v, want none", got)
 	}
 }
 

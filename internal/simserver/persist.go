@@ -215,22 +215,27 @@ func (s *Server) discardRecovered(id string, j *store.Journal) {
 // every cell past the prefix is checkpointed to j (when non-nil) BEFORE
 // it is emitted: the record is on disk before its bytes can reach a
 // client, so a crash never leaves a client holding bytes the journal
-// cannot replay.
-func (s *Server) executeOwned(entry *entry, g grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) {
+// cannot replay. The only error is runCells', before any cell is
+// emitted; the entry is then left unpublished.
+func (s *Server) executeOwned(entry *entry, g grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) error {
 	cells := make([]cell, len(g.jobs))
-	// A sweep grid is decoded at admission (buildRunnable sets no
-	// decode hook), so runCells has no error to return here.
-	_ = s.runCells(g, prefix, s.metrics.sweepJobHits, s.metrics.sweepJobMisses, workers, func(i int, c cell, _ bool) {
+	err := s.runCells(g, prefix, s.metrics.sweepJobHits, s.metrics.sweepJobMisses, workers, func(i int, c cell, _ bool) {
 		if i >= len(prefix) {
 			j = s.checkpoint(j, i, c)
 		}
 		cells[i] = c
 		emit(i, c)
 	})
+	if err != nil {
+		if j != nil {
+			_ = j.Close()
+		}
+		return err
+	}
 
 	results := make([]sweeprun.Result, len(cells))
 	for i, c := range cells {
-		results[i] = sweeprun.Result{Index: i, Job: g.jobs[i], Report: c.report}
+		results[i] = sweeprun.Result{Index: i, Job: sweeprun.Job{Rounds: g.jobs[i].Rounds}, Report: c.report}
 		if c.err != "" {
 			results[i].Err = errors.New(c.err)
 		}
@@ -247,6 +252,7 @@ func (s *Server) executeOwned(entry *entry, g grid, prefix []cell, j *store.Jour
 		}
 	}
 	s.publish(entry, cells, sum)
+	return nil
 }
 
 // checkpoint appends cell i to the journal under the cell's key and
@@ -310,15 +316,15 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, entry *entry, synID, forma
 
 	// Incomplete: resume the remaining jobs from the STORED document,
 	// so an alias spelling that adopts the journal still renders the
-	// creator's exact bytes.
+	// creator's exact bytes. It is admitted as a posted one is.
 	sweep, err := wire.DecodeSweep(bytes.NewReader(rec.header.Doc))
-	var g grid
+	var keys []string
 	if err == nil {
-		var keys []string
-		if _, keys, err = wire.SemanticSweepKeys(sweep); err == nil {
-			g, err = buildRunnable(sweep, keys)
+		if err = wire.Admit(sweep.Jobs); err == nil {
+			_, keys, err = wire.SemanticSweepKeys(sweep)
 		}
 	}
+	g := grid{jobs: sweep.Jobs, keys: keys}
 	if err != nil || len(rec.cells) > len(g.jobs) || len(g.jobs) != rec.header.Jobs {
 		// Unusable journal: the caller executes fresh and charges the
 		// miss itself.

@@ -410,22 +410,21 @@ func chargeQuota(w http.ResponseWriter, r *http.Request, n int) bool {
 	return true
 }
 
-// requestWorkers is a request's fan-out bound: its ?workers=N, or the
-// server default; a bad value is answered 400 (ok false). A large N is
+// requestQuery reads a POST's query (wire.ParseQuery), answering a bad
+// one 400 (ok false); workers defaults to the server's. A large N is
 // clamped, not rejected: the bytes are worker-count invariant and the
 // gate bounds running simulations, so the clamp only bounds the parked
 // goroutine stacks a huge request could spawn.
-func (s *Server) requestWorkers(w http.ResponseWriter, r *http.Request) (workers int, ok bool) {
-	v := r.URL.Query().Get("workers")
-	if v == "" {
-		return s.opts.Workers, true
+func (s *Server) requestQuery(w http.ResponseWriter, r *http.Request, sweep bool) (format string, workers int, ok bool) {
+	format, workers, err := wire.ParseQuery(r.URL.Query(), sweep)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return "", 0, false
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		httpError(w, http.StatusBadRequest, "bad workers %q", v)
-		return 0, false
+	if workers == 0 {
+		return format, s.opts.Workers, true
 	}
-	return min(n, maxWorkersPerRequest), true
+	return format, min(workers, maxWorkersPerRequest), true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -434,19 +433,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// submissions (rejections show up in the per-route status counters).
 	admissionStart := time.Now()
 
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "ndjson"
-	}
-	if format != "ndjson" && format != "csv" {
-		httpError(w, http.StatusBadRequest, "unknown format %q (want ndjson or csv)", format)
-		return
-	}
-	workers, ok := s.requestWorkers(w, r)
+	format, workers, ok := s.requestQuery(w, r, true)
 	if !ok {
 		return
 	}
-
+	// Admission decodes every config, so a document that does not
+	// decode is rejected before it is keyed, charged or looked up.
 	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 	if err == nil {
 		err = wire.Admit(sweep.Jobs)
@@ -519,13 +511,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// lookup provisionally was is now definite.
 	s.metrics.sweepMisses.Inc()
 
-	g, err := buildRunnable(sweep, keys)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	j := s.createJournal(id, synID, sweep)
-	s.streamOwned(w, entry, g, nil, j, format, "miss", 0, workers)
+	s.streamOwned(w, entry, grid{jobs: sweep.Jobs, keys: keys}, nil, j, format, "miss", 0, workers)
 	published = true
 }
 
@@ -566,7 +553,7 @@ func (s *Server) streamOwned(w http.ResponseWriter, entry *entry, g grid, prefix
 	if flusher != nil {
 		flusher.Flush()
 	}
-	s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
+	err := s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
 		if i < cursor {
 			return
 		}
@@ -577,6 +564,12 @@ func (s *Server) streamOwned(w http.ResponseWriter, entry *entry, g grid, prefix
 		}
 		s.metrics.stageRender.ObserveSince(start)
 	})
+	if err != nil {
+		// Admission decoded the document, so this cannot happen; if it
+		// does, abort the response, as the grid coordinator does (the
+		// owner's deferred drop releases the entry).
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // replay renders a completed entry's cells from cursor on: memory hits,
@@ -596,40 +589,11 @@ func (s *Server) replay(w http.ResponseWriter, e *entry, format, disposition str
 	}
 }
 
-// grid is a batch of cells ready for runCells: its sweeprun jobs, the
-// trajectory recorder of every job that asked for one (nil elsewhere),
-// and every job's job-tier key (for a sweep, wire.SemanticSweepKeys).
+// grid is a batch of cells for runCells: its wire jobs and every job's
+// job-tier key (for a sweep, wire.SemanticSweepKeys).
 type grid struct {
-	jobs []sweeprun.Job
-	recs []*wire.TrajectoryRecorder
+	jobs []wire.Job
 	keys []string
-	// decode, when set, decodes the listed cells on demand, and jobs
-	// holds only each cell's Meta and Rounds: a bisect round decodes
-	// just the cells the job tier cannot serve. Sweeps decode at
-	// admission (buildRunnable) and leave it nil.
-	decode func(idx []int) ([]sweeprun.Job, error)
-}
-
-// buildRunnable decodes the wire grid into sweeprun jobs (via
-// wire.ToJobs, which shares identical frozen snapshots across cells),
-// attaching a trajectory recorder to every job that asked for one; keys
-// are the grid's job-tier keys, in job order.
-func buildRunnable(sweep wire.Sweep, keys []string) (grid, error) {
-	jobs, err := wire.ToJobs(sweep)
-	if err != nil {
-		return grid{}, err
-	}
-	recs := make([]*wire.TrajectoryRecorder, len(sweep.Jobs))
-	for i, wj := range sweep.Jobs {
-		if wj.Trajectory {
-			rec := wire.NewTrajectoryRecorder(wj.Config.Tasks())
-			recs[i] = rec
-			jobs[i].Observe = func(sim *taskalloc.Simulation) taskalloc.Observer {
-				return rec.Observer(sim)
-			}
-		}
-	}
-	return grid{jobs: jobs, recs: recs, keys: keys}, nil
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -731,12 +695,16 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 	if owner {
-		if s.serveFromDisk(w, e, "", format, cursor, s.opts.Workers) {
-			return
+		served := false
+		defer func() {
+			if !served {
+				s.drop(e)
+			}
+		}()
+		if served = s.serveFromDisk(w, e, "", format, cursor, s.opts.Workers); !served {
+			// The journal vanished (evicted) or was undecodable.
+			httpError(w, http.StatusNotFound, "sweep %q is not recoverable", id)
 		}
-		// The journal vanished (evicted) or was undecodable.
-		s.drop(e)
-		httpError(w, http.StatusNotFound, "sweep %q is not recoverable", id)
 		return
 	}
 	select {

@@ -40,9 +40,12 @@ type BisectRequest struct {
 	MaxEvals int `json:"max_evals,omitempty"`
 }
 
-// Validate checks the request's invariants and its evaluation budget
-// against MaxBisectEvals (an error wrapping ErrAdmission). Its template
-// is admitted separately, as a one-cell grid (Admit).
+// Validate checks the request's invariants, then admits it: its
+// evaluation budget against MaxBisectEvals, and its template as Admit
+// admits a one-cell grid, decoded through one decoder, except that a
+// template that does not decode gets the decoder's own message, with
+// no jobs[0] the request does not have. An admission rejection wraps
+// ErrAdmission.
 func (b BisectRequest) Validate() error {
 	if b.GammaLo <= 0 || b.GammaHi > agent.MaxGamma || b.GammaLo >= b.GammaHi {
 		return fmt.Errorf("wire: bisect needs 0 < gamma_lo < gamma_hi <= %g, got [%g, %g]",
@@ -62,7 +65,11 @@ func (b BisectRequest) Validate() error {
 	if b.Job.Rounds < 0 {
 		return fmt.Errorf("wire: bisect job rounds %d < 0", b.Job.Rounds)
 	}
-	return nil
+	if err := cellBounds(0, b.Job); err != nil {
+		return err
+	}
+	_, err := new(decoder).config(b.Job.Config)
+	return undecodable(err)
 }
 
 // DecodeBisectRequest reads one JSON bisect request. Like DecodeSweep,

@@ -3,7 +3,10 @@ package wire
 import (
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/url"
+	"strconv"
 
 	"taskalloc"
 	"taskalloc/internal/sweeprun"
@@ -47,6 +50,24 @@ func ContentType(format string) string {
 		return "text/csv; charset=utf-8"
 	}
 	return "application/x-ndjson"
+}
+
+// ParseQuery reads the query of POST /v1/sweeps (sweep true) or of
+// POST /v1/bisect as a backend and the grid coordinator both read it:
+// format is a sweep's body format, "ndjson" when absent (a bisect
+// answers JSON and leaves ?format= unread), and workers the ?workers=N
+// fan-out bound, 0 when absent. An error is a 400's message.
+func ParseQuery(q url.Values, sweep bool) (format string, workers int, err error) {
+	format = orDefault(q.Get("format"), "ndjson")
+	if sweep && format != "ndjson" && format != "csv" {
+		return "", 0, fmt.Errorf("unknown format %q (want ndjson or csv)", format)
+	}
+	if v := q.Get("workers"); v != "" {
+		if workers, err = strconv.Atoi(v); err != nil || workers < 1 {
+			return "", 0, fmt.Errorf("bad workers %q", v)
+		}
+	}
+	return format, workers, nil
 }
 
 // BodyWriter renders a sweep body — the stream a POST /v1/sweeps

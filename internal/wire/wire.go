@@ -10,7 +10,11 @@
 // FromConfig/ToConfig map between taskalloc.Config and the wire form,
 // and FromJobs/ToJobs do the same for whole sweeprun grids, so a grid
 // serialized by `sweep -dump-jobs` replays byte-identically through
-// `sweep -jobs` or over POST /v1/sweeps.
+// `sweep -jobs` or over POST /v1/sweeps. Every decode runs through one
+// decoder, which builds each distinct frozen snapshot once and charges
+// it to the frozen-horizon budget. Admission (Admit,
+// BisectRequest.Validate, ParseQuery) decodes every config, so every
+// backend and the grid coordinator reject the same documents alike.
 //
 // Hashing: JobHash and SweepHash digest the *canonical* form — the
 // decoded struct re-encoded with configuration defaults applied — so
@@ -115,41 +119,70 @@ func DecodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// Admit checks a grid — a sweep, or a bisect template as a one-cell
-// grid — against the admission bounds: its job count, each cell's
-// rounds and ants, and what decoding it can materialize. A frozen
-// snapshot costs O(horizon), so the horizons of the DISTINCT snapshots
-// of all jobs, nested ones included, must sum to at most
-// MaxFrozenHorizon, or a small body buys an unbounded decode (identical
-// encodings count once, as ToJobs materializes them once). The error
-// wraps ErrAdmission; past a per-job bound it names the job.
+// Admit checks a sweep's grid against the admission bounds: its job
+// count, each cell's rounds and ants, and that every config decodes,
+// through ToJobs's decoder (the jobs are discarded), so the frozen
+// budget counts what a decode builds. The error wraps ErrAdmission and
+// names the job; an undecodable config gets ToJobs's message and 400.
 func Admit(jobs []Job) error {
 	if len(jobs) > MaxJobs {
 		return reject(http.StatusRequestEntityTooLarge, "grid has %d jobs, limit %d", len(jobs), MaxJobs)
 	}
-	var total uint64
-	seen := map[string]bool{}
+	var d decoder
 	for i, j := range jobs {
-		if j.Rounds < 0 || j.Rounds > MaxCellRounds {
-			return reject(http.StatusBadRequest, "jobs[%d]: rounds %d outside [0, %d]", i, j.Rounds, MaxCellRounds)
+		if err := cellBounds(i, j); err != nil {
+			return err
 		}
-		if j.Config.Ants > MaxCellAnts {
-			return reject(http.StatusBadRequest, "jobs[%d]: ants %d over limit %d", i, j.Config.Ants, MaxCellAnts)
-		}
-		if sc := j.Config.Schedule; sc != nil {
-			sc.eachFrozen(func(fz *Schedule) {
-				if key := frozenKey(fz); !seen[key] {
-					seen[key] = true
-					total += min(fz.Horizon, MaxFrozenHorizon+1) // no wrap-around
-				}
-			}, 0)
-		}
-		if total > MaxFrozenHorizon {
-			return reject(http.StatusRequestEntityTooLarge,
-				"grid's distinct frozen horizons sum past %d (job %d)", MaxFrozenHorizon, i)
+		if _, err := d.job(i, j); err != nil {
+			return undecodable(err)
 		}
 	}
 	return nil
+}
+
+// cellBounds checks job i's rounds and ants.
+func cellBounds(i int, j Job) error {
+	if j.Rounds < 0 || j.Rounds > MaxCellRounds {
+		return reject(http.StatusBadRequest, "jobs[%d]: rounds %d outside [0, %d]", i, j.Rounds, MaxCellRounds)
+	}
+	if j.Config.Ants > MaxCellAnts {
+		return reject(http.StatusBadRequest, "jobs[%d]: ants %d over limit %d", i, j.Config.Ants, MaxCellAnts)
+	}
+	return nil
+}
+
+// undecodable makes a decode error an admission rejection (400); the
+// budget's rejection, or nil, passes unchanged.
+func undecodable(err error) error {
+	if err == nil || errors.Is(err, ErrAdmission) {
+		return err
+	}
+	return reject(http.StatusBadRequest, "%v", err)
+}
+
+// A decoder turns wire configs into runnable ones, building each
+// distinct frozen encoding (frozenKey) once, at any depth, for every
+// config it decodes to share (a Frozen is immutable). A snapshot costs
+// O(horizon), so it charges the horizon as it builds one: the sum may
+// not pass MaxFrozenHorizon. The zero decoder is ready to use.
+type decoder struct {
+	frozen map[string]demand.Schedule
+	total  uint64 // the built snapshots' horizons
+	at     int    // the job a budget rejection names
+}
+
+// job decodes job i of a grid. An error names the job, but for the
+// budget's rejection, which names it itself.
+func (d *decoder) job(i int, j Job) (sweeprun.Job, error) {
+	d.at = i
+	cfg, err := d.config(j.Config)
+	if errors.Is(err, ErrAdmission) {
+		return sweeprun.Job{}, err
+	}
+	if err != nil {
+		return sweeprun.Job{}, fmt.Errorf("wire: jobs[%d]: %w", i, err)
+	}
+	return sweeprun.Job{Meta: append([]string(nil), j.Meta...), Config: cfg, Rounds: j.Rounds}, nil
 }
 
 // Sweep is the job-grid envelope: what POST /v1/sweeps accepts and
@@ -400,8 +433,15 @@ func FromConfig(cfg taskalloc.Config) (Config, error) {
 }
 
 // ToConfig decodes into a taskalloc.Config, rebuilding the demand
-// schedule through its validating constructor.
+// schedule through its validating constructor (its distinct frozen
+// snapshots may sum to at most MaxFrozenHorizon, as in ToJobs).
 func (c Config) ToConfig() (taskalloc.Config, error) {
+	return new(decoder).config(c)
+}
+
+// config decodes c. A budget rejection comes back bare, whatever
+// schedule nests the snapshot it was charged for.
+func (d *decoder) config(c Config) (taskalloc.Config, error) {
 	out := taskalloc.Config{
 		Ants:             c.Ants,
 		Demands:          append([]int(nil), c.Demands...),
@@ -446,7 +486,10 @@ func (c Config) ToConfig() (taskalloc.Config, error) {
 		out.NoiseChanges = append(out.NoiseChanges, taskalloc.NoiseChange{At: ch.At, Noise: nz})
 	}
 	if c.Schedule != nil {
-		sched, err := c.Schedule.ToSchedule()
+		sched, err := d.schedule(*c.Schedule, 0)
+		if rejected := (*admissionError)(nil); errors.As(err, &rejected) {
+			err = rejected
+		}
 		if err != nil {
 			return taskalloc.Config{}, err
 		}
@@ -613,12 +656,13 @@ func FromSchedule(s demand.Schedule) (Schedule, error) {
 
 // ToSchedule decodes into a live demand.Schedule through the family's
 // validating constructor. Algebra operators decode recursively, bounded
-// by MaxScheduleDepth.
+// by MaxScheduleDepth, and the distinct frozen snapshots, nested ones
+// included, may sum to at most MaxFrozenHorizon.
 func (s Schedule) ToSchedule() (demand.Schedule, error) {
-	return s.toSchedule(0)
+	return new(decoder).schedule(s, 0)
 }
 
-func (s Schedule) toSchedule(depth int) (demand.Schedule, error) {
+func (d *decoder) schedule(s Schedule, depth int) (demand.Schedule, error) {
 	if depth > MaxScheduleDepth {
 		return nil, fmt.Errorf("wire: schedule nesting exceeds depth %d", MaxScheduleDepth)
 	}
@@ -647,8 +691,13 @@ func (s Schedule) toSchedule(depth int) (demand.Schedule, error) {
 	case "trace":
 		return scenario.NewTrace(append([]uint64(nil), s.When...), toVectors(s.Vectors))
 	case "frozen":
-		if s.Horizon > MaxFrozenHorizon {
-			return nil, fmt.Errorf("wire: frozen horizon %d exceeds limit %d", s.Horizon, MaxFrozenHorizon)
+		key := frozenKey(&s)
+		if fz := d.frozen[key]; fz != nil {
+			return fz, nil
+		}
+		if d.total += min(s.Horizon, MaxFrozenHorizon+1); d.total > MaxFrozenHorizon { // no wrap-around
+			return nil, reject(http.StatusRequestEntityTooLarge,
+				"grid's distinct frozen horizons sum past %d (job %d)", MaxFrozenHorizon, d.at)
 		}
 		tr, err := scenario.NewTrace(append([]uint64(nil), s.When...), toVectors(s.Vectors))
 		if err != nil {
@@ -660,27 +709,35 @@ func (s Schedule) toSchedule(depth int) (demand.Schedule, error) {
 		}
 		// Re-sampling the piecewise-constant trace reproduces the
 		// original snapshot exactly.
-		return scenario.Freeze(tr, s.Horizon)
+		fz, err := scenario.Freeze(tr, s.Horizon)
+		if err != nil {
+			return nil, err
+		}
+		if d.frozen == nil {
+			d.frozen = map[string]demand.Schedule{}
+		}
+		d.frozen[key] = fz
+		return fz, nil
 	case "compose":
-		parts, err := s.toParts(depth)
+		parts, err := d.parts(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: compose: %w", err)
 		}
 		return scenario.NewCompose(parts, append([]uint64(nil), s.When...))
 	case "superpose":
-		parts, err := s.toParts(depth)
+		parts, err := d.parts(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: superpose: %w", err)
 		}
 		return scenario.NewSuperpose(parts)
 	case "modulate":
-		inner, err := s.toInner(depth)
+		inner, err := d.inner(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: modulate: %w", err)
 		}
 		return scenario.NewModulate(inner, append([]float64(nil), s.Scale...))
 	case "stablenoise":
-		inner, err := s.toInner(depth)
+		inner, err := d.inner(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: stablenoise: %w", err)
 		}
@@ -692,13 +749,13 @@ func (s Schedule) toSchedule(depth int) (demand.Schedule, error) {
 	}
 }
 
-func (s Schedule) toParts(depth int) ([]demand.Schedule, error) {
+func (d *decoder) parts(s Schedule, depth int) ([]demand.Schedule, error) {
 	if len(s.Parts) == 0 {
 		return nil, errors.New("needs parts")
 	}
 	parts := make([]demand.Schedule, len(s.Parts))
 	for i, p := range s.Parts {
-		dec, err := p.toSchedule(depth + 1)
+		dec, err := d.schedule(p, depth+1)
 		if err != nil {
 			return nil, fmt.Errorf("part %d: %w", i, err)
 		}
@@ -707,11 +764,11 @@ func (s Schedule) toParts(depth int) ([]demand.Schedule, error) {
 	return parts, nil
 }
 
-func (s Schedule) toInner(depth int) (demand.Schedule, error) {
+func (d *decoder) inner(s Schedule, depth int) (demand.Schedule, error) {
 	if s.Inner == nil {
 		return nil, errors.New("needs inner")
 	}
-	return s.Inner.toSchedule(depth + 1)
+	return d.schedule(*s.Inner, depth+1)
 }
 
 func fromVectors(vs []demand.Vector) [][]int {
@@ -751,20 +808,6 @@ func FromJob(j sweeprun.Job) (Job, error) {
 		Meta:   append([]string(nil), j.Meta...),
 		Rounds: j.Rounds,
 		Config: cfg,
-	}, nil
-}
-
-// ToJob decodes into a runnable sweeprun.Job (Observe left nil; the
-// executor attaches trajectory recorders itself when Trajectory is set).
-func (j Job) ToJob() (sweeprun.Job, error) {
-	cfg, err := j.Config.ToConfig()
-	if err != nil {
-		return sweeprun.Job{}, err
-	}
-	return sweeprun.Job{
-		Meta:   append([]string(nil), j.Meta...),
-		Config: cfg,
-		Rounds: j.Rounds,
 	}, nil
 }
 
@@ -811,46 +854,30 @@ func FromJobs(jobs []sweeprun.Job) (Sweep, error) {
 	return out, nil
 }
 
-// ToJobs decodes a sweep's grid into runnable jobs. Identical
-// frozen-schedule encodings materialize once and share the snapshot: a
-// Frozen is immutable and explicitly safe for concurrent simulations,
-// and dumped grids (cmd/sweep -dump-jobs, FromJobs) carry one copy per
-// cell — without sharing, a J-cell replay would pay J·O(horizon)
-// memory instead of one snapshot.
+// ToJobs decodes a sweep's grid into runnable jobs (Observe left nil;
+// the executor attaches trajectory recorders itself when Trajectory is
+// set) through one decoder, so identical frozen encodings, at any
+// depth, materialize once and every cell shares the snapshot — without
+// sharing, a J-cell replay would pay J·O(horizon) memory instead of
+// one snapshot — and a grid whose distinct snapshots sum past
+// MaxFrozenHorizon is refused with Admit's error.
 func ToJobs(s Sweep) ([]sweeprun.Job, error) {
+	var d decoder
 	out := make([]sweeprun.Job, len(s.Jobs))
-	frozen := map[string]demand.Schedule{}
 	for i, wj := range s.Jobs {
-		// On a cache hit, drop the schedule before ToJob so the
-		// snapshot is not re-materialized just to be discarded.
-		var key string
-		var shared demand.Schedule
-		if sc := wj.Config.Schedule; sc != nil && sc.Kind == "frozen" {
-			key = frozenKey(sc)
-			if shared = frozen[key]; shared != nil {
-				wj.Config.Schedule = nil
-			}
-		}
-		j, err := wj.ToJob()
+		j, err := d.job(i, wj)
 		if err != nil {
-			return nil, fmt.Errorf("wire: jobs[%d]: %w", i, err)
-		}
-		switch {
-		case shared != nil:
-			j.Config.Demand = shared
-		case key != "":
-			frozen[key] = j.Config.Demand
+			return nil, err
 		}
 		out[i] = j
 	}
 	return out, nil
 }
 
-// frozenKey identifies a frozen schedule encoding by content. It is
-// the single identity both ToJobs' decode-side snapshot sharing and
-// Admit's distinct-snapshot accounting key on — the two must agree, or
-// the admission memory bound stops matching what actually
-// materializes.
+// frozenKey identifies a frozen schedule encoding by content. One
+// decoder charges and shares a snapshot under it, so the admission
+// budget counts exactly the snapshots a decode materializes; the
+// semantic hash's normalization memo keys on it too.
 func frozenKey(sc *Schedule) string {
 	b, err := json.Marshal(sc)
 	if err != nil {
@@ -895,25 +922,6 @@ func (s *Schedule) tasks(depth int) int {
 		return 0
 	default:
 		return len(s.Base)
-	}
-}
-
-// eachFrozen calls fn for every frozen-kind node in the schedule tree,
-// including snapshots nested inside algebra operators, so Admit
-// charges a snapshot hidden inside a compose like a top-level one. Trees deeper than MaxScheduleDepth are cut off — they
-// never decode anyway.
-func (s *Schedule) eachFrozen(fn func(*Schedule), depth int) {
-	if depth > MaxScheduleDepth {
-		return
-	}
-	if s.Kind == "frozen" {
-		fn(s)
-	}
-	for i := range s.Parts {
-		s.Parts[i].eachFrozen(fn, depth+1)
-	}
-	if s.Inner != nil {
-		s.Inner.eachFrozen(fn, depth+1)
 	}
 }
 
