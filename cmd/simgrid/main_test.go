@@ -381,11 +381,11 @@ func TestE2EKillBackendMidSweep(t *testing.T) {
 	sweep := e2eSweep(101)
 	want := rawPost(t, reference.addr, sweep, "ndjson")
 
-	_, keys, err := wire.SemanticSweepKeys(sweep)
+	g, err := wire.Admit(sweep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := gridcoord.Partition(keys, 3)
+	assign, err := gridcoord.Partition(g.Keys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

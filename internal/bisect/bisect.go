@@ -160,22 +160,24 @@ func Run(req wire.BisectRequest, eval Evaluator) (wire.BisectResponse, error) {
 }
 
 // A Search is one bisect request made ready to run. Its ID and the
-// result key of every γ cell of every round share one schedule
-// normalization (wire.SemanticBisectKeys), so the template's schedule,
-// which every cell shares, is normalized once per search.
+// result key and decode of every γ cell of every round share one
+// schedule memo (wire.AdmitBisect), so the template's schedule, which
+// every cell shares, is decoded and normalized once per search.
 type Search struct {
 	// ID is the response ID: wire.SemanticBisectHash of the request as
 	// sent, so a backend and a coordinator agree whatever their defaults.
-	ID  string
-	req wire.BisectRequest
-	key func(wire.Job) (string, error)
+	ID    string
+	req   wire.BisectRequest
+	cells func([]wire.Job) (*wire.Grid, error)
 }
 
-// New prepares req for a search: after hashing its ID, a MaxEvals of 0
-// becomes wire.MaxBisectEvals, and Trajectory is cleared (bisect cells
-// never stream trajectories).
+// New admits and keys req (wire.AdmitBisect), the one place a bisect
+// request is admitted: the error of a request a backend rejects wraps
+// wire.ErrAdmission. After hashing its ID, a MaxEvals of 0 becomes
+// wire.MaxBisectEvals, and Trajectory is cleared (bisect cells never
+// stream trajectories).
 func New(req wire.BisectRequest) (*Search, error) {
-	id, key, err := wire.SemanticBisectKeys(req)
+	id, cells, err := wire.AdmitBisect(req)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +185,7 @@ func New(req wire.BisectRequest) (*Search, error) {
 		req.MaxEvals = wire.MaxBisectEvals
 	}
 	req.Job.Trajectory = false
-	return &Search{ID: id, req: req, key: key}, nil
+	return &Search{ID: id, req: req, cells: cells}, nil
 }
 
 // Budget is the search's evaluation budget: the request's max_evals,
@@ -191,15 +193,15 @@ func New(req wire.BisectRequest) (*Search, error) {
 func (s *Search) Budget() int { return s.req.MaxEvals }
 
 // Run runs the search (Run) and stamps the response's Version and ID.
-// Each round, eval gets the γ cells: jobs[i], the template with
-// Config.Gamma overridden; keys[i], its result key (the
-// trajectory-cleared SemanticHash); and cells[i], its response cell
-// with Gamma and JobHash set, which eval completes in place (Cached,
-// and Report or Err). An error aborts the search.
-func (s *Search) Run(eval func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error) (wire.BisectResponse, error) {
+// Each round, eval gets the γ cells: g, their grid — g.Jobs[i] is the
+// template with Config.Gamma overridden, g.Keys[i] its result key (the
+// trajectory-cleared SemanticHash) and g.Decode its runnable jobs — and
+// cells[i], its response cell with Gamma and JobHash set, which eval
+// completes in place (Cached, and Report or Err). An error aborts the
+// search.
+func (s *Search) Run(eval func(g *wire.Grid, cells []wire.BisectCell) error) (wire.BisectResponse, error) {
 	resp, err := Run(s.req, func(gammas []float64) ([]wire.BisectCell, error) {
 		jobs := make([]wire.Job, len(gammas))
-		keys := make([]string, len(gammas))
 		cells := make([]wire.BisectCell, len(gammas))
 		for i, g := range gammas {
 			jobs[i] = s.req.Job
@@ -208,12 +210,13 @@ func (s *Search) Run(eval func(jobs []wire.Job, keys []string, cells []wire.Bise
 			if err != nil {
 				return nil, err
 			}
-			if keys[i], err = s.key(jobs[i]); err != nil {
-				return nil, err
-			}
 			cells[i] = wire.BisectCell{Gamma: g, JobHash: hash}
 		}
-		return cells, eval(jobs, keys, cells)
+		g, err := s.cells(jobs)
+		if err != nil {
+			return nil, err
+		}
+		return cells, eval(g, cells)
 	})
 	resp.Version, resp.ID = wire.V1, s.ID
 	return resp, err

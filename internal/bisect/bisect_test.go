@@ -217,8 +217,8 @@ func TestSearchDerivesCells(t *testing.T) {
 		t.Fatalf("ID %s, want SemanticBisectHash of the request as sent, %s", s.ID, wantID)
 	}
 	for _, cached := range []bool{true, false} {
-		resp, err := s.Run(func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
-			for i, j := range jobs {
+		resp, err := s.Run(func(g *wire.Grid, cells []wire.BisectCell) error {
+			for i, j := range g.Jobs {
 				want := req.Job
 				want.Trajectory = false
 				want.Config.Gamma = cells[i].Gamma
@@ -230,9 +230,9 @@ func TestSearchDerivesCells(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(j, want) || cells[i].JobHash != hash || keys[i] != key {
+				if !reflect.DeepEqual(j, want) || cells[i].JobHash != hash || g.Keys[i] != key {
 					t.Errorf("γ=%v: job %+v, hash %s, key %s; want %+v, %s, %s",
-						cells[i].Gamma, j, cells[i].JobHash, keys[i], want, hash, key)
+						cells[i].Gamma, j, cells[i].JobHash, g.Keys[i], want, hash, key)
 				}
 				cells[i].Cached = cached || i > 0
 				cells[i].Report = &taskalloc.Report{AvgRegret: cells[i].Gamma * 1000}

@@ -225,13 +225,15 @@ func BenchmarkBisectFrozenTemplate(b *testing.B) {
 }
 
 // BenchmarkPlacementFrozenGrid measures what the coordinator computes
-// before its first backend call: the sweep ID (X-Sweep-Id and the
-// stream header) and the placement over 3 backends. The grid is the
-// cmd/sweep pattern: 24 cells, differing only in seed, share one frozen
-// snapshot over 2^16 rounds of a step schedule that changes once. The
-// snapshot is a few bytes on the wire, but normalizing it decodes and
-// re-freezes every one of its rounds, which one wire.SemanticSweepKeys
-// pass does once for the whole grid.
+// before its first backend call, as Run computes it: admission's one
+// pass (wire.Admit: the bounds, every config's decode, the sweep ID for
+// X-Sweep-Id and the stream header, and the result keys) and the
+// placement over 3 backends. The grid is the cmd/sweep pattern,
+// decoded from its document as a POST body is: 24 cells, differing only
+// in seed, each carrying one frozen snapshot over 2^16 rounds of a step
+// schedule that changes once. The snapshot is a few bytes on the wire,
+// but decoding it re-freezes every one of its rounds, which the pass
+// does once for the whole grid.
 func BenchmarkPlacementFrozenGrid(b *testing.B) {
 	const horizon = 1 << 16
 	enc := frozenStep(b, horizon)
@@ -243,14 +245,21 @@ func BenchmarkPlacementFrozenGrid(b *testing.B) {
 			Config: wire.Config{Ants: 1000, Gamma: 1.0 / 32, Seed: uint64(i), Shards: 1, Schedule: enc},
 		})
 	}
+	doc, err := wire.MarshalSweep(sweep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sweep, err = wire.DecodeSweep(bytes.NewReader(doc)); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, keys, err := wire.SemanticSweepKeys(sweep)
+		g, err := wire.Admit(sweep, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Partition(keys, 3); err != nil {
+		if _, err := Partition(g.Keys, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,20 +16,17 @@ import (
 // repeat request is served entirely from the backends' caches. A
 // request a backend would not admit (an evaluation budget over
 // wire.MaxBisectEvals, a template past a bound or that does not
-// decode) is rejected by Validate before anything is keyed, with an
+// decode) is rejected by bisect.New before anything is sent, with an
 // error wrapping wire.ErrAdmission.
 func (c *Coordinator) Bisect(ctx context.Context, req wire.BisectRequest) (*wire.BisectResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
 	search, err := bisect.New(req)
 	if err != nil {
 		return nil, err
 	}
 	c.metrics.bisects.Inc()
 	clients := c.traced(obs.NewID())
-	resp, err := search.Run(func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
-		return c.evalRound(ctx, clients, wire.MaxBodyBytes, jobs, keys, cells)
+	resp, err := search.Run(func(g *wire.Grid, cells []wire.BisectCell) error {
+		return c.evalRound(ctx, clients, wire.MaxBodyBytes, g.Jobs, g.Keys, cells)
 	})
 	if err != nil {
 		return nil, err

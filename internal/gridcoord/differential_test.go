@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"taskalloc/internal/bisect"
 	"taskalloc/internal/wire"
 )
 
@@ -249,10 +250,13 @@ func FuzzBackendCoordinatorParity(f *testing.F) {
 // antRounds bounds the ant-rounds a document would simulate, each
 // round charged 100 ants more for its fixed cost: 0 for a document that
 // is not admitted.
-func antRounds(bisect bool, doc []byte) float64 {
+func antRounds(isBisect bool, doc []byte) float64 {
 	jobs, evals := []wire.Job(nil), 1
-	if bisect {
+	if isBisect {
 		req, err := wire.DecodeBisectRequest(bytes.NewReader(doc))
+		if err == nil {
+			_, err = bisect.New(req)
+		}
 		if err != nil {
 			return 0
 		}
@@ -262,7 +266,10 @@ func antRounds(bisect bool, doc []byte) float64 {
 		}
 	} else {
 		sweep, err := wire.DecodeSweep(bytes.NewReader(doc))
-		if err != nil || wire.Admit(sweep.Jobs) != nil {
+		if err == nil {
+			_, err = wire.Admit(sweep, false)
+		}
+		if err != nil {
 			return 0
 		}
 		jobs = sweep.Jobs

@@ -9,8 +9,8 @@
 // Placement: the initial partition assigns job i to the backend whose
 // equal slice of the 64-bit hash space contains the leading bits of
 // the job's result key — the trajectory-cleared wire.SemanticHash that
-// wire.SemanticSweepKeys returns with the sweep ID, in the one pass
-// that also names the stream header. Under that behavioral hash,
+// admission's one pass (wire.Admit) returns with the sweep ID that
+// names the stream header. Under that behavioral hash,
 // equivalent spellings of one job (a frozen snapshot and its
 // generative schedule, say) collapse to the same key, and so do a job
 // and its trajectory-streaming twin, which produce the same Report.
@@ -47,13 +47,13 @@
 // other than 429) are not retried: a backend that rejects a sub-sweep
 // would reject it identically everywhere.
 //
-// Admission: Run, Bisect and Handler apply the backends' admission
-// contract (wire.Admit, wire.BisectRequest.Validate, which decode every
-// config) before they key, write or send anything, and Handler reads
-// the query as a backend does (wire.ParseQuery), so a document a
-// backend would reject gets that backend's status and message. A run
-// that fails after Handler has sent its headers, on the backends' side,
-// aborts the response instead of ending it.
+// Admission: Run, Bisect and Handler admit a document as a backend
+// does, in the pass that keys it (wire.Admit, or bisect.New), before
+// they write or send anything, and Handler reads the query as a
+// backend does (wire.ParseQuery), so a document a backend would reject
+// gets that backend's status and message. A run that fails after
+// Handler has sent its headers, on the backends' side, aborts the
+// response instead of ending it.
 //
 // Adaptive grids: Bisect runs the shared search (internal/bisect) on
 // the coordinator and dispatches each round's keyed γ cells through the
@@ -270,8 +270,8 @@ func New(opts Options) (*Coordinator, error) {
 }
 
 // Partition assigns each job to one of n backends by result-key range:
-// keys[i] is job i's result key, as wire.SemanticSweepKeys returns it
-// (the SemanticHash of the job with Trajectory cleared), and its 64-bit
+// keys[i] is job i's result key, as wire.Admit returns it (the
+// SemanticHash of the job with Trajectory cleared), and its 64-bit
 // prefix falls into one of n equal slices of the hash space. The
 // assignment is a pure function of (job's behavior, n) — re-submitting
 // the same grid, any behaviorally equivalent spelling of it, or the
@@ -342,38 +342,29 @@ func (c *Coordinator) chunkSizeFor(jobs int) int {
 // its prefix is complete, each write flushed when w is an
 // http.Flusher. A completed run's status is then served by
 // SweepStatus. A sweep a backend would not admit is rejected, as a
-// backend rejects it, before anything is keyed or written (admitKeys).
+// backend rejects it (wire.Admit; the error wraps wire.ErrAdmission),
+// before anything is written.
 func (c *Coordinator) Run(ctx context.Context, sweep wire.Sweep, format Format, w io.Writer) (Stats, error) {
 	if format != FormatNDJSON && format != FormatCSV {
 		return Stats{}, fmt.Errorf("gridcoord: unknown format %q", format)
 	}
-	id, keys, err := admitKeys(sweep)
+	g, err := wire.Admit(sweep, false)
 	if err != nil {
 		return Stats{}, err
 	}
-	return c.run(ctx, sweep, id, keys, format, w)
+	return c.run(ctx, g.Jobs, g.ID, g.Keys, format, w)
 }
 
-// admitKeys admits sweep as a backend does (wire.Admit; the error wraps
-// wire.ErrAdmission), then keys it in one pass (wire.SemanticSweepKeys)
-// that names the sweep and places its jobs.
-func admitKeys(sweep wire.Sweep) (id string, keys []string, err error) {
-	if err := wire.Admit(sweep.Jobs); err != nil {
-		return "", nil, err
-	}
-	return wire.SemanticSweepKeys(sweep)
-}
-
-// run is Run for a sweep admitted and keyed by admitKeys: id is its
-// semantic sweep hash (the HTTP handler sends it as X-Sweep-Id before
-// the body) and keys its result keys, which place the jobs.
-func (c *Coordinator) run(ctx context.Context, sweep wire.Sweep, id string, keys []string, format Format, w io.Writer) (Stats, error) {
+// run is Run for an admitted grid's jobs, not the Grid, whose decode a
+// run need not keep: id is its sweep ID (the HTTP handler sends it as
+// X-Sweep-Id before the body) and keys place the jobs.
+func (c *Coordinator) run(ctx context.Context, jobs []wire.Job, id string, keys []string, format Format, w io.Writer) (Stats, error) {
 	assign, err := Partition(keys, len(c.clients))
 	if err != nil {
 		return Stats{}, err
 	}
 
-	m := newMerger(w, format, id, sweep.Jobs)
+	m := newMerger(w, format, id, jobs)
 
 	// One trace ID per run: every backend call this sweep makes carries
 	// it as X-Trace-Id, so the backends' request logs can be joined on
@@ -382,9 +373,9 @@ func (c *Coordinator) run(ctx context.Context, sweep wire.Sweep, id string, keys
 	c.metrics.sweeps.Inc()
 	size := 0 // static mode: each range streams as one chunk
 	if c.opts.StealChunk >= 0 {
-		size = c.chunkSizeFor(len(sweep.Jobs))
+		size = c.chunkSizeFor(len(jobs))
 	}
-	stats, err := c.dispatch(ctx, c.traced(traceID), sweep.Jobs, chunked(assign, size),
+	stats, err := c.dispatch(ctx, c.traced(traceID), jobs, chunked(assign, size),
 		c.opts.StealChunk >= 0, func(i int, res wire.Result, _ bool) { m.deliver(i, res) })
 	stats.TraceID = traceID
 	stats.JobsPerBackend = make([]int, len(assign))

@@ -89,14 +89,14 @@ func singleHost(t *testing.T, url string, sweep wire.Sweep, format string) []byt
 }
 
 // partitionJobs places jobs over n backends the way Run does: one
-// wire.SemanticSweepKeys pass, then Partition over the result keys.
+// wire.Admit pass, then Partition over the result keys.
 func partitionJobs(t testing.TB, jobs []wire.Job, n int) [][]int {
 	t.Helper()
-	_, keys, err := wire.SemanticSweepKeys(wire.Sweep{Version: wire.V1, Jobs: jobs})
+	g, err := wire.Admit(wire.Sweep{Version: wire.V1, Jobs: jobs}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := Partition(keys, n)
+	assign, err := Partition(g.Keys, n)
 	if err != nil {
 		t.Fatal(err)
 	}

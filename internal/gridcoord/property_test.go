@@ -331,7 +331,7 @@ func TestRandomizedStealSchedules(t *testing.T) {
 // identically twice, and a key's owner does not depend on which other
 // keys share its grid (the owner of key i in the full set owns it in
 // any subset). Keys are drawn as the 64-hex-digit digests
-// wire.SemanticSweepKeys returns. Each iteration also keys a random job
+// wire.Admit returns. Each iteration also keys a random job
 // and its trajectory-streaming twin, which produce one Report: they
 // must share an owner.
 func TestPartitionProperties(t *testing.T) {

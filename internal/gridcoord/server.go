@@ -92,20 +92,20 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Admit and key the grid before committing to a status: a document
 	// a backend rejects gets that backend's status and message.
-	id, keys, err := admitKeys(sweep)
+	g, err := wire.Admit(sweep, false)
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType(format))
-	w.Header().Set("X-Sweep-Id", id)
+	w.Header().Set("X-Sweep-Id", g.ID)
 	// The merger flushes the headers and the stream header before any
 	// backend is called, so from here on the status line is on the wire
 	// and a failed run (a backend's rejection of an admitted document,
 	// exhausted attempts, every backend down) can only cut the body
 	// short. Abort the response, so that every HTTP client sees the
 	// transfer fail instead of a clean end of a short body.
-	if _, err := c.run(r.Context(), sweep, id, keys, Format(format), w); err != nil {
+	if _, err := c.run(r.Context(), g.Jobs, g.ID, g.Keys, Format(format), w); err != nil {
 		panic(http.ErrAbortHandler)
 	}
 }

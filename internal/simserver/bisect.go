@@ -11,8 +11,8 @@ import (
 
 // Adaptive γ-bisection (POST /v1/bisect). The search — its ID, budget
 // and keyed γ cells — is internal/bisect's, shared with the grid
-// coordinator. The decode admits the request (wire.BisectRequest.Validate:
-// the evaluation budget, and the template as a one-cell sweep, decoded),
+// coordinator: bisect.New admits the request (wire.AdmitBisect: the
+// evaluation budget, and the template decoded as a one-cell sweep),
 // the server charges the tenant quota the budget, and serves or runs
 // each round's cells through the sweeps' runner (runCells), so a
 // repeat, overlapping or equivalent search reuses the job tier. A
@@ -26,13 +26,12 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	}
 
 	req, err := wire.DecodeBisectRequest(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+	var search *bisect.Search
+	if err == nil {
+		search, err = bisect.New(req)
+	}
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
-		return
-	}
-	search, err := bisect.New(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Each evaluation is one cell of compute, cached or not.
@@ -109,15 +108,15 @@ func (s *Server) runBisectCoalesced(ctx context.Context, searchID string, run fu
 }
 
 // bisectEvaluator returns the local evaluator for the search that owns
-// entry e: runCells serves a round's repeats from the job tier and
-// decodes and runs the rest as one batch. As the round ends, e holds
-// all of its cells, and the fresh ones are written to the search's
-// journal sj. A repeat search decodes nothing.
-func (s *Server) bisectEvaluator(e *entry, workers int, sj *searchJournal) func([]wire.Job, []string, []wire.BisectCell) error {
-	return func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
-		round := make([]cell, 0, len(jobs))
+// entry e: runCells serves a round's repeats from the job tier and runs
+// the rest as one batch. As the round ends, e holds all of its cells,
+// and the fresh ones are written to the search's journal sj. A repeat
+// search runs nothing.
+func (s *Server) bisectEvaluator(e *entry, workers int, sj *searchJournal) func(*wire.Grid, []wire.BisectCell) error {
+	return func(g *wire.Grid, cells []wire.BisectCell) error {
+		round := make([]cell, 0, len(g.Jobs))
 		var fresh []cell
-		err := s.runCells(grid{jobs: jobs, keys: keys}, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
+		s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, workers, func(i int, c cell, known bool) {
 			cells[i].Cached = known
 			if c.err != "" {
 				cells[i].Err = c.err
@@ -130,9 +129,6 @@ func (s *Server) bisectEvaluator(e *entry, workers int, sj *searchJournal) func(
 				fresh = append(fresh, c)
 			}
 		})
-		if err != nil {
-			return err
-		}
 		s.mu.Lock()
 		s.holdLocked(e, round)
 		s.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 )
 
 // The job tier: job-level results keyed by the behavioral job hash
-// (wire.SemanticHash with Trajectory cleared — for sweep cells,
-// wire.SemanticSweepKeys), shaped alike in memory and on disk: entries,
+// (wire.SemanticHash with Trajectory cleared — a wire.Grid's Keys),
+// shaped alike in memory and on disk: entries,
 // one per sweep or bisect search, and a key index over the cells they
 // hold. In memory, a sweep entry holds its keyed cells once published,
 // a search entry each round's cells as the round ends; on disk, the
@@ -74,40 +74,37 @@ func (s *Server) releaseLocked(e *entry) {
 // runCells produces every cell of g and hands it to emit in strict
 // index order, known reporting whether the cell was served rather than
 // simulated. Cell i is served from prefix (a recovered journal prefix,
-// len(prefix) <= len(g.jobs)) when i < len(prefix), else from the job
-// tier (tierCell, each lookup charged to hits or misses); the rest are
-// decoded (the one place a backend decodes a cell, so a warm cell never
-// is), get the trajectory recorders they asked for, and run as one
-// sweeprun.Stream batch over the shared pool and gate. Every emitted
-// cell carries its job-tier key. The only error is the decode's, before
-// any cell is emitted; an admitted document always decodes.
-func (s *Server) runCells(g grid, prefix []cell, hits, misses *obs.Counter, workers int, emit func(i int, c cell, known bool)) error {
-	n := len(g.jobs)
+// len(prefix) <= len(g.Jobs)) when i < len(prefix), else from the job
+// tier (tierCell, each lookup charged to hits or misses); only the rest
+// get runnable jobs (g.Decode), with the trajectory recorders they
+// asked for, and run as one sweeprun.Stream batch over the shared pool
+// and gate. Every emitted cell carries its job-tier key.
+func (s *Server) runCells(g *wire.Grid, prefix []cell, hits, misses *obs.Counter, workers int, emit func(i int, c cell, known bool)) {
+	n := len(g.Jobs)
 	cells := make([]cell, n)
 	known := make([]bool, n)
 	copy(cells, prefix)
-	run := wire.Sweep{} // the cells that must be simulated
-	var idx []int       // their indices
+	var idx []int // the cells that must be simulated
 	for i := range cells {
 		if i < len(prefix) {
 			known[i] = true
 		} else if c, ok := s.tierCell(g, i, hits, misses); ok {
 			cells[i], known[i] = c, true
 		} else {
-			run.Jobs = append(run.Jobs, g.jobs[i])
 			idx = append(idx, i)
 		}
-		cells[i].key = g.keys[i]
+		cells[i].key = g.Keys[i]
 	}
 
-	jobs, err := wire.ToJobs(run)
-	if err != nil {
-		return err
-	}
+	jobs := g.Decode(idx)
 	recs := make([]*wire.TrajectoryRecorder, len(jobs))
-	for k, wj := range run.Jobs {
-		if wj.Trajectory {
-			rec := wire.NewTrajectoryRecorder(wj.Config.Tasks())
+	for k, i := range idx {
+		if g.Jobs[i].Trajectory {
+			tasks := len(jobs[k].Config.Demands)
+			if d := jobs[k].Config.Demand; d != nil {
+				tasks = d.Tasks()
+			}
+			rec := wire.NewTrajectoryRecorder(tasks)
 			recs[k] = rec
 			jobs[k].Observe = func(sim *taskalloc.Simulation) taskalloc.Observer {
 				return rec.Observer(sim)
@@ -138,7 +135,7 @@ func (s *Server) runCells(g grid, prefix []cell, hits, misses *obs.Counter, work
 		// Stream emits in order, and advance has emitted every known
 		// cell before this one: cell i is next.
 		i := idx[res.Index]
-		c := cell{meta: res.Job.Meta, rounds: res.Job.Rounds, report: res.Report, key: g.keys[i]}
+		c := cell{meta: res.Job.Meta, rounds: res.Job.Rounds, report: res.Report, key: g.Keys[i]}
 		if res.Err != nil {
 			c.err = res.Err.Error()
 		} else if rec := recs[res.Index]; rec != nil {
@@ -151,15 +148,14 @@ func (s *Server) runCells(g grid, prefix []cell, hits, misses *obs.Counter, work
 		next = i + 1
 		advance()
 	})
-	return nil
 }
 
 // tierCell serves cell i of g from the job tier, charging the lookup to
 // hits or misses. A job that asks for a trajectory is a miss without a
 // lookup: the tier holds reports only.
-func (s *Server) tierCell(g grid, i int, hits, misses *obs.Counter) (cell, bool) {
-	if j := g.jobs[i]; !j.Trajectory {
-		if h, ok := s.lookupJob(g.keys[i]); ok {
+func (s *Server) tierCell(g *wire.Grid, i int, hits, misses *obs.Counter) (cell, bool) {
+	if j := g.Jobs[i]; !j.Trajectory {
+		if h, ok := s.lookupJob(g.Keys[i]); ok {
 			hits.Inc()
 			return cell{meta: j.Meta, rounds: j.Rounds, report: h.report, err: h.err}, true
 		}

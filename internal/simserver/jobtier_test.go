@@ -207,14 +207,11 @@ func TestKnownCellsMerge(t *testing.T) {
 	sweep.Jobs = append(sweep.Jobs, reuseJob(0.03, 7))
 	sweep.Jobs[2].Trajectory = true // never known from the tier
 	n := len(sweep.Jobs)
-	id, keys, err := wire.SemanticSweepKeys(sweep)
+	g, err := wire.Admit(sweep, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	synID, err := wire.SweepHash(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id, keys, synID := g.ID, g.Keys, g.SynID
 	// run executes the grid through executeOwned and renders it as the
 	// NDJSON body.
 	run := func(s *Server, prefix []cell, j *store.Journal, workers int) (order []int, body []byte, cells []cell) {
@@ -222,12 +219,10 @@ func TestKnownCellsMerge(t *testing.T) {
 		var buf bytes.Buffer
 		render := newBody(&buf, "ndjson", id, n, 0)
 		entry, _ := s.lookupOrCreate(id, synID, n)
-		if err := s.executeOwned(entry, grid{jobs: sweep.Jobs, keys: keys}, prefix, j, workers, func(i int, c cell) {
+		s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
 			order = append(order, i)
 			render(i, c)
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		return order, buf.Bytes(), entry.cells
 	}
 
@@ -313,60 +308,40 @@ func TestKnownCellsMerge(t *testing.T) {
 	}
 }
 
-// TestRunCellsDecodesOnlyMisses: runCells decodes only the cells the
-// job tier cannot serve — a fully warm round decodes none — and a
-// decode error comes back before any cell is emitted. A cell is decoded
-// exactly when an undecodable spelling of it, under the cell's own
-// key, fails the round.
+// TestRunCellsDecodesOnlyMisses: admission decoded every cell, and
+// runCells builds runnable jobs (Grid.Decode) for, and runs, only the
+// cells the job tier cannot serve — a fully warm round runs none — and
+// serves the others with the reports the cold round computed.
 func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 	sweep := reuseGrid()
 	n := len(sweep.Jobs)
-	_, keys, err := wire.SemanticSweepKeys(sweep)
+	g, err := wire.Admit(sweep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// run drives the grid through runCells, cell bad (when >= 0) spelled
-	// so that it does not decode, and returns the emitted cells, their
-	// known flags and the error.
-	run := func(s *Server, bad int) (cells []cell, known []bool, err error) {
+	s := New(Options{Workers: 2})
+	defer s.Close()
+	// run drives the grid through runCells and returns the emitted
+	// cells, their known flags and how many cells were simulated.
+	run := func() (cells []cell, known []bool, ran int) {
 		t.Helper()
-		jobs := append([]wire.Job(nil), sweep.Jobs...)
-		if bad >= 0 {
-			jobs[bad].Config.Algorithm = "undecodable"
-		}
-		err = s.runCells(grid{jobs: jobs, keys: keys}, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, 2, func(i int, c cell, k bool) {
+		before := s.metrics.stageEngineRun.Count()
+		s.runCells(g, nil, s.metrics.bisectJobHits, s.metrics.bisectJobMisses, 2, func(i int, c cell, k bool) {
 			if i != len(cells) {
 				t.Fatalf("emitted cell %d after %d cells", i, len(cells))
 			}
 			cells = append(cells, c)
 			known = append(known, k)
 		})
-		return cells, known, err
-	}
-	// decoded probes each cell alone and returns the ones runCells
-	// decodes on s.
-	decoded := func(s *Server) []int {
-		t.Helper()
-		out := []int{}
-		for i := 0; i < n; i++ {
-			if cells, _, err := run(s, i); err != nil {
-				if len(cells) != 0 {
-					t.Fatalf("decode failure: err %v after %d emitted cells, want it before any", err, len(cells))
-				}
-				out = append(out, i)
-			}
-		}
-		return out
+		return cells, known, int(s.metrics.stageEngineRun.Count() - before)
 	}
 
-	s := New(Options{Workers: 2})
-	defer s.Close()
-	ref, _, err := run(s, -1)
-	if got := decoded(s); err != nil || !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
-		t.Fatalf("cold round decoded %v (err %v), want every cell", got, err)
+	ref, known, ran := run()
+	if want := make([]bool, n); ran != n || !reflect.DeepEqual(known, want) {
+		t.Fatalf("cold round ran %d cells, known %v; want every cell run", ran, known)
 	}
 
-	// Warm every cell but 1 and 4: only those two are decoded.
+	// Warm every cell but 1 and 4: only those two run.
 	warm := func(cells ...int) {
 		var held []cell
 		for _, i := range cells {
@@ -375,12 +350,9 @@ func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 		holdCells(s, fmt.Sprint(cells), held...)
 	}
 	warm(0, 2, 3, 5)
-	cells, known, err := run(s, -1)
-	if got := decoded(s); err != nil || !reflect.DeepEqual(got, []int{1, 4}) {
-		t.Fatalf("half-warm round decoded %v (err %v), want [1 4]", got, err)
-	}
-	if want := []bool{true, false, true, true, false, true}; !reflect.DeepEqual(known, want) {
-		t.Fatalf("known = %v, want %v", known, want)
+	cells, known, ran := run()
+	if want := []bool{true, false, true, true, false, true}; ran != 2 || !reflect.DeepEqual(known, want) {
+		t.Fatalf("half-warm round ran %d cells, known %v; want 2 and %v", ran, known, want)
 	}
 	for i := range cells {
 		if !reflect.DeepEqual(cells[i].report, ref[i].report) || !reflect.DeepEqual(cells[i].meta, ref[i].meta) {
@@ -389,11 +361,8 @@ func TestRunCellsDecodesOnlyMisses(t *testing.T) {
 	}
 
 	warm(1, 4)
-	if cells, _, err = run(s, -1); err != nil || len(cells) != n {
-		t.Fatalf("warm round emitted %d cells (err %v), want %d", len(cells), err, n)
-	}
-	if got := decoded(s); len(got) != 0 {
-		t.Fatalf("warm round decoded %v, want none", got)
+	if cells, _, ran = run(); ran != 0 || len(cells) != n {
+		t.Fatalf("warm round ran %d cells and emitted %d, want 0 and %d", ran, len(cells), n)
 	}
 }
 

@@ -122,7 +122,7 @@ func (s *Server) createJournal(id, synID string, sweep wire.Sweep) *store.Journa
 }
 
 // sweepIDLen is the length of every sweep ID, a hex SHA-256
-// (wire.SemanticSweepKeys). A search's journal and memory-tier entry
+// (wire.SemanticSweepHash). A search's journal and memory-tier entry
 // share a longer id (searchJournalSuffix), so no sweep route names one.
 const sweepIDLen = 64
 
@@ -215,27 +215,20 @@ func (s *Server) discardRecovered(id string, j *store.Journal) {
 // every cell past the prefix is checkpointed to j (when non-nil) BEFORE
 // it is emitted: the record is on disk before its bytes can reach a
 // client, so a crash never leaves a client holding bytes the journal
-// cannot replay. The only error is runCells', before any cell is
-// emitted; the entry is then left unpublished.
-func (s *Server) executeOwned(entry *entry, g grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) error {
-	cells := make([]cell, len(g.jobs))
-	err := s.runCells(g, prefix, s.metrics.sweepJobHits, s.metrics.sweepJobMisses, workers, func(i int, c cell, _ bool) {
+// cannot replay.
+func (s *Server) executeOwned(entry *entry, g *wire.Grid, prefix []cell, j *store.Journal, workers int, emit func(i int, c cell)) {
+	cells := make([]cell, len(g.Jobs))
+	s.runCells(g, prefix, s.metrics.sweepJobHits, s.metrics.sweepJobMisses, workers, func(i int, c cell, _ bool) {
 		if i >= len(prefix) {
 			j = s.checkpoint(j, i, c)
 		}
 		cells[i] = c
 		emit(i, c)
 	})
-	if err != nil {
-		if j != nil {
-			_ = j.Close()
-		}
-		return err
-	}
 
 	results := make([]sweeprun.Result, len(cells))
 	for i, c := range cells {
-		results[i] = sweeprun.Result{Index: i, Job: sweeprun.Job{Rounds: g.jobs[i].Rounds}, Report: c.report}
+		results[i] = sweeprun.Result{Index: i, Job: sweeprun.Job{Rounds: g.Jobs[i].Rounds}, Report: c.report}
 		if c.err != "" {
 			results[i].Err = errors.New(c.err)
 		}
@@ -252,7 +245,6 @@ func (s *Server) executeOwned(entry *entry, g grid, prefix []cell, j *store.Jour
 		}
 	}
 	s.publish(entry, cells, sum)
-	return nil
 }
 
 // checkpoint appends cell i to the journal under the cell's key and
@@ -318,14 +310,11 @@ func (s *Server) serveFromDisk(w http.ResponseWriter, entry *entry, synID, forma
 	// so an alias spelling that adopts the journal still renders the
 	// creator's exact bytes. It is admitted as a posted one is.
 	sweep, err := wire.DecodeSweep(bytes.NewReader(rec.header.Doc))
-	var keys []string
+	var g *wire.Grid
 	if err == nil {
-		if err = wire.Admit(sweep.Jobs); err == nil {
-			_, keys, err = wire.SemanticSweepKeys(sweep)
-		}
+		g, err = wire.Admit(sweep, false)
 	}
-	g := grid{jobs: sweep.Jobs, keys: keys}
-	if err != nil || len(rec.cells) > len(g.jobs) || len(g.jobs) != rec.header.Jobs {
+	if err != nil || len(rec.cells) > len(g.Jobs) || len(g.Jobs) != rec.header.Jobs {
 		// Unusable journal: the caller executes fresh and charges the
 		// miss itself.
 		s.discardRecovered(entry.id, rec.journal)

@@ -59,7 +59,7 @@ import (
 
 // Options tunes a Server. What one request may buy is not among them:
 // the admission bounds are constants of the wire format (wire.Admit,
-// wire.BisectRequest.Validate), the same on every backend and the grid
+// wire.AdmitBisect), the same on every backend and the grid
 // coordinator.
 type Options struct {
 	// Workers bounds each sweep's simulations in flight; <= 0 means
@@ -437,29 +437,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Admission decodes every config, so a document that does not
-	// decode is rejected before it is keyed, charged or looked up.
+	// Admission's one pass rejects a document that does not decode before
+	// it is charged or looked up, and keys it: equivalent spellings share
+	// one behavioral sweep ID, entry and body; the syntactic hash only
+	// counts alias hits.
 	sweep, err := wire.DecodeSweep(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+	var g *wire.Grid
 	if err == nil {
-		err = wire.Admit(sweep.Jobs)
+		g, err = wire.Admit(sweep, true)
 	}
 	if err != nil {
 		httpError(w, wire.DecodeStatus(err), "%v", err)
-		return
-	}
-	// The public sweep ID is the behavioral hash: equivalent spellings
-	// share one ID, one cache entry, and byte-identical bodies. The
-	// syntactic hash is kept per entry only to count alias hits.
-	synID, err := wire.SweepHash(sweep)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// One normalization pass yields the sweep ID and every job's
-	// job-tier key.
-	id, keys, err := wire.SemanticSweepKeys(sweep)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -470,7 +458,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.stageAdmission.ObserveSince(admissionStart)
 
 	lookupStart := time.Now()
-	entry, disposition := s.lookupOrCreate(id, synID, len(sweep.Jobs))
+	entry, disposition := s.lookupOrCreate(g.ID, g.SynID, len(sweep.Jobs))
 	s.metrics.stageCacheLookup.ObserveSince(lookupStart)
 	if disposition != "miss" {
 		// An equivalent grid already ran (or is running): coalesce onto
@@ -482,7 +470,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if entry.cells == nil {
 			// The owning submission failed validation after we joined.
-			httpError(w, http.StatusBadRequest, "sweep %s failed validation; resubmit", id)
+			httpError(w, http.StatusBadRequest, "sweep %s failed validation; resubmit", g.ID)
 			return
 		}
 		s.replay(w, entry, format, disposition, 0)
@@ -503,7 +491,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// this submission byte-identically to its creator's run;
 	// serveFromDisk charges the hit/miss counter for the paths it
 	// handles.
-	if s.serveFromDisk(w, entry, synID, format, 0, workers) {
+	if s.serveFromDisk(w, entry, g.SynID, format, 0, workers) {
 		published = true // serveFromDisk publishes or drops the entry itself
 		return
 	}
@@ -511,8 +499,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// lookup provisionally was is now definite.
 	s.metrics.sweepMisses.Inc()
 
-	j := s.createJournal(id, synID, sweep)
-	s.streamOwned(w, entry, grid{jobs: sweep.Jobs, keys: keys}, nil, j, format, "miss", 0, workers)
+	j := s.createJournal(g.ID, g.SynID, sweep)
+	s.streamOwned(w, entry, g, nil, j, format, "miss", 0, workers)
 	published = true
 }
 
@@ -543,9 +531,9 @@ func (s *Server) setStreamHeaders(w http.ResponseWriter, format, id, disposition
 // it runs — a fresh POST (disposition miss) and a journal resume
 // (resume) alike: the headers, flushed at once, then every cell from
 // cursor on, each flushed and timed in the render stage.
-func (s *Server) streamOwned(w http.ResponseWriter, entry *entry, g grid, prefix []cell, j *store.Journal, format, disposition string, cursor, workers int) {
+func (s *Server) streamOwned(w http.ResponseWriter, entry *entry, g *wire.Grid, prefix []cell, j *store.Journal, format, disposition string, cursor, workers int) {
 	s.setStreamHeaders(w, format, entry.id, disposition)
-	render := newBody(w, format, entry.id, len(g.jobs), cursor)
+	render := newBody(w, format, entry.id, len(g.Jobs), cursor)
 	flusher, _ := w.(http.Flusher)
 	// The headers and the stream header leave before any cell is
 	// computed: a caller (the grid coordinator backing up a straggler)
@@ -553,7 +541,7 @@ func (s *Server) streamOwned(w http.ResponseWriter, entry *entry, g grid, prefix
 	if flusher != nil {
 		flusher.Flush()
 	}
-	err := s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
+	s.executeOwned(entry, g, prefix, j, workers, func(i int, c cell) {
 		if i < cursor {
 			return
 		}
@@ -564,12 +552,6 @@ func (s *Server) streamOwned(w http.ResponseWriter, entry *entry, g grid, prefix
 		}
 		s.metrics.stageRender.ObserveSince(start)
 	})
-	if err != nil {
-		// Admission decoded the document, so this cannot happen; if it
-		// does, abort the response, as the grid coordinator does (the
-		// owner's deferred drop releases the entry).
-		panic(http.ErrAbortHandler)
-	}
 }
 
 // replay renders a completed entry's cells from cursor on: memory hits,
@@ -587,13 +569,6 @@ func (s *Server) replay(w http.ResponseWriter, e *entry, format, disposition str
 	for i := cursor; i < len(e.cells); i++ {
 		render(i, e.cells[i])
 	}
-}
-
-// grid is a batch of cells for runCells: its wire jobs and every job's
-// job-tier key (for a sweep, wire.SemanticSweepKeys).
-type grid struct {
-	jobs []wire.Job
-	keys []string
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -160,9 +160,9 @@ func TestSearchEntryFailedOwner(t *testing.T) {
 		_, _, err := srv.runBisectCoalesced(context.Background(), search.ID, func(e *entry) (wire.BisectResponse, error) {
 			eval := srv.bisectEvaluator(e, 1, &searchJournal{s: srv, id: search.ID})
 			round := 0
-			return search.Run(func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
+			return search.Run(func(g *wire.Grid, cells []wire.BisectCell) error {
 				if round++; round == 1 {
-					return eval(jobs, keys, cells)
+					return eval(g, cells)
 				}
 				close(failing)
 				<-release
@@ -424,23 +424,23 @@ func TestMemoryTierModel(t *testing.T) {
 		resp, disposition, err := srv.runBisectCoalesced(context.Background(), sr.ID, func(owned *entry) (wire.BisectResponse, error) {
 			eval := srv.bisectEvaluator(owned, 2, &searchJournal{s: srv, id: sr.ID})
 			round := 0
-			return sr.Run(func(jobs []wire.Job, keys []string, cells []wire.BisectCell) error {
+			return sr.Run(func(g *wire.Grid, cells []wire.BisectCell) error {
 				if round++; round > 1 && fail != nil {
 					return fail
 				}
-				cached := make([]bool, len(keys))
-				for i, k := range keys {
+				cached := make([]bool, len(g.Keys))
+				for i, k := range g.Keys {
 					cached[i] = m.holders(k) > 0
 				}
-				if err := eval(jobs, keys, cells); err != nil {
+				if err := eval(g, cells); err != nil {
 					return err
 				}
 				for i, c := range cells {
 					if c.Cached != cached[i] {
 						t.Fatalf("%s: round %d cell γ=%g cached=%v, want %v", where, round, c.Gamma, c.Cached, cached[i])
 					}
-					checkReport(keys[i], c.Report, where)
-					e.hold(keys[i], 256+int64(len(c.Err)))
+					checkReport(g.Keys[i], c.Report, where)
+					e.hold(g.Keys[i], 256+int64(len(c.Err)))
 				}
 				m.evict()
 				return nil
@@ -477,10 +477,11 @@ func TestMemoryTierModel(t *testing.T) {
 				}
 				sweeps = append(sweeps, sweep)
 			}
-			id, keys, err := wire.SemanticSweepKeys(sweep)
+			g, err := wire.Admit(sweep, false)
 			if err != nil {
 				t.Fatal(err)
 			}
+			id, keys := g.ID, g.Keys
 			where = fmt.Sprintf("step %d (sweep %.8s, %d jobs)", step, id, len(sweep.Jobs))
 			_, e := m.find(id)
 			wantDisposition, wantHits := "hit", 0

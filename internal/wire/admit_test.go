@@ -1,14 +1,17 @@
 package wire_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"testing"
 
+	"taskalloc"
 	"taskalloc/internal/demand"
 	"taskalloc/internal/scenario"
+	"taskalloc/internal/sweeprun"
 	"taskalloc/internal/wire"
 )
 
@@ -61,7 +64,7 @@ func TestToJobsSharesNestedFrozen(t *testing.T) {
 				sweep.Jobs = append(sweep.Jobs, wire.Job{Rounds: 20,
 					Config: wire.Config{Ants: 50, Seed: uint64(i + 1), Schedule: &sc}})
 			}
-			if err := wire.Admit(sweep.Jobs); err != nil {
+			if _, err := wire.Admit(sweep, false); err != nil {
 				t.Fatal(err)
 			}
 			jobs, err := wire.ToJobs(sweep)
@@ -81,6 +84,74 @@ func TestToJobsSharesNestedFrozen(t *testing.T) {
 	}
 }
 
+// TestDecodeSharesImmutableSchedules: cells that spell one trace, one
+// frozen snapshot or one sinusoid decode (Grid.Decode) to one shared
+// trace and one shared snapshot, but a sinusoid each, since it memoizes
+// its path. Run at 2 workers, two cells of a kind at a time (under
+// -race in CI), they give the reports and trajectories of cells decoded
+// one by one, with instances of their own.
+func TestDecodeSharesImmutableSchedules(t *testing.T) {
+	encodings := []wire.Schedule{
+		{Kind: "trace", When: []uint64{0, 40, 90}, Vectors: [][]int{{30, 50}, {60, 20}, {40, 40}}},
+		{Kind: "frozen", When: []uint64{0, 60}, Vectors: [][]int{{50, 30}, {20, 60}}, Horizon: 1 << 12},
+		{Kind: "sinusoid", Base: []int{40, 40}, Amp: []float64{0.5, 0.25}, Period: 50},
+	}
+	kind := func(i int) int { return i / 2 % 3 } // neighbors, which run together, share a kind
+	sweep := wire.Sweep{Version: wire.V1}
+	for i := 0; i < 12; i++ {
+		sc := encodings[kind(i)] // each cell its own copy, as a decoded document has
+		sweep.Jobs = append(sweep.Jobs, wire.Job{Rounds: 1000,
+			Config: wire.Config{Ants: 200, Seed: uint64(i + 1), Shards: 1, Schedule: &sc}})
+	}
+	g, err := wire.Admit(sweep, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, len(sweep.Jobs))
+	for i := range idx {
+		idx[i] = i
+	}
+	shared := g.Decode(idx)
+	for i := range shared {
+		first := 2 * kind(i)
+		got := shared[i].Config.Demand
+		if want := kind(i) != 2; i != first && (got == shared[first].Config.Demand) != want {
+			t.Fatalf("cell %d shares cell %d's %T: %v, want %v", i, first, got, !want, want)
+		}
+	}
+	var fresh []sweeprun.Job
+	for _, j := range sweep.Jobs {
+		one, err := wire.ToJobs(wire.Sweep{Version: wire.V1, Jobs: []wire.Job{j}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, one...)
+	}
+	run := func(jobs []sweeprun.Job) []string {
+		recs := make([]*wire.TrajectoryRecorder, len(jobs))
+		for k := range jobs {
+			rec := wire.NewTrajectoryRecorder(2)
+			recs[k] = rec
+			jobs[k].Observe = func(sim *taskalloc.Simulation) taskalloc.Observer { return rec.Observer(sim) }
+		}
+		var out []string
+		for k, res := range sweeprun.Run(jobs, sweeprun.Options{Workers: 2}) {
+			rep, err := json.Marshal(res.Report)
+			if err != nil || res.Err != nil {
+				t.Fatalf("cell %d: %v %v", k, err, res.Err)
+			}
+			out = append(out, string(rep)+"\n"+string(recs[k].Bytes()))
+		}
+		return out
+	}
+	got, want := run(shared), run(fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d (%s) differs from its own decode:\n%.300s\n%.300s", i, encodings[kind(i)].Kind, got[i], want[i])
+		}
+	}
+}
+
 // TestNestedFrozenBudget: a grid whose distinct nested snapshots sum
 // past wire.MaxFrozenHorizon is refused before the snapshot past the
 // budget is built, by Admit and ToJobs alike, with the budget's 413
@@ -94,7 +165,7 @@ func TestNestedFrozenBudget(t *testing.T) {
 				{Rounds: 20, Config: wire.Config{Ants: 50, Schedule: &large}},
 			}
 			const want = "grid's distinct frozen horizons sum past 4194304 (job 1)"
-			err := wire.Admit(jobs)
+			_, err := wire.Admit(wire.Sweep{Version: wire.V1, Jobs: jobs}, false)
 			if err == nil || err.Error() != want || !errors.Is(err, wire.ErrAdmission) ||
 				wire.DecodeStatus(err) != http.StatusRequestEntityTooLarge {
 				t.Fatalf("Admit: %v (status %d), want 413 %q", err, wire.DecodeStatus(err), want)
@@ -108,8 +179,8 @@ func TestNestedFrozenBudget(t *testing.T) {
 
 // TestAdmitDecodes: admission decodes every config. A grid whose job 2
 // does not decode is an admission rejection, 400 with ToJobs's message;
-// a bisect template that does not decode is rejected by Validate with
-// the decoder's own message, naming no jobs array.
+// a bisect template that does not decode is rejected by AdmitBisect
+// with the decoder's own message, naming no jobs array.
 func TestAdmitDecodes(t *testing.T) {
 	cell := wire.Job{Rounds: 10, Config: wire.Config{Ants: 10, Demands: []int{2}}}
 	for _, tc := range []struct {
@@ -127,7 +198,7 @@ func TestAdmitDecodes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs := []wire.Job{cell, cell, cell, cell}
 			tc.mut(&jobs[2].Config)
-			err := wire.Admit(jobs)
+			_, err := wire.Admit(wire.Sweep{Jobs: jobs}, false)
 			if want := "wire: jobs[2]: " + tc.want; err == nil || err.Error() != want ||
 				!errors.Is(err, wire.ErrAdmission) || wire.DecodeStatus(err) != http.StatusBadRequest {
 				t.Fatalf("Admit: %v (status %d), want 400 %q", err, wire.DecodeStatus(err), want)
@@ -136,9 +207,9 @@ func TestAdmitDecodes(t *testing.T) {
 				t.Fatalf("ToJobs: %v; Admit said %v", terr, err)
 			}
 			req := wire.BisectRequest{Version: wire.V1, Job: jobs[2], GammaLo: 0.01, GammaHi: 0.05, TargetBand: 1}
-			if err := req.Validate(); err == nil || err.Error() != tc.want ||
+			if _, _, err := wire.AdmitBisect(req); err == nil || err.Error() != tc.want ||
 				!errors.Is(err, wire.ErrAdmission) || wire.DecodeStatus(err) != http.StatusBadRequest {
-				t.Fatalf("Validate: %v (status %d), want 400 %q", err, wire.DecodeStatus(err), tc.want)
+				t.Fatalf("AdmitBisect: %v (status %d), want 400 %q", err, wire.DecodeStatus(err), tc.want)
 			}
 		})
 	}

@@ -40,12 +40,10 @@ type BisectRequest struct {
 	MaxEvals int `json:"max_evals,omitempty"`
 }
 
-// Validate checks the request's invariants, then admits it: its
-// evaluation budget against MaxBisectEvals, and its template as Admit
-// admits a one-cell grid, decoded through one decoder, except that a
-// template that does not decode gets the decoder's own message, with
-// no jobs[0] the request does not have. An admission rejection wraps
-// ErrAdmission.
+// Validate checks the request's invariants and its bounds: the
+// evaluation budget against MaxBisectEvals, and the template's rounds
+// and ants. It decodes nothing: AdmitBisect admits the template. An
+// admission rejection wraps ErrAdmission.
 func (b BisectRequest) Validate() error {
 	if b.GammaLo <= 0 || b.GammaHi > agent.MaxGamma || b.GammaLo >= b.GammaHi {
 		return fmt.Errorf("wire: bisect needs 0 < gamma_lo < gamma_hi <= %g, got [%g, %g]",
@@ -65,11 +63,29 @@ func (b BisectRequest) Validate() error {
 	if b.Job.Rounds < 0 {
 		return fmt.Errorf("wire: bisect job rounds %d < 0", b.Job.Rounds)
 	}
-	if err := cellBounds(0, b.Job); err != nil {
-		return err
+	return cellBounds(0, b.Job)
+}
+
+// AdmitBisect is the one pass over a bisect request. It validates b,
+// decodes the template as Admit decodes a one-cell grid, over one
+// schedule memo (a template that does not decode gets the decoder's own
+// message, with no jobs[0] the request does not have), and keys the
+// request from the same memo: id is SemanticBisectHash(b). cells is
+// Admit's pass over a round of γ cells, over the same memo, so the
+// template's schedule is decoded and normalized once per search; it is
+// not safe for concurrent use.
+func AdmitBisect(b BisectRequest) (id string, cells func([]Job) (*Grid, error), err error) {
+	if err := b.Validate(); err != nil {
+		return "", nil, err
 	}
-	_, err := new(decoder).config(b.Job.Config)
-	return undecodable(err)
+	m := new(memo)
+	if _, err := m.config(b.Job.Config); err != nil {
+		return "", nil, undecodable(err)
+	}
+	if id, err = m.bisectID(b); err != nil {
+		return "", nil, err
+	}
+	return id, func(jobs []Job) (*Grid, error) { return m.admit(Sweep{Version: V1, Jobs: jobs}, false) }, nil
 }
 
 // DecodeBisectRequest reads one JSON bisect request. Like DecodeSweep,

@@ -5,8 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"taskalloc/internal/scenario"
+	"hash"
 )
 
 // This file is the behavioral-identity layer of the hash stack. JobHash
@@ -43,11 +42,7 @@ const semanticDomain = "semantic/v1\n"
 // response); unlike JobHash it is insensitive to which of several
 // behaviorally-equivalent schedule encodings was submitted.
 func SemanticHash(j Job) (string, error) {
-	return semanticHash(j, semCache{})
-}
-
-func semanticHash(j Job, cache semCache) (string, error) {
-	b, err := json.Marshal(semanticJob(j, cache))
+	b, err := json.Marshal(new(memo).semanticJob(j))
 	if err != nil {
 		return "", fmt.Errorf("wire: semantic hash job: %w", err)
 	}
@@ -63,109 +58,73 @@ func semanticDigest(normal []byte) string {
 }
 
 // SemanticSweepHash digests a whole grid's behavioral normal form: the
-// version tag and every job's normalized bytes, in order. The service's
-// sweep result cache keys on it, so syntactically distinct but
-// behaviorally identical submissions coalesce onto one entry.
-// Normalization of a schedule encoding shared by many cells (the
-// cmd/sweep pattern: one frozen snapshot for the whole grid) runs once,
-// not per job.
+// version tag and every job's normalized bytes, in order. It is the
+// public sweep ID (Admit's Grid.ID), and the service's sweep result
+// cache keys on it, so syntactically distinct but behaviorally
+// identical submissions coalesce onto one entry. A schedule encoding
+// shared by many cells (the cmd/sweep pattern: one frozen snapshot for
+// the whole grid) is normalized once, not per job.
 func SemanticSweepHash(s Sweep) (string, error) {
-	id, _, err := SemanticSweepKeys(s)
-	return id, err
+	m, h := &memo{own: true}, sweepHash(semanticDomain, s.Version)
+	for i, j := range s.Jobs {
+		if _, err := m.key(h, i, j); err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// SemanticSweepKeys is SemanticSweepHash plus every job's result key:
-// the SemanticHash of the job with Trajectory cleared, which names the
-// Report a cell produces whatever it renders. The keys come out of the
-// same pass over the same schedule memo as the sweep hash, so a
-// schedule the grid's cells share is normalized once for both.
-func SemanticSweepKeys(s Sweep) (id string, keys []string, err error) {
-	cache := semCache{}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s%s\n", semanticDomain, orDefault(s.Version, V1))
-	keys = make([]string, len(s.Jobs))
-	for i, j := range s.Jobs {
-		norm := semanticJob(j, cache)
-		b, err := json.Marshal(norm)
-		if err != nil {
-			return "", nil, fmt.Errorf("wire: semantic hash jobs[%d]: %w", i, err)
-		}
+// key adds job i's normalized bytes to a SemanticSweepHash and returns
+// its result key: the SemanticHash of the job with Trajectory cleared.
+func (m *memo) key(h hash.Hash, i int, j Job) (string, error) {
+	norm := m.semanticJob(j)
+	b, err := json.Marshal(norm)
+	if err == nil {
 		fmt.Fprintf(h, "%d:", len(b))
 		h.Write(b)
 		if norm.Trajectory {
 			norm.Trajectory = false
-			if b, err = json.Marshal(norm); err != nil {
-				return "", nil, fmt.Errorf("wire: semantic hash jobs[%d]: %w", i, err)
-			}
+			b, err = json.Marshal(norm)
 		}
-		keys[i] = semanticDigest(b)
 	}
-	return hex.EncodeToString(h.Sum(nil)), keys, nil
+	if err != nil {
+		return "", fmt.Errorf("wire: semantic hash jobs[%d]: %w", i, err)
+	}
+	return semanticDigest(b), nil
 }
 
 // SemanticBisectHash digests a bisect request over the template job's
 // behavioral normal form plus the search parameters. It is the response
-// ID a backend and the grid coordinator stamp, and the key of the
-// server's in-flight bisect coalescing. The coordinator places a
-// search's cells per γ, by SemanticHash, not by this hash.
+// ID a backend and the grid coordinator stamp (AdmitBisect returns it),
+// and the key of the server's in-flight bisect coalescing. The
+// coordinator places a search's cells per γ, by their result keys, not
+// by this hash.
 func SemanticBisectHash(b BisectRequest) (string, error) {
-	id, _, err := SemanticBisectKeys(b)
-	return id, err
+	return new(memo).bisectID(b)
 }
 
-// SemanticBisectKeys is SemanticBisectHash plus the result-key function
-// of the search's γ cells (a job's SemanticHash with Trajectory
-// cleared, as SemanticSweepKeys keys a sweep's job). The function
-// shares the hash's schedule memo, so the template's schedule is
-// normalized once per search. It is not safe for concurrent use.
-func SemanticBisectKeys(b BisectRequest) (id string, key func(Job) (string, error), err error) {
-	cache := semCache{}
+// bisectID is SemanticBisectHash over m.
+func (m *memo) bisectID(b BisectRequest) (string, error) {
 	b.Job.Trajectory = false // ignored by bisect; must not split the hash
-	jb, err := json.Marshal(semanticJob(b.Job, cache))
+	jb, err := json.Marshal(m.semanticJob(b.Job))
 	if err != nil {
-		return "", nil, fmt.Errorf("wire: semantic hash bisect request: %w", err)
+		return "", fmt.Errorf("wire: semantic hash bisect request: %w", err)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%sbisect/%s\n%g %g %g %d\n", semanticDomain, orDefault(b.Version, V1),
 		b.GammaLo, b.GammaHi, b.TargetBand, b.MaxEvals)
 	h.Write(jb)
-	return hex.EncodeToString(h.Sum(nil)), func(j Job) (string, error) {
-		j.Trajectory = false
-		return semanticHash(j, cache)
-	}, nil
-}
-
-// semCache memoizes normalized schedule encodings by their syntactic
-// JSON, so a sweep whose cells share one schedule pays the decode →
-// Canon → re-encode pass (O(horizon) for frozen snapshots) once. A nil
-// value records an irreducible (invalid) encoding.
-type semCache map[string]*Schedule
-
-// normalize returns the canonical re-encoding of sc, or ok=false when
-// sc does not decode/validate and must keep its syntactic identity.
-func (m semCache) normalize(sc *Schedule) (*Schedule, bool) {
-	key := frozenKey(sc)
-	if got, hit := m[key]; hit {
-		return got, got != nil
-	}
-	var out *Schedule
-	if dec, err := sc.ToSchedule(); err == nil {
-		if enc, err := FromSchedule(scenario.Canon(dec)); err == nil {
-			out = &enc
-		}
-	}
-	m[key] = out
-	return out, out != nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // semanticJob maps a job to its behavioral normal form. Every reduction
 // is gated on validity: on any decode or validation failure the
 // affected part keeps its syntactic canonical form.
-func semanticJob(j Job, cache semCache) Job {
+func (m *memo) semanticJob(j Job) Job {
 	j = canonicalJob(j)
 	c := j.Config
 	if sc, ok := scheduleForm(c); ok {
-		if norm, ok := cache.normalize(sc); ok {
+		if norm := m.normal(sc); norm != nil {
 			c.Schedule = norm
 			c.Demands = nil
 			c.DemandChanges = nil

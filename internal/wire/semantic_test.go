@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -306,10 +307,12 @@ func TestSemanticSweepHashAliases(t *testing.T) {
 	}
 }
 
-// TestSemanticSweepKeys: the one-pass keys agree with the per-job
-// SemanticHash of each job with Trajectory cleared, the sweep id agrees
-// with SemanticSweepHash, and a job and its trajectory twin share a key
-// (the report they produce is the same) while splitting the sweep id.
+// TestSemanticSweepKeys: Admit's one pass keys a grid as the hash
+// functions do — its ID is SemanticSweepHash, its SynID SweepHash, and
+// each key the per-job SemanticHash of the job with Trajectory cleared —
+// over this grid and every testdata/wire document; and a job and its
+// trajectory twin share a key (the report they produce is the same)
+// while splitting the sweep id.
 func TestSemanticSweepKeys(t *testing.T) {
 	step := &wire.Schedule{
 		Kind: "step", Base: []int{40, 60},
@@ -337,33 +340,48 @@ func TestSemanticSweepKeys(t *testing.T) {
 		job(step, 0.02, false),
 		job(nil, 0.03, false), // no demand: keeps its syntactic identity
 	}}
-	id, keys, err := wire.SemanticSweepKeys(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := wire.SemanticSweepHash(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != want {
-		t.Fatalf("sweep id %s, SemanticSweepHash %s", id, want)
-	}
-	if len(keys) != len(sweep.Jobs) {
-		t.Fatalf("%d keys for %d jobs", len(keys), len(sweep.Jobs))
-	}
-	for i, j := range sweep.Jobs {
-		j.Trajectory = false
-		if k := mustSemantic(t, j); keys[i] != k {
-			t.Fatalf("keys[%d] = %s, SemanticHash without trajectory = %s", i, keys[i], k)
+	admitKeys := func(sweep wire.Sweep) *wire.Grid {
+		t.Helper()
+		g, err := wire.Admit(sweep, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, err := wire.SemanticSweepHash(sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.ID != want {
+			t.Fatalf("sweep id %s, SemanticSweepHash %s", g.ID, want)
+		}
+		if syn, err := wire.SweepHash(sweep); err != nil || g.SynID != syn {
+			t.Fatalf("syntactic id %s, SweepHash %s (err %v)", g.SynID, syn, err)
+		}
+		if len(g.Keys) != len(sweep.Jobs) {
+			t.Fatalf("%d keys for %d jobs", len(g.Keys), len(sweep.Jobs))
+		}
+		for i, j := range sweep.Jobs {
+			j.Trajectory = false
+			if k := mustSemantic(t, j); g.Keys[i] != k {
+				t.Fatalf("keys[%d] = %s, SemanticHash without trajectory = %s", i, g.Keys[i], k)
+			}
+		}
+		return g
 	}
-	if keys[1] != keys[2] {
+	for _, doc := range seedCorpus(t) {
+		s, err := wire.DecodeSweep(bytes.NewReader(doc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitKeys(s)
+	}
+	g := admitKeys(sweep)
+	if g.Keys[1] != g.Keys[2] {
 		t.Fatal("a trajectory job and its behavioral twin got different keys")
 	}
 	noTraj := sweep
 	noTraj.Jobs = append([]wire.Job(nil), sweep.Jobs...)
 	noTraj.Jobs[1].Trajectory = false
-	if other, _, err := wire.SemanticSweepKeys(noTraj); err != nil || other == id {
+	if other, err := wire.Admit(noTraj, false); err != nil || other.ID == g.ID {
 		t.Fatalf("trajectory flag not in the sweep id (err %v)", err)
 	}
 }

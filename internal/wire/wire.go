@@ -10,11 +10,13 @@
 // FromConfig/ToConfig map between taskalloc.Config and the wire form,
 // and FromJobs/ToJobs do the same for whole sweeprun grids, so a grid
 // serialized by `sweep -dump-jobs` replays byte-identically through
-// `sweep -jobs` or over POST /v1/sweeps. Every decode runs through one
-// decoder, which builds each distinct frozen snapshot once and charges
-// it to the frozen-horizon budget. Admission (Admit,
-// BisectRequest.Validate, ParseQuery) decodes every config, so every
-// backend and the grid coordinator reject the same documents alike.
+// `sweep -jobs` or over POST /v1/sweeps. Admission (Admit, AdmitBisect,
+// ParseQuery) is one pass over a document: it checks the bounds,
+// decodes every config over one memo that decodes each distinct
+// schedule encoding once (charging each frozen snapshot it builds to the
+// frozen-horizon budget), and keys the document from the same memo. So
+// every backend and the grid coordinator reject the same documents
+// alike, and a backend decodes no cell twice.
 //
 // Hashing: JobHash and SweepHash digest the *canonical* form — the
 // decoded struct re-encoded with configuration defaults applied — so
@@ -38,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"reflect"
@@ -69,7 +72,7 @@ const MaxBodyBytes = 64 << 20
 // client goes away, so admission is where compute is bounded). They are
 // constants of the wire format, so every backend and the grid
 // coordinator reject the same documents with the same status and
-// message (Admit, BisectRequest.Validate).
+// message (Admit, AdmitBisect).
 const (
 	// MaxJobs bounds a sweep's grid size.
 	MaxJobs = 10_000
@@ -119,25 +122,84 @@ func DecodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// Admit checks a sweep's grid against the admission bounds: its job
-// count, each cell's rounds and ants, and that every config decodes,
-// through ToJobs's decoder (the jobs are discarded), so the frozen
-// budget counts what a decode builds. The error wraps ErrAdmission and
-// names the job; an undecodable config gets ToJobs's message and 400.
-func Admit(jobs []Job) error {
-	if len(jobs) > MaxJobs {
-		return reject(http.StatusRequestEntityTooLarge, "grid has %d jobs, limit %d", len(jobs), MaxJobs)
+// A Grid is a batch of cells admitted in one pass (Admit, AdmitBisect's
+// rounds), keyed and decoded over the pass's schedule memo. Nothing may
+// modify it once admitted, and Decode is not safe for concurrent use.
+// Keys[i] is job i's result key: its SemanticHash with Trajectory
+// cleared, which names the Report the cell produces whatever it renders.
+type Grid struct {
+	Jobs  []Job
+	ID    string // the public sweep ID, SemanticSweepHash
+	SynID string // SweepHash, "" unless Admit was asked for it
+	Keys  []string
+	m     *memo
+	cfgs  []taskalloc.Config // decoded, each with its memo entry's schedule
+}
+
+// Admit is the one pass over a sweep. It checks the admission bounds
+// (the job count, each cell's rounds and ants) and decodes every config
+// over one memo of the grid's distinct schedule encodings, charging the
+// frozen budget as it builds a snapshot, and keys the grid from the same
+// memo: the sweep ID, each job's result key and, when syntactic is set,
+// SynID. A rejection wraps ErrAdmission and names the job; a config that
+// does not decode gets ToJobs's message and 400.
+func Admit(s Sweep, syntactic bool) (*Grid, error) {
+	if len(s.Jobs) > MaxJobs {
+		return nil, reject(http.StatusRequestEntityTooLarge, "grid has %d jobs, limit %d", len(s.Jobs), MaxJobs)
 	}
-	var d decoder
-	for i, j := range jobs {
+	m := new(memo)
+	g, err := m.admit(s, syntactic)
+	for _, e := range m.entries {
+		e.norm = nil // keyed: from here on only Decode reads the memo
+	}
+	return g, err
+}
+
+// admit is Admit's pass over s, past the job count, over m.
+func (m *memo) admit(s Sweep, syntactic bool) (g *Grid, err error) {
+	g = &Grid{Jobs: s.Jobs, Keys: make([]string, len(s.Jobs)), m: m, cfgs: make([]taskalloc.Config, len(s.Jobs))}
+	h := sweepHash(semanticDomain, s.Version)
+	for i, j := range s.Jobs {
 		if err := cellBounds(i, j); err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := d.job(i, j); err != nil {
-			return undecodable(err)
+		if g.cfgs[i], err = m.job(i, j.Config); err != nil {
+			return nil, undecodable(err)
+		}
+		if g.Keys[i], err = m.key(h, i, j); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	g.ID = hex.EncodeToString(h.Sum(nil))
+	if syntactic {
+		if g.SynID, err = SweepHash(s); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// Decode returns cells idx of g as runnable jobs (Observe left nil; the
+// executor attaches trajectory recorders itself). A static, step, trace
+// or frozen schedule is immutable, so every cell runs the memo's one
+// instance; any other is built per cell, because the generative
+// families memoize their sample path and must not be shared by
+// concurrent simulations.
+func (g *Grid) Decode(idx []int) []sweeprun.Job {
+	out := make([]sweeprun.Job, len(idx))
+	for k, i := range idx {
+		j, cfg := g.Jobs[i], g.cfgs[i]
+		switch cfg.Demand.(type) {
+		case nil, demand.Static, *demand.Step, *scenario.Trace, *scenario.Frozen:
+		default:
+			var err error
+			if cfg.Demand, err = g.m.build(j.Config.Schedule, 0); err != nil {
+				panic(err) // it decoded at admission: only a bug fails it now
+			}
+		}
+		out[k] = sweeprun.Job{Meta: append([]string(nil), j.Meta...), Config: cfg, Rounds: j.Rounds}
+	}
+	return out
 }
 
 // cellBounds checks job i's rounds and ants.
@@ -160,29 +222,82 @@ func undecodable(err error) error {
 	return reject(http.StatusBadRequest, "%v", err)
 }
 
-// A decoder turns wire configs into runnable ones, building each
-// distinct frozen encoding (frozenKey) once, at any depth, for every
-// config it decodes to share (a Frozen is immutable). A snapshot costs
-// O(horizon), so it charges the horizon as it builds one: the sum may
-// not pass MaxFrozenHorizon. The zero decoder is ready to use.
-type decoder struct {
-	frozen map[string]demand.Schedule
-	total  uint64 // the built snapshots' horizons
-	at     int    // the job a budget rejection names
+// A memo is one document's schedule memo: each distinct schedule
+// encoding it meets (scheduleKey), a config's schedule or a frozen or
+// trace leaf nested in one, is decoded once, and normalized from that
+// decode. A snapshot costs O(horizon), so the memo charges the horizon
+// as it builds one: the sum may not pass MaxFrozenHorizon. The zero memo
+// is ready to use; it is not safe for concurrent use.
+type memo struct {
+	entries map[string]*memoEntry
+	total   uint64 // the built snapshots' horizons
+	at      int    // the job a budget rejection names
+	// own decodes each config's schedule on a memo of its own, as
+	// ToSchedule does, so that SemanticSweepHash, which admits nothing,
+	// hashes each cell alike whatever the others hold.
+	own bool
+	// last is the schedule last looked up, and lastE its entry: a cell's
+	// decode and keying, and a search's γ cells, ask for one in turn.
+	last  *Schedule
+	lastE *memoEntry
 }
 
-// job decodes job i of a grid. An error names the job, but for the
-// budget's rejection, which names it itself.
-func (d *decoder) job(i int, j Job) (sweeprun.Job, error) {
-	d.at = i
-	cfg, err := d.config(j.Config)
-	if errors.Is(err, ErrAdmission) {
-		return sweeprun.Job{}, err
+// A memoEntry is one schedule encoding, decoded.
+type memoEntry struct {
+	sched  demand.Schedule // nil when err is set
+	err    error
+	norm   *Schedule // the normal form; nil when it keeps its syntactic one
+	normed bool
+}
+
+// entry returns sc's entry, decoding sc on a miss.
+func (m *memo) entry(sc *Schedule) *memoEntry {
+	if sc == m.last {
+		return m.lastE
 	}
-	if err != nil {
-		return sweeprun.Job{}, fmt.Errorf("wire: jobs[%d]: %w", i, err)
+	key := scheduleKey(sc)
+	e := m.entries[key]
+	if e == nil {
+		d := m
+		if m.own {
+			d = new(memo)
+		}
+		e = &memoEntry{}
+		e.sched, e.err = d.build(sc, 0)
+		if m.entries == nil {
+			m.entries = map[string]*memoEntry{}
+		}
+		m.entries[key] = e
 	}
-	return sweeprun.Job{Meta: append([]string(nil), j.Meta...), Config: cfg, Rounds: j.Rounds}, nil
+	m.last, m.lastE = sc, e
+	return e
+}
+
+// normal returns sc's normal form: its decode reduced by scenario.Canon
+// and re-encoded, or nil when sc does not decode and keeps its
+// syntactic form.
+func (m *memo) normal(sc *Schedule) *Schedule {
+	e := m.entry(sc)
+	if !e.normed {
+		e.normed = true
+		if e.err == nil {
+			if enc, err := FromSchedule(scenario.Canon(e.sched)); err == nil {
+				e.norm = &enc
+			}
+		}
+	}
+	return e.norm
+}
+
+// job decodes the config of job i of a grid. An error names the job,
+// but for the budget's rejection, which names it itself.
+func (m *memo) job(i int, c Config) (taskalloc.Config, error) {
+	m.at = i
+	cfg, err := m.config(c)
+	if err != nil && !errors.Is(err, ErrAdmission) {
+		err = fmt.Errorf("wire: jobs[%d]: %w", i, err)
+	}
+	return cfg, err
 }
 
 // Sweep is the job-grid envelope: what POST /v1/sweeps accepts and
@@ -436,12 +551,13 @@ func FromConfig(cfg taskalloc.Config) (Config, error) {
 // schedule through its validating constructor (its distinct frozen
 // snapshots may sum to at most MaxFrozenHorizon, as in ToJobs).
 func (c Config) ToConfig() (taskalloc.Config, error) {
-	return new(decoder).config(c)
+	return new(memo).config(c)
 }
 
-// config decodes c. A budget rejection comes back bare, whatever
+// config decodes c, its schedule through the memo: Demand is the
+// entry's schedule. A budget rejection comes back bare, whatever
 // schedule nests the snapshot it was charged for.
-func (d *decoder) config(c Config) (taskalloc.Config, error) {
+func (m *memo) config(c Config) (taskalloc.Config, error) {
 	out := taskalloc.Config{
 		Ants:             c.Ants,
 		Demands:          append([]int(nil), c.Demands...),
@@ -486,14 +602,15 @@ func (d *decoder) config(c Config) (taskalloc.Config, error) {
 		out.NoiseChanges = append(out.NoiseChanges, taskalloc.NoiseChange{At: ch.At, Noise: nz})
 	}
 	if c.Schedule != nil {
-		sched, err := d.schedule(*c.Schedule, 0)
+		e := m.entry(c.Schedule)
+		err := e.err
 		if rejected := (*admissionError)(nil); errors.As(err, &rejected) {
 			err = rejected
 		}
 		if err != nil {
 			return taskalloc.Config{}, err
 		}
-		out.Demand = sched
+		out.Demand = e.sched
 	}
 	return out, nil
 }
@@ -659,12 +776,18 @@ func FromSchedule(s demand.Schedule) (Schedule, error) {
 // by MaxScheduleDepth, and the distinct frozen snapshots, nested ones
 // included, may sum to at most MaxFrozenHorizon.
 func (s Schedule) ToSchedule() (demand.Schedule, error) {
-	return new(decoder).schedule(s, 0)
+	return new(memo).build(&s, 0)
 }
 
-func (d *decoder) schedule(s Schedule, depth int) (demand.Schedule, error) {
+// build decodes s, a frozen or trace leaf nested in it through the
+// memo, so that every schedule nesting it shares one instance.
+func (m *memo) build(s *Schedule, depth int) (demand.Schedule, error) {
 	if depth > MaxScheduleDepth {
 		return nil, fmt.Errorf("wire: schedule nesting exceeds depth %d", MaxScheduleDepth)
+	}
+	if depth > 0 && (s.Kind == "frozen" || s.Kind == "trace") {
+		e := m.entry(s)
+		return e.sched, e.err
 	}
 	switch s.Kind {
 	case "static":
@@ -691,13 +814,9 @@ func (d *decoder) schedule(s Schedule, depth int) (demand.Schedule, error) {
 	case "trace":
 		return scenario.NewTrace(append([]uint64(nil), s.When...), toVectors(s.Vectors))
 	case "frozen":
-		key := frozenKey(&s)
-		if fz := d.frozen[key]; fz != nil {
-			return fz, nil
-		}
-		if d.total += min(s.Horizon, MaxFrozenHorizon+1); d.total > MaxFrozenHorizon { // no wrap-around
+		if m.total += min(s.Horizon, MaxFrozenHorizon+1); m.total > MaxFrozenHorizon { // no wrap-around
 			return nil, reject(http.StatusRequestEntityTooLarge,
-				"grid's distinct frozen horizons sum past %d (job %d)", MaxFrozenHorizon, d.at)
+				"grid's distinct frozen horizons sum past %d (job %d)", MaxFrozenHorizon, m.at)
 		}
 		tr, err := scenario.NewTrace(append([]uint64(nil), s.When...), toVectors(s.Vectors))
 		if err != nil {
@@ -709,35 +828,27 @@ func (d *decoder) schedule(s Schedule, depth int) (demand.Schedule, error) {
 		}
 		// Re-sampling the piecewise-constant trace reproduces the
 		// original snapshot exactly.
-		fz, err := scenario.Freeze(tr, s.Horizon)
-		if err != nil {
-			return nil, err
-		}
-		if d.frozen == nil {
-			d.frozen = map[string]demand.Schedule{}
-		}
-		d.frozen[key] = fz
-		return fz, nil
+		return scenario.Freeze(tr, s.Horizon)
 	case "compose":
-		parts, err := d.parts(s, depth)
+		parts, err := m.parts(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: compose: %w", err)
 		}
 		return scenario.NewCompose(parts, append([]uint64(nil), s.When...))
 	case "superpose":
-		parts, err := d.parts(s, depth)
+		parts, err := m.parts(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: superpose: %w", err)
 		}
 		return scenario.NewSuperpose(parts)
 	case "modulate":
-		inner, err := d.inner(s, depth)
+		inner, err := m.inner(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: modulate: %w", err)
 		}
 		return scenario.NewModulate(inner, append([]float64(nil), s.Scale...))
 	case "stablenoise":
-		inner, err := d.inner(s, depth)
+		inner, err := m.inner(s, depth)
 		if err != nil {
 			return nil, fmt.Errorf("wire: stablenoise: %w", err)
 		}
@@ -749,13 +860,13 @@ func (d *decoder) schedule(s Schedule, depth int) (demand.Schedule, error) {
 	}
 }
 
-func (d *decoder) parts(s Schedule, depth int) ([]demand.Schedule, error) {
+func (m *memo) parts(s *Schedule, depth int) ([]demand.Schedule, error) {
 	if len(s.Parts) == 0 {
 		return nil, errors.New("needs parts")
 	}
 	parts := make([]demand.Schedule, len(s.Parts))
-	for i, p := range s.Parts {
-		dec, err := d.schedule(p, depth+1)
+	for i := range s.Parts {
+		dec, err := m.build(&s.Parts[i], depth+1)
 		if err != nil {
 			return nil, fmt.Errorf("part %d: %w", i, err)
 		}
@@ -764,11 +875,11 @@ func (d *decoder) parts(s Schedule, depth int) ([]demand.Schedule, error) {
 	return parts, nil
 }
 
-func (d *decoder) inner(s Schedule, depth int) (demand.Schedule, error) {
+func (m *memo) inner(s *Schedule, depth int) (demand.Schedule, error) {
 	if s.Inner == nil {
 		return nil, errors.New("needs inner")
 	}
-	return d.schedule(*s.Inner, depth+1)
+	return m.build(s.Inner, depth+1)
 }
 
 func fromVectors(vs []demand.Vector) [][]int {
@@ -816,8 +927,9 @@ func FromJob(j sweeprun.Job) (Job, error) {
 // the whole grid) is serialized once and its encoding reused, so the
 // O(changes) Points walk is not repeated per cell. The JSON document
 // still carries one copy per job — the v1 envelope has no cross-job
-// references; decoders rebuild per-job instances, which is what makes
-// the decoded jobs safe to run concurrently.
+// references. A decode shares each immutable schedule and builds the
+// generative ones per job (Grid.Decode), which is what makes the
+// decoded jobs safe to run concurrently.
 func FromJobs(jobs []sweeprun.Job) (Sweep, error) {
 	out := Sweep{Version: V1, Jobs: make([]Job, len(jobs))}
 	encoded := map[demand.Schedule]*Schedule{}
@@ -854,75 +966,34 @@ func FromJobs(jobs []sweeprun.Job) (Sweep, error) {
 	return out, nil
 }
 
-// ToJobs decodes a sweep's grid into runnable jobs (Observe left nil;
-// the executor attaches trajectory recorders itself when Trajectory is
-// set) through one decoder, so identical frozen encodings, at any
-// depth, materialize once and every cell shares the snapshot — without
-// sharing, a J-cell replay would pay J·O(horizon) memory instead of
-// one snapshot — and a grid whose distinct snapshots sum past
-// MaxFrozenHorizon is refused with Admit's error.
+// ToJobs decodes a sweep's grid into runnable jobs as Admit and Decode
+// do, without the bounds or the keys: over one memo, so each distinct
+// schedule encoding, at any depth, is decoded once and every cell
+// shares a frozen snapshot — without sharing, a J-cell replay would pay
+// J·O(horizon) memory instead of one snapshot — and a grid whose
+// distinct snapshots sum past MaxFrozenHorizon is refused with Admit's
+// error.
 func ToJobs(s Sweep) ([]sweeprun.Job, error) {
-	var d decoder
-	out := make([]sweeprun.Job, len(s.Jobs))
-	for i, wj := range s.Jobs {
-		j, err := d.job(i, wj)
-		if err != nil {
+	g := &Grid{Jobs: s.Jobs, m: new(memo), cfgs: make([]taskalloc.Config, len(s.Jobs))}
+	idx := make([]int, len(s.Jobs))
+	for i, j := range s.Jobs {
+		var err error
+		if g.cfgs[i], err = g.m.job(i, j.Config); err != nil {
 			return nil, err
 		}
-		out[i] = j
+		idx[i] = i
 	}
-	return out, nil
+	return g.Decode(idx), nil
 }
 
-// frozenKey identifies a frozen schedule encoding by content. One
-// decoder charges and shares a snapshot under it, so the admission
-// budget counts exactly the snapshots a decode materializes; the
-// semantic hash's normalization memo keys on it too.
-func frozenKey(sc *Schedule) string {
+// scheduleKey identifies a schedule encoding by content: a memo decodes,
+// charges and normalizes each encoding once under it.
+func scheduleKey(sc *Schedule) string {
 	b, err := json.Marshal(sc)
 	if err != nil {
 		return fmt.Sprintf("%p", sc) // unreachable: Schedule always marshals
 	}
 	return string(b)
-}
-
-// Tasks returns the task count the config's schedule yields (the
-// trajectory recorder's column count).
-func (c Config) Tasks() int {
-	if c.Schedule != nil {
-		return c.Schedule.tasks(0)
-	}
-	return len(c.Demands)
-}
-
-func (s *Schedule) tasks(depth int) int {
-	if depth > MaxScheduleDepth {
-		return 0
-	}
-	switch s.Kind {
-	case "markov":
-		if len(s.Regimes) > 0 {
-			return len(s.Regimes[0])
-		}
-		return 0
-	case "trace", "frozen":
-		if len(s.Vectors) > 0 {
-			return len(s.Vectors[0])
-		}
-		return 0
-	case "compose", "superpose":
-		if len(s.Parts) > 0 {
-			return s.Parts[0].tasks(depth + 1)
-		}
-		return 0
-	case "modulate", "stablenoise":
-		if s.Inner != nil {
-			return s.Inner.tasks(depth + 1)
-		}
-		return 0
-	default:
-		return len(s.Base)
-	}
 }
 
 // --- Canonical hashing ---
@@ -993,8 +1064,7 @@ func JobHash(j Job) (string, error) {
 // canonical bytes, in order. The service counts a sweep cache hit as
 // an alias hit when it differs from the entry creator's.
 func SweepHash(s Sweep) (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", orDefault(s.Version, V1))
+	h := sweepHash("", s.Version)
 	for i, j := range s.Jobs {
 		b, err := json.Marshal(canonicalJob(j))
 		if err != nil {
@@ -1004,4 +1074,11 @@ func SweepHash(s Sweep) (string, error) {
 		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// sweepHash starts a sweep digest: the domain, then the version tag.
+func sweepHash(domain, version string) hash.Hash {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s%s\n", domain, orDefault(version, V1))
+	return h
 }
